@@ -12,21 +12,28 @@ dc = fs.derived_constants(params, fm)
 
 ##### warm-up on a synthetic signal
 
-eps = 0.01
-ts = np.arange(0.0, 1.0 + 1e-12, eps / 64)
-v = np.sin(ts) + 0.3 * np.sin(2 * math.pi * ts / eps)
-L = fs.interpolate_two_scale(ts, v, eps)
+# with the phase phi0(t) = pi*t the slow variable r is t itself, so the
+# signal v = sin(t) + 0.3 sin(2 pi t/eps) should unfold onto the surface
+# sin(t) + 0.3 sin(2 pi s): the fast factor riding on the slow drift
+clock = fs.integrate_fixed(lambda t, x: np.array([math.pi]), np.array([0.0]),
+                           1.0, 1e-3)
 
-# at fixed t the s-profile should be the fast factor riding on sin(t)
-t0 = 0.5
-s = np.linspace(0.0, 1.0, 9)
-got = np.array([L(t0, si) for si in s])
-want = math.sin(t0) + 0.3 * np.sin(2 * math.pi * s)
-print("synthetic unfolding at t = 0.5, v = sin(t) + 0.3 sin(2 pi t/eps)")
-print("  s      :", " ".join(f"{x:6.3f}" for x in s))
-print("  L(t,s) :", " ".join(f"{x:6.3f}" for x in got))
-print("  exact  :", " ".join(f"{x:6.3f}" for x in want))
-print(f"  sup gap {np.max(np.abs(got - want)):.2e} (order eps^2)")
+
+def surface(t, s_arr):
+    return np.sin(t) + 0.3 * np.sin(2 * math.pi * s_arr)
+
+
+print("synthetic unfolding of v = sin(t) + 0.3 sin(2 pi t/eps)")
+prev = None
+for eps in (0.04, 0.02, 0.01):
+    def v(times, _eps=eps):
+        return np.sin(times) + 0.3 * np.sin(2 * math.pi * times / _eps)
+
+    err, info = fs.nonlinear_two_scale_error(v, surface, clock, eps)
+    note = "" if prev is None else f"   ratio {prev / err:5.2f}"
+    print(f"  eps {eps:5.3f}: sup gap {err:.3e} over {info['cells']} cells{note}")
+    prev = err
+print("  (order eps^2: the ratio approaches 4)")
 
 ##### the real thing: rescaled action remainder
 
@@ -49,12 +56,9 @@ def limit(t, s_arr):
 
 print()
 print("unfolding error of (theta - theta*)/eps against the corrector surface")
-x0 = np.array([0.0, dc.theta_star, params.y_star, params.p_star])
 prev = None
 for eps in (0.04, 0.02, 0.01):
-    h = 2 * math.pi * eps / (80 * fm.omega_upper_bound)
-    ref = fs.reference_solution(fs.action_angle_field(eps, fm), x0,
-                                params.horizon_T, h)
+    ref = fs.reference_run(params, fm, eps, reference_factor=80)
 
     def u(times, _eps=eps, _ref=ref):
         xs = fs.sample(_ref, times)
@@ -73,9 +77,7 @@ for eps in (0.04, 0.02, 0.01):
 print()
 print("windowed average of the kinetic-potential gap (8 fast periods per window)")
 for eps in (0.02, 0.01):
-    h = 2 * math.pi * eps / (80 * fm.omega_upper_bound)
-    ref = fs.reference_solution(fs.action_angle_field(eps, fm), x0,
-                                params.horizon_T, h)
+    ref = fs.reference_run(params, fm, eps, reference_factor=80)
     rep = fs.equipartition_check(ref, eps, fm)
     print(f"  eps {eps:5.3f}: max |window mean| {rep.gap_max:.3e} "
           f"over {rep.centers.size} centers, raw amplitude about "

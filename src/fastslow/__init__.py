@@ -21,14 +21,10 @@ lab          run configuration, file outputs, command line
 """
 
 from .averaging import (
-    TwoScaleGrid,
-    TwoScaleInterpolant,
     WindowedAverage,
     estimate_order,
     floor_frac,
-    interpolate_two_scale,
     nonlinear_two_scale_error,
-    two_scale_compose,
     windowed_average,
 )
 from .dynamics import (
@@ -58,17 +54,12 @@ from .expansion import (
     eval_expansion,
     initial_corrections,
     reconstruct,
+    reference_run,
     residual_norms,
     solve_expansion,
     two_scale_limits,
 )
-from .homogenized import (
-    HomogenizedState,
-    eval_homogenized,
-    homogenized_rhs,
-    invert_phase,
-    solve_homogenized,
-)
+from .homogenized import HomogenizedState, solve_homogenized
 from .integrate import (
     NumericalError,
     Trajectory,
@@ -97,7 +88,6 @@ from .thermo import (
     EquipartitionReport,
     FirstLawReport,
     ThermoExpansion,
-    ThermoState,
     averaged_energy_bundle,
     check_first_law,
     energy_expansion,
@@ -106,7 +96,6 @@ from .thermo import (
     fd4_derivative,
     hertz_temperature_oracle,
     phase_space_volume,
-    thermo_state,
 )
 
 __version__ = "0.1.0"
@@ -115,25 +104,24 @@ __all__ = [
     "ActionAngleState", "AveragedCorrection", "AveragedEnergyBundle",
     "CartesianState", "ConfigError", "CorrectorValues", "DerivedConstants",
     "EnergyExpansion", "EquipartitionReport", "FirstLawReport",
-    "FrequencyModel", "HomogenizedState", "LogDerivatives", "NumericalError",
-    "ResidualReport", "RunConfig", "SystemParams", "ThermoExpansion",
-    "ThermoState", "Trajectory", "TwoScaleGrid", "TwoScaleInterpolant",
-    "WindowedAverage", "action_angle_field", "action_angle_rhs",
-    "action_angle_rhs_composed", "averaged_energy_bundle", "averaged_rhs",
+    "FrequencyModel", "HomogenizedState", "LogDerivatives",
+    "NumericalError", "ResidualReport", "RunConfig", "SystemParams",
+    "ThermoExpansion", "Trajectory", "WindowedAverage",
+    "action_angle_field", "action_angle_rhs", "action_angle_rhs_composed",
+    "averaged_energy_bundle", "averaged_rhs",
     "cartesian_field", "cartesian_rhs", "check_first_law", "correctors",
     "dense_eval", "derived_constants", "energy_action_angle",
     "energy_action_angle_arrays", "energy_cartesian", "energy_expansion",
-    "equipartition_check", "oscillator_energy_gap_arrays",
-    "estimate_order", "eval_expansion", "eval_homogenized", "expand_thermo",
-    "fd4_derivative", "finite_difference_report", "floor_frac",
-    "from_action_angle", "hertz_temperature_oracle", "homogenized_rhs",
-    "initial_corrections", "integrate_controlled", "integrate_fixed",
-    "interpolate_two_scale", "invert_monotone", "invert_phase",
-    "load_config", "log_derivatives", "main", "make_frequency",
-    "nonlinear_two_scale_error", "parse_config_text", "phase_space_volume",
-    "reconstruct", "reduce_phase", "reduced_sincos", "reduced_sincos_array",
-    "reference_solution", "residual_norms", "sample", "solve_expansion",
-    "solve_homogenized", "split_energy", "split_energy_cartesian",
-    "thermo_state", "to_action_angle", "to_action_angle_arrays",
-    "two_scale_compose", "two_scale_limits", "windowed_average",
+    "equipartition_check", "estimate_order", "eval_expansion",
+    "expand_thermo", "fd4_derivative", "finite_difference_report",
+    "floor_frac", "from_action_angle", "hertz_temperature_oracle",
+    "initial_corrections", "integrate_controlled",
+    "integrate_fixed", "invert_monotone", "load_config", "log_derivatives",
+    "main", "make_frequency", "nonlinear_two_scale_error",
+    "oscillator_energy_gap_arrays", "parse_config_text",
+    "phase_space_volume", "reconstruct", "reduce_phase", "reduced_sincos",
+    "reduced_sincos_array", "reference_run", "reference_solution",
+    "residual_norms", "sample", "solve_expansion", "solve_homogenized",
+    "split_energy", "split_energy_cartesian", "to_action_angle",
+    "to_action_angle_arrays", "two_scale_limits", "windowed_average",
 ]

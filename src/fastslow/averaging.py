@@ -1,10 +1,9 @@
-"""Two-scale composition, its approximate inverse, and windowed averages.
+"""Two-scale unfolding, windowed averages, and order estimation.
 
 A highly oscillatory signal u_eps(t) is compared against a two-scale field
-u(t, s) (slow time t, fast periodic variable s) by composing the field at
-s = fractional fast phase, or conversely by unfolding the signal onto the
-(r, s) plane with a linear-in-s unfolding operator.  Windowed averages over
-whole fast periods extract the slowly varying parts.
+u(t, s) (slow time t, fast periodic variable s) by unfolding the signal
+onto the (r, s) plane with a linear-in-s unfolding operator.  Windowed
+averages over whole fast periods extract the slowly varying parts.
 """
 
 from __future__ import annotations
@@ -17,15 +16,6 @@ import numpy as np
 from .integrate import Trajectory, invert_monotone, sample
 
 
-@dataclass
-class TwoScaleGrid:
-    """Unfolded field values: values[i, j] at slow point r[i], fast point s[j]."""
-
-    r: np.ndarray
-    s: np.ndarray
-    values: np.ndarray
-
-
 def floor_frac(x):
     """Split x into (N, R) with N = floor(x) as a float and R = x - N.
 
@@ -34,75 +24,9 @@ def floor_frac(x):
     below 1 so the interval contract holds.  N + R reproduces x exactly
     for x >= 0 and to <= 2 ulp otherwise.
     """
-    if isinstance(x, np.ndarray):
-        n = np.floor(x)
-        r = x - n
-        r = np.where(r >= 1.0, np.nextafter(1.0, 0.0), r)
-        return n, r
-    n = math.floor(x)
+    n = np.floor(x)
     r = x - n
-    if r >= 1.0:
-        r = math.nextafter(1.0, 0.0)
-    return float(n), r
-
-
-def two_scale_compose(t, s, epsilon: float):
-    """h_eps(t, s) = eps*floor(t/eps) + eps*s; |h - t| <= eps."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    n, _ = floor_frac(np.asarray(t, float) / epsilon if isinstance(t, np.ndarray) else t / epsilon)
-    return epsilon * n + epsilon * s
-
-
-class TwoScaleInterpolant:
-    """Unfolding of a sampled signal v(t) onto slow/fast variables.
-
-    Evaluation at (t, s) blends v at the matching fast offset inside the
-    two cells bracketing t, then subtracts s times the blended cell jump,
-    which removes the sawtooth the blend would otherwise introduce:
-    the result is continuous in t and exactly 1-periodic in s for signals
-    sampled beyond the cell boundary.  Out-of-range evaluation points are
-    clamped to the sampled interval and counted in .clamped.
-    """
-
-    def __init__(self, times: np.ndarray, values: np.ndarray, epsilon: float):
-        if not epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        times = np.asarray(times, float)
-        values = np.asarray(values, float)
-        if times.ndim != 1 or times.shape != values.shape:
-            raise ValueError("times and values must be equal-length 1-D arrays")
-        if times.size < 2:
-            raise ValueError("need at least two samples")
-        self.times = times
-        self.values = values
-        self.epsilon = epsilon
-        self.clamped = 0
-
-    def _v(self, t):
-        t = np.asarray(t, float)
-        lo, hi = self.times[0], self.times[-1]
-        out = np.count_nonzero((t < lo) | (t > hi))
-        if out:
-            self.clamped += int(out)
-        return np.interp(t, self.times, self.values)
-
-    def __call__(self, t, s):
-        t = np.asarray(t, float)
-        s = np.asarray(s, float)
-        eps = self.epsilon
-        n, rho = floor_frac(t / eps)
-        a = eps * n
-        blend = ((1.0 - rho) * self._v(a + eps * s)
-                 + rho * self._v(a + eps + eps * s))
-        jump = ((1.0 - rho) * (self._v(a + eps) - self._v(a))
-                + rho * (self._v(a + 2 * eps) - self._v(a + eps)))
-        return blend - s * jump
-
-
-def interpolate_two_scale(times, values, epsilon: float) -> TwoScaleInterpolant:
-    """Build the unfolding interpolant of a sampled signal."""
-    return TwoScaleInterpolant(times, values, epsilon)
+    return n, np.where(r >= 1.0, np.nextafter(1.0, 0.0), r)
 
 
 def nonlinear_two_scale_error(u, limit, phase_traj: Trajectory, epsilon: float,

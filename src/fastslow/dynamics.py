@@ -219,8 +219,7 @@ def to_action_angle_arrays(Y, ETA, Z, ZETA, epsilon: float, fm: FrequencyModel):
     """
     _check_epsilon(epsilon)
     Y = np.asarray(Y, float)
-    w = fm.omega(Y)
-    w1 = fm.domega(Y)
+    w, w1, _, _ = fm.derivs(Y)
     wz = w * np.asarray(Z, float) / epsilon
     theta = (np.asarray(ZETA, float) ** 2 + wz**2) / (2.0 * w)
     degenerate = theta == 0.0
@@ -234,8 +233,7 @@ def energy_action_angle_arrays(PHI, THETA, Y, P, epsilon: float, fm: FrequencyMo
     """Vectorized total energy along sampled action-angle trajectories."""
     _check_epsilon(epsilon)
     Y = np.asarray(Y, float)
-    w = fm.omega(Y)
-    w1 = fm.domega(Y)
+    w, w1, _, _ = fm.derivs(Y)
     s2, _ = reduced_sincos_array(np.asarray(PHI, float), epsilon, 2)
     shear = epsilon * (0.5 * np.asarray(THETA, float) * w1 / w) * s2
     P = np.asarray(P, float)

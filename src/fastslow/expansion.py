@@ -22,7 +22,7 @@ from .homogenized import HomogenizedState
 from .integrate import (Trajectory, integrate_controlled, reference_solution,
                         sample)
 from .model import FrequencyModel, SystemParams, derived_constants
-from .phase import reduced_sincos, reduced_sincos_array
+from .phase import reduced_sincos_array
 
 
 @dataclass(frozen=True)
@@ -90,45 +90,49 @@ def correctors(base: HomogenizedState, phi2_bar, epsilon: float,
                fm: FrequencyModel, theta_star: float) -> CorrectorValues:
     """Oscillatory correctors at the homogenized state.
 
-    Scalar fields use the scalar phase reduction; array fields use the
-    extended-precision vector path.  phi2_bar feeds the second-order
-    action corrector (its phase-locked part multiplies cos(2 phi0/eps)).
+    Scalar and array fields share the extended-precision phase reduction.
+    phi2_bar feeds the second-order action corrector (its phase-locked
+    part multiplies cos(2 phi0/eps)).
     """
-    y0 = base.y0
-    if isinstance(y0, np.ndarray):
-        w = fm.omega(y0)
-        w1 = fm.domega(y0)
-        w2 = fm.d2omega(y0)
-        s2, c2 = reduced_sincos_array(base.phi0, epsilon, 2)
-    else:
-        w, w1, w2, _ = fm.derivs(y0)
-        s2, c2 = reduced_sincos(base.phi0, epsilon, 2)
+    w, w1, w2, _ = fm.derivs(base.y0)
+    s2, c2 = reduced_sincos_array(base.phi0, epsilon, 2)
     return _corrector_core(theta_star, w, w1, w2, base.p0, s2, c2, phi2_bar)
 
 
-def averaged_rhs(corr: AveragedCorrection, base: HomogenizedState,
-                 fm: FrequencyModel, theta_star: float) -> AveragedCorrection:
-    """Time derivative of the averaged second-order corrections."""
-    y0, p0 = base.y0, base.p0
-    if isinstance(y0, np.ndarray):
-        w = fm.omega(y0)
-        w1 = fm.domega(y0)
-        w2 = fm.d2omega(y0)
-    else:
-        w, w1, w2, _ = fm.derivs(y0)
+def _averaged_core(theta_star, w, w1, w2, p0, theta2_bar, y2_bar, p2_bar):
     dyL = w1 / w
     dy2L = w2 / w - dyL * dyL
     DtL = p0 * dyL
     DtDyL = p0 * dy2L
     Dt2L = -theta_star * w1 * dyL + p0 * p0 * dy2L
     return AveragedCorrection(
-        phi2_bar=w1 * corr.y2_bar + theta_star * dyL * dyL / 8.0 - DtL * DtL / (8.0 * w),
+        phi2_bar=w1 * y2_bar + theta_star * dyL * dyL / 8.0 - DtL * DtL / (8.0 * w),
         theta2_bar=(theta_star * DtL / (4.0 * w * w)) * (Dt2L - DtL * DtL),
-        y2_bar=corr.p2_bar - theta_star * dyL * DtL / (4.0 * w),
-        p2_bar=(-w1 * corr.theta2_bar - theta_star * w2 * corr.y2_bar
+        y2_bar=p2_bar - theta_star * dyL * DtL / (4.0 * w),
+        p2_bar=(-w1 * theta2_bar - theta_star * w2 * y2_bar
                 - theta_star**2 * dyL * dy2L / 8.0
                 + theta_star * DtL * DtDyL / (4.0 * w)),
     )
+
+
+def averaged_rhs(corr: AveragedCorrection, base: HomogenizedState,
+                 fm: FrequencyModel, theta_star: float) -> AveragedCorrection:
+    """Time derivative of the averaged second-order corrections."""
+    w, w1, w2, _ = fm.derivs(base.y0)
+    return _averaged_core(theta_star, w, w1, w2, base.p0, corr.theta2_bar,
+                          corr.y2_bar, corr.p2_bar)
+
+
+def averaged_action_identity(base: HomogenizedState, corr: AveragedCorrection,
+                             fm: FrequencyModel, theta_star: float):
+    """Residual of the averaged action constraint; zero along the
+    averaged flow started from initial_corrections."""
+    w, w1, _, _ = fm.derivs(base.y0)
+    dyL = w1 / w
+    return (corr.theta2_bar + (base.p0 / w) * corr.p2_bar
+            + theta_star * dyL * corr.y2_bar
+            + theta_star**2 * dyL * dyL / (16.0 * w)
+            - theta_star * (base.p0 * dyL) ** 2 / (4.0 * w * w))
 
 
 def initial_corrections(params: SystemParams, fm: FrequencyModel) -> AveragedCorrection:
@@ -140,18 +144,14 @@ def initial_corrections(params: SystemParams, fm: FrequencyModel) -> AveragedCor
     The action corrector itself consumes phi2_bar(0), which is resolved
     first (the phi corrector does not depend on the action one).
     """
-    dc = derived_constants(params, fm)
+    theta_star = derived_constants(params, fm).theta_star
     w, w1, w2, _ = fm.derivs(params.y_star)
-    dyL = w1 / w
-    DtL = params.p_star * dyL
-    phi2_bar0 = DtL / (4.0 * w)
-    y2_bar0 = dc.theta_star * dyL / (4.0 * w)
-    p2_bar0 = -dc.theta_star * params.p_star * (w2 * w - 2.0 * w1 * w1) / (4.0 * w**3)
-    base0 = HomogenizedState(phi0=0.0, y0=params.y_star, p0=params.p_star,
-                             theta0=dc.theta_star)
-    cv0 = correctors(base0, phi2_bar0, 1.0, fm, dc.theta_star)
+    phi2_bar0 = -_corrector_core(theta_star, w, w1, w2, params.p_star,
+                                 0.0, 1.0, 0.0).phi2
+    cv0 = _corrector_core(theta_star, w, w1, w2, params.p_star, 0.0, 1.0,
+                          phi2_bar0)
     return AveragedCorrection(phi2_bar=phi2_bar0, theta2_bar=-cv0.theta2,
-                              y2_bar=y2_bar0, p2_bar=p2_bar0)
+                              y2_bar=-cv0.y2, p2_bar=-cv0.p2)
 
 
 def expansion_field(params: SystemParams, fm: FrequencyModel):
@@ -162,22 +162,9 @@ def expansion_field(params: SystemParams, fm: FrequencyModel):
     def f(t, x):
         _, y0, p0, _, th2b, y2b, p2b = x
         w, w1, w2, _ = fm.derivs(y0)
-        dyL = w1 / w
-        dy2L = w2 / w - dyL * dyL
-        DtL = p0 * dyL
-        DtDyL = p0 * dy2L
-        Dt2L = -theta_star * w1 * dyL + p0 * p0 * dy2L
-        return np.array([
-            w,
-            p0,
-            -theta_star * w1,
-            w1 * y2b + theta_star * dyL * dyL / 8.0 - DtL * DtL / (8.0 * w),
-            (theta_star * DtL / (4.0 * w * w)) * (Dt2L - DtL * DtL),
-            p2b - theta_star * dyL * DtL / (4.0 * w),
-            (-w1 * th2b - theta_star * w2 * y2b
-             - theta_star**2 * dyL * dy2L / 8.0
-             + theta_star * DtL * DtDyL / (4.0 * w)),
-        ])
+        d = _averaged_core(theta_star, w, w1, w2, p0, th2b, y2b, p2b)
+        return np.array([w, p0, -theta_star * w1,
+                         d.phi2_bar, d.theta2_bar, d.y2_bar, d.p2_bar])
 
     return f
 
@@ -237,17 +224,27 @@ def two_scale_limits(base: HomogenizedState, phi2_bar, s,
     (nt, ns) surfaces.  The s-average of every field is zero; the slowly
     varying parts (phi2_bar etc.) are the caller's to add.
     """
-    y0 = base.y0
-    if isinstance(y0, np.ndarray):
-        w = fm.omega(y0)
-        w1 = fm.domega(y0)
-        w2 = fm.d2omega(y0)
-    else:
-        w, w1, w2, _ = fm.derivs(y0)
+    w, w1, w2, _ = fm.derivs(base.y0)
     ang = 2.0 * np.pi * np.asarray(s, float)
     s2 = np.sin(ang)
     c2 = np.cos(ang)
     return _corrector_core(theta_star, w, w1, w2, base.p0, s2, c2, phi2_bar)
+
+
+def reference_run(params: SystemParams, fm: FrequencyModel, epsilon: float,
+                  reference_factor: float,
+                  error_cap: float | None = 1e-8) -> Trajectory:
+    """Step-halved action-angle reference run at one epsilon.
+
+    The base step resolves the fastest period 2*pi*eps/omega_upper_bound
+    by reference_factor steps.  Raises NumericalError when the run's
+    Richardson error estimate exceeds error_cap.
+    """
+    dc = derived_constants(params, fm)
+    base_h = 2.0 * math.pi * epsilon / (reference_factor * fm.omega_upper_bound)
+    x0 = np.array([0.0, dc.theta_star, params.y_star, params.p_star])
+    return reference_solution(action_angle_field(epsilon, fm), x0,
+                              params.horizon_T, base_h, error_cap)
 
 
 def _norms_for_epsilon(params: SystemParams, fm: FrequencyModel, epsilon: float,
@@ -255,10 +252,7 @@ def _norms_for_epsilon(params: SystemParams, fm: FrequencyModel, epsilon: float,
                        reference_factor: float, error_cap: float | None):
     """Reference run at one epsilon and its distances to the reconstruction."""
     dc = derived_constants(params, fm)
-    base_h = 2.0 * math.pi * epsilon / (reference_factor * fm.omega_upper_bound)
-    x0 = np.array([0.0, dc.theta_star, params.y_star, params.p_star])
-    ref = reference_solution(action_angle_field(epsilon, fm), x0,
-                             params.horizon_T, base_h, error_cap)
+    ref = reference_run(params, fm, epsilon, reference_factor, error_cap)
     xs = sample(ref, grid)
     phi_e, theta_e, y_e, p_e = xs[:, 0], xs[:, 1], xs[:, 2], xs[:, 3]
 
@@ -285,13 +279,9 @@ def _norms_for_epsilon(params: SystemParams, fm: FrequencyModel, epsilon: float,
 
 
 def _norms_job(args):
-    (preset, coeffs, y_star, p_star, u_star, horizon_T, epsilon, grid_points,
-     reference_factor, error_cap, rtol, atol, max_step) = args
-    from .model import make_frequency
-
-    fm = make_frequency(preset, coeffs)
-    params = SystemParams(y_star, p_star, u_star, horizon_T)
-    grid = np.linspace(0.0, horizon_T, grid_points)
+    (params, fm, epsilon, grid_points, reference_factor, error_cap,
+     rtol, atol, max_step) = args
+    grid = np.linspace(0.0, params.horizon_T, grid_points)
     exp_traj = solve_expansion(params, fm, rtol, atol, max_step)
     return _norms_for_epsilon(params, fm, epsilon, grid, exp_traj,
                               reference_factor, error_cap)
@@ -314,10 +304,12 @@ def residual_norms(params: SystemParams, fm: FrequencyModel, epsilon_list,
     if any(e <= 0 for e in eps):
         raise ValueError("epsilons must be positive")
     if workers is None:
-        workers = int(os.environ.get("FASTSLOW_WORKERS", "1"))
-    jobs = [(fm.preset, fm.coefficients, params.y_star, params.p_star,
-             params.u_star, params.horizon_T, e, grid_points,
-             reference_factor, error_cap, rtol, atol, max_step) for e in eps]
+        try:
+            workers = max(1, int(os.environ.get("FASTSLOW_WORKERS", "1")))
+        except ValueError:
+            workers = 1
+    jobs = [(params, fm, e, grid_points, reference_factor, error_cap,
+             rtol, atol, max_step) for e in eps]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_norms_job, jobs))

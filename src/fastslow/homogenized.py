@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import Trajectory, integrate_controlled, invert_monotone
+from .integrate import Trajectory, integrate_controlled
 from .model import FrequencyModel, SystemParams, derived_constants
 
 
@@ -28,13 +28,6 @@ class HomogenizedState:
     y0: object
     p0: object
     theta0: object
-
-
-def homogenized_rhs(s: HomogenizedState, fm: FrequencyModel) -> HomogenizedState:
-    """Time derivative of the limit state; theta0 is conserved exactly."""
-    w, w1, _, _ = fm.derivs(s.y0)
-    return HomogenizedState(phi0=w, y0=s.p0, p0=-s.theta0 * w1,
-                            theta0=0.0 * s.theta0)
 
 
 def homogenized_field(fm: FrequencyModel, theta_star: float):
@@ -66,22 +59,3 @@ def solve_homogenized(params: SystemParams, fm: FrequencyModel,
     traj.meta["theta_star"] = dc.theta_star
     return traj
 
-
-def invert_phase(traj: Trajectory, r) -> np.ndarray:
-    """Times t with phi0(t) = pi * r; r may be a scalar or an array.
-
-    phi0 is strictly increasing (slope >= the frequency floor), so the
-    crossing is unique; resolved to ~1e-12 in phase.
-    """
-    r = np.atleast_1d(np.asarray(r, float))
-    return invert_monotone(traj, np.pi * r, component=0)
-
-
-def eval_homogenized(traj: Trajectory, grid) -> HomogenizedState:
-    """Dense samples of the limit state on a grid, as arrays."""
-    from .integrate import sample
-
-    xs = sample(traj, grid)
-    theta_star = traj.meta["theta_star"]
-    return HomogenizedState(phi0=xs[:, 0], y0=xs[:, 1], p0=xs[:, 2],
-                            theta0=np.full(xs.shape[0], theta_star))

@@ -16,11 +16,11 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,19 +32,12 @@ class ConfigError(ValueError):
     """Bad configuration file or option."""
 
 
-_PRESET_DEFAULT_COEFFS = {
-    "sine": (2.0, 1.0),
-    "constant": (2.0,),
-    "fourier": (2.0, 0.25, 0.25),
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Complete, validated description of a run."""
 
     frequency_preset: str = "sine"
-    frequency_coefficients: tuple = (2.0, 1.0)
+    frequency_coefficients: tuple = model.DEFAULT_COEFFICIENTS["sine"]
     y_star: float = 0.0
     p_star: float = 1.0
     u_star: float = 1.0
@@ -76,24 +69,8 @@ class RunConfig:
 
     def echo(self) -> str:
         """Canonical flat-text form; reparsing reproduces this config."""
-        lines = [
-            f"frequency.preset = {self.frequency_preset}",
-            "frequency.coefficients = " + ",".join(repr(c) for c in self.frequency_coefficients),
-            f"initial.y_star = {self.y_star!r}",
-            f"initial.p_star = {self.p_star!r}",
-            f"initial.u_star = {self.u_star!r}",
-            f"run.horizon_T = {self.horizon_T!r}",
-            "run.epsilons = " + ",".join(repr(e) for e in self.epsilons),
-            f"integrate.step_factor = {self.step_factor!r}",
-            f"integrate.reference_factor = {self.reference_factor!r}",
-            f"integrate.rtol = {self.rtol!r}",
-            f"integrate.atol = {self.atol!r}",
-            f"integrate.max_slow_step = {self.max_slow_step!r}",
-            f"output.grid_points = {self.grid_points}",
-            f"output.dir = {self.out_dir}",
-            f"averaging.window_periods = {self.window_periods}",
-            f"debug.flip_theta1_sign = {'true' if self.flip_theta1_sign else 'false'}",
-        ]
+        lines = [f"{key} = {_echo_value(getattr(self, name), kind)}"
+                 for key, (name, kind) in _KEY_FIELDS.items()]
         return "\n".join(lines) + "\n"
 
 
@@ -115,6 +92,14 @@ _KEY_FIELDS = {
     "averaging.window_periods": ("window_periods", int),
     "debug.flip_theta1_sign": ("flip_theta1_sign", "bool"),
 }
+
+
+def _echo_value(value, kind) -> str:
+    if kind == "floats":
+        return ",".join(repr(v) for v in value)
+    if kind == "bool":
+        return "true" if value else "false"
+    return repr(value) if kind is float else str(value)
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -221,23 +206,35 @@ def _grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(0.0, cfg.horizon_T, cfg.grid_points)
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("FASTSLOW_WORKERS", "1")))
-    except ValueError:
-        return 1
+class Gate(NamedTuple):
+    """One pass/fail line of a command's summary."""
+
+    name: str
+    ok: bool
+    detail: str
+
+    def __str__(self) -> str:
+        return f"[{'PASS' if self.ok else 'FAIL'}] {self.name}: {self.detail}"
 
 
-def _reference_run(cfg: RunConfig, fm, epsilon: float, representation: str):
-    dc = model.derived_constants(cfg.params(), fm)
-    base_h = 2.0 * math.pi * epsilon / (cfg.reference_factor * fm.omega_upper_bound)
-    if representation == "action-angle":
-        x0 = np.array([0.0, dc.theta_star, cfg.y_star, cfg.p_star])
-        return integrate.reference_solution(dynamics.action_angle_field(epsilon, fm),
-                                            x0, cfg.horizon_T, base_h)
-    x0 = np.array([cfg.y_star, cfg.p_star, 0.0, cfg.u_star])
-    return integrate.reference_solution(dynamics.cartesian_field(epsilon, fm),
-                                        x0, cfg.horizon_T, base_h)
+def _finish(command: str, cfg: RunConfig, out: Path, t0: float, files: list,
+            report=(), summary: Path | None = None) -> int:
+    """End a command: write the summary and the manifest, print, and
+    return the exit code.
+
+    report holds Gate records and ready-made [INFO] lines in output order;
+    summary, one of files, receives the report.  The exit code is 1 if
+    any gate failed, else 0.
+    """
+    lines = [str(r) for r in report]
+    if summary is not None:
+        summary.write_text("\n".join(lines) + "\n")
+    mpath = write_manifest(out, command, cfg, files, time.perf_counter() - t0)
+    for f in files + [mpath]:
+        print(f"wrote {f}")
+    if lines:
+        print("\n".join(lines))
+    return 0 if all(r.ok for r in report if isinstance(r, Gate)) else 1
 
 
 def _fast_run(cfg: RunConfig, fm, epsilon: float, representation: str):
@@ -301,11 +298,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     write_csv(p4, ["t", "phi2_bar", "theta2_bar", "y2_bar", "p2_bar"],
               [grid, es[:, 3], es[:, 4], es[:, 5], es[:, 6]])
     files.append(p4)
-
-    mpath = write_manifest(out, "simulate", cfg, files, time.perf_counter() - t0)
-    for f in files + [mpath]:
-        print(f"wrote {f}")
-    return 0
+    return _finish("simulate", cfg, out, t0, files)
 
 
 def _order_fit_smallest(epsilons, errors, k: int = 3):
@@ -321,7 +314,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     params = cfg.params()
     rep = expansion.residual_norms(params, fm, cfg.epsilons, cfg.rtol, cfg.atol,
                                    cfg.max_slow_step, cfg.grid_points,
-                                   cfg.reference_factor, workers=_workers())
+                                   cfg.reference_factor)
     eps = np.array(rep.epsilons)
     rows_eps, rows_var, rows_sup, rows_norm = [], [], [], []
     for fam in ("leading", "first", "second"):
@@ -344,14 +337,14 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
                                 ("leading", "phi", 1.9), ("first", "theta", 1.9)):
             sups = rep.families[fam][var]
             if np.max(sups) <= tiny:
-                gates.append((f"order {var}_{fam} >= {floor}, R^2 >= 0.98", True,
-                              f"residual at rounding level ({np.max(sups):.1e})"))
+                gates.append(Gate(f"order {var}_{fam} >= {floor}, R^2 >= 0.98", True,
+                                  f"residual at rounding level ({np.max(sups):.1e})"))
                 continue
             order, r2 = _order_fit_smallest(eps, sups)
             order_rows.append((f"{var}_{fam}", order, r2))
-            gates.append((f"order {var}_{fam} >= {floor}, R^2 >= 0.98",
-                          order >= floor and r2 >= 0.98,
-                          f"order={order:.3f} R^2={r2:.5f}"))
+            gates.append(Gate(f"order {var}_{fam} >= {floor}, R^2 >= 0.98",
+                              order >= floor and r2 >= 0.98,
+                              f"order={order:.3f} R^2={r2:.5f}"))
         for var in sorted(rep.families["second"]):
             sups = rep.families["second"][var]
             if np.max(sups) <= tiny:
@@ -363,36 +356,25 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
             vals = rep.normalized["second"][var]
             raw = np.max(rep.families["second"][var])
             if raw <= tiny:
-                gates.append((f"normalized second-order residual of {var} strictly decreasing",
-                              True, f"residual at rounding level ({raw:.1e})"))
+                gates.append(Gate(f"normalized second-order residual of {var} strictly decreasing",
+                                  True, f"residual at rounding level ({raw:.1e})"))
                 continue
             ok = bool(np.all(np.diff(vals) < 0))
-            gates.append((f"normalized second-order residual of {var} strictly decreasing",
-                          ok, " -> ".join(f"{v:.3e}" for v in vals)))
+            gates.append(Gate(f"normalized second-order residual of {var} strictly decreasing",
+                              ok, " -> ".join(f"{v:.3e}" for v in vals)))
     drift_ok = bool(np.all(rep.energy_drift <= 1e-8))
-    gates.append(("energy drift <= 1e-8 at every epsilon", drift_ok,
-                  " ".join(f"{v:.2e}" for v in rep.energy_drift)))
+    gates.append(Gate("energy drift <= 1e-8 at every epsilon", drift_ok,
+                      " ".join(f"{v:.2e}" for v in rep.energy_drift)))
 
     p2 = out / "orders.csv"
     write_csv(p2, ["variable", "order", "r_squared"],
               [[r[0] for r in order_rows], [r[1] for r in order_rows],
                [r[2] for r in order_rows]] if order_rows else [[], [], []])
 
-    lines = []
-    ok_all = True
-    for name, ok, detail in gates:
-        ok_all &= ok
-        lines.append(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     if not can_fit:
-        lines.append("[INFO] fewer than three epsilons: order gates skipped")
-    p3 = out / "summary.txt"
-    p3.write_text("\n".join(lines) + "\n")
-    files = [p1, p2, p3]
-    mpath = write_manifest(out, "sweep", cfg, files, time.perf_counter() - t0)
-    for f in files + [mpath]:
-        print(f"wrote {f}")
-    print("\n".join(lines))
-    return 0 if ok_all else 1
+        gates.append("[INFO] fewer than three epsilons: order gates skipped")
+    summary = out / "summary.txt"
+    return _finish("sweep", cfg, out, t0, [p1, p2, summary], gates, summary)
 
 
 def thermo_tables(cfg: RunConfig, fm, params) -> dict:
@@ -410,8 +392,7 @@ def thermo_tables(cfg: RunConfig, fm, params) -> dict:
     bundle = thermo.averaged_energy_bundle(base, corr, fm, dc.theta_star, dc)
 
     lead = thermo.check_first_law(ex.E0_perp, base.y0, th.S0, th.F0, th.T0, dt)
-    w1 = fm.domega(base.y0)
-    w2 = fm.d2omega(base.y0)
+    _, w1, w2, _ = fm.derivs(base.y0)
     force2 = w1 * corr.theta2_bar + dc.theta_star * w2 * corr.y2_bar
     second = thermo.check_first_law(ex.E2_perp_bar, corr.y2_bar, th.S2_doublebar,
                                     th.F0, th.T0, dt,
@@ -421,12 +402,7 @@ def thermo_tables(cfg: RunConfig, fm, params) -> dict:
     rhs = expansion.averaged_rhs(corr, base, fm, dc.theta_star)
     hamilton_y = float(np.max(np.abs(rhs.y2_bar - bundle.dE2_dp0)))
     hamilton_p = float(np.max(np.abs(rhs.p2_bar + bundle.dE2_dy0)))
-    w0 = fm.omega(base.y0)
-    dyL = w1 / w0
-    identity = (corr.theta2_bar + (base.p0 / w0) * corr.p2_bar
-                + dc.theta_star * dyL * corr.y2_bar
-                + dc.theta_star**2 * dyL * dyL / (16.0 * w0)
-                - dc.theta_star * (base.p0 * dyL) ** 2 / (4.0 * w0 * w0))
+    identity = expansion.averaged_action_identity(base, corr, fm, dc.theta_star)
     return {
         "grid": grid, "dt": dt, "base": base, "corr": corr, "cv": cv,
         "thermo": th, "energy": ex, "bundle": bundle,
@@ -458,28 +434,28 @@ def cmd_thermo(cfg: RunConfig, out: Path) -> int:
                ex.E2_par_bar, tab["first_law_second"].residuals])
 
     gates = [
-        ("leading-order energy balance <= 1e-8",
-         tab["first_law_leading"].max_residual <= 1e-8,
-         f"{tab['first_law_leading'].max_residual:.3e}"),
-        ("second-order energy balance <= 1e-6",
-         tab["first_law_second"].max_residual <= 1e-6,
-         f"{tab['first_law_second'].max_residual:.3e}"),
-        ("averaged second-order energy vanishes <= 1e-8",
-         tab["e2_bar_sup"] <= 1e-8, f"{tab['e2_bar_sup']:.3e}"),
-        ("averaged action identity <= 1e-8",
-         tab["action_identity_sup"] <= 1e-8, f"{tab['action_identity_sup']:.3e}"),
-        ("closed-form doubly averaged entropy matches trajectory <= 1e-8",
-         tab["closed_form_gap"] <= 1e-8, f"{tab['closed_form_gap']:.3e}"),
-        ("Hamilton-form residuals <= 1e-7",
-         max(tab["hamilton_y"], tab["hamilton_p"]) <= 1e-7,
-         f"{tab['hamilton_y']:.3e} {tab['hamilton_p']:.3e}"),
+        Gate("leading-order energy balance <= 1e-8",
+             tab["first_law_leading"].max_residual <= 1e-8,
+             f"{tab['first_law_leading'].max_residual:.3e}"),
+        Gate("second-order energy balance <= 1e-6",
+             tab["first_law_second"].max_residual <= 1e-6,
+             f"{tab['first_law_second'].max_residual:.3e}"),
+        Gate("averaged second-order energy vanishes <= 1e-8",
+             tab["e2_bar_sup"] <= 1e-8, f"{tab['e2_bar_sup']:.3e}"),
+        Gate("averaged action identity <= 1e-8",
+             tab["action_identity_sup"] <= 1e-8, f"{tab['action_identity_sup']:.3e}"),
+        Gate("closed-form doubly averaged entropy matches trajectory <= 1e-8",
+             tab["closed_form_gap"] <= 1e-8, f"{tab['closed_form_gap']:.3e}"),
+        Gate("Hamilton-form residuals <= 1e-7",
+             max(tab["hamilton_y"], tab["hamilton_p"]) <= 1e-7,
+             f"{tab['hamilton_y']:.3e} {tab['hamilton_p']:.3e}"),
     ]
 
     dc = tab["constants"]
     t_check = thermo.hertz_temperature_oracle(0.5 * params.u_star**2, params.y_star, fm)
-    gates.append(("period-average temperature equals oscillator energy <= 1e-10",
-                  abs(t_check - 0.5 * params.u_star**2) <= 1e-10,
-                  f"{abs(t_check - 0.5 * params.u_star**2):.3e}"))
+    gates.append(Gate("period-average temperature equals oscillator energy <= 1e-10",
+                      abs(t_check - 0.5 * params.u_star**2) <= 1e-10,
+                      f"{abs(t_check - 0.5 * params.u_star**2):.3e}"))
     rng = np.random.default_rng(20260819)
     vol_worst = 0.0
     for _ in range(10):
@@ -488,13 +464,13 @@ def cmd_thermo(cfg: RunConfig, out: Path) -> int:
         cl = thermo.phase_space_volume(E, yv, fm)
         qu = thermo.phase_space_volume(E, yv, fm, method="area-quadrature")
         vol_worst = max(vol_worst, abs(qu - cl) / cl)
-    gates.append(("enclosed-area quadrature within 0.5% of closed form",
-                  vol_worst <= 0.005, f"{vol_worst:.3e}"))
+    gates.append(Gate("enclosed-area quadrature within 0.5% of closed form",
+                      vol_worst <= 0.005, f"{vol_worst:.3e}"))
 
     lines = []
     equip = []
     for eps in cfg.epsilons:
-        ref = _reference_run(cfg, fm, eps, "action-angle")
+        ref = expansion.reference_run(params, fm, eps, cfg.reference_factor)
         rep = thermo.equipartition_check(ref, eps, fm, m=cfg.window_periods,
                                          grid_points=cfg.grid_points)
         equip.append(rep)
@@ -507,31 +483,20 @@ def cmd_thermo(cfg: RunConfig, out: Path) -> int:
                      f"sup|theta_eps-theta*|/eps {np.max(theta_gap)/eps:.3e}")
     if len(cfg.epsilons) >= 2:
         gaps = [r.gap_max for r in equip]
-        gates.append(("windowed equipartition gap decreasing across epsilons",
-                      bool(np.all(np.diff(gaps) < 0)),
-                      " -> ".join(f"{g:.3e}" for g in gaps)))
+        gates.append(Gate("windowed equipartition gap decreasing across epsilons",
+                          bool(np.all(np.diff(gaps) < 0)),
+                          " -> ".join(f"{g:.3e}" for g in gaps)))
     if len(cfg.epsilons) >= 3:
         xi_order, _ = averaging.estimate_order(cfg.epsilons,
                                                [r.xi_sup for r in equip])
-        gates.append(("virial product sup-norm order >= 0.9", xi_order >= 0.9,
-                      f"{xi_order:.3f}"))
-    gates.append(("quasi-static gap reported (work of second-order force), not asserted",
-                  True, f"{tab['quasi_static_gap']:.3e}"))
+        gates.append(Gate("virial product sup-norm order >= 0.9", xi_order >= 0.9,
+                          f"{xi_order:.3f}"))
+    gates.append(Gate("quasi-static gap reported (work of second-order force), not asserted",
+                      True, f"{tab['quasi_static_gap']:.3e}"))
     lines.append("[INFO] entropy normalization: additive constant -log(theta_star) "
                  f"= {dc.entropy_constant!r} pins initial entropy to zero")
-
-    ok_all = True
-    for name, ok, detail in gates:
-        ok_all &= ok
-        lines.append(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-    p2 = out / "thermo_summary.txt"
-    p2.write_text("\n".join(lines) + "\n")
-    files = [p1, p2]
-    mpath = write_manifest(out, "thermo", cfg, files, time.perf_counter() - t0)
-    for f in files + [mpath]:
-        print(f"wrote {f}")
-    print("\n".join(lines))
-    return 0 if ok_all else 1
+    summary = out / "thermo_summary.txt"
+    return _finish("thermo", cfg, out, t0, [p1, summary], lines + gates, summary)
 
 
 def two_scale_error_table(cfg: RunConfig, fm, params, refs: dict | None = None) -> dict:
@@ -569,7 +534,7 @@ def two_scale_error_table(cfg: RunConfig, fm, params, refs: dict | None = None) 
     for eps in cfg.epsilons:
         ref = refs.get(eps) if refs else None
         if ref is None:
-            ref = _reference_run(cfg, fm, eps, "action-angle")
+            ref = expansion.reference_run(params, fm, eps, cfg.reference_factor)
 
         def u_for(var):
             def u(ts):
@@ -613,26 +578,17 @@ def cmd_twoscale(cfg: RunConfig, out: Path) -> int:
     p1 = out / "twoscale.csv"
     write_csv(p1, ["epsilon", "variable", "sup_error"],
               [rows_eps, rows_var, rows_err])
-    lines = []
-    ok_all = True
+    report = []
     if len(eps_list) >= 2:
         for var in variables:
             seq = [table[e][var] for e in eps_list]
-            ok = bool(np.all(np.diff(seq) < 0))
-            ok_all &= ok
-            lines.append(f"[{'PASS' if ok else 'FAIL'}] unfolding error of {var} "
-                         "strictly decreasing: "
-                         + " -> ".join(f"{v:.3e}" for v in seq))
+            report.append(Gate(f"unfolding error of {var} strictly decreasing",
+                               bool(np.all(np.diff(seq) < 0)),
+                               " -> ".join(f"{v:.3e}" for v in seq)))
     else:
-        lines.append("[INFO] single epsilon: table emitted, no trend gate")
-    p2 = out / "summary.txt"
-    p2.write_text("\n".join(lines) + "\n")
-    files = [p1, p2]
-    mpath = write_manifest(out, "twoscale", cfg, files, time.perf_counter() - t0)
-    for f in files + [mpath]:
-        print(f"wrote {f}")
-    print("\n".join(lines))
-    return 0 if ok_all else 1
+        report.append("[INFO] single epsilon: table emitted, no trend gate")
+    summary = out / "summary.txt"
+    return _finish("twoscale", cfg, out, t0, [p1, summary], report, summary)
 
 
 def cmd_check(cfg: RunConfig, out: Path) -> int:
@@ -657,13 +613,7 @@ def cmd_check(cfg: RunConfig, out: Path) -> int:
         worst_e1 = max(worst_e1, float(np.max(np.abs(ex.E1_perp_osc + ex.E1_par_osc))))
     checks.append(("first_order_energy_identity", worst_e1, 1e-13))
 
-    w = fm.omega(base.y0)
-    w1 = fm.domega(base.y0)
-    dyL = w1 / w
-    ident = (corr.theta2_bar + (base.p0 / w) * corr.p2_bar
-             + dc.theta_star * dyL * corr.y2_bar
-             + dc.theta_star**2 * dyL * dyL / (16.0 * w)
-             - dc.theta_star * (base.p0 * dyL) ** 2 / (4.0 * w * w))
+    ident = expansion.averaged_action_identity(base, corr, fm, dc.theta_star)
     checks.append(("averaged_action_constraint", float(np.max(np.abs(ident))), 1e-8))
 
     cv = expansion.correctors(base, corr.phi2_bar, min(cfg.epsilons), fm, dc.theta_star)
@@ -706,25 +656,14 @@ def cmd_check(cfg: RunConfig, out: Path) -> int:
     fd = model.finite_difference_report(fm)
     checks.append(("derivative_consistency", max(fd.values()), 1e-6))
 
-    lines = []
-    ok_all = True
-    results = {}
-    for name, value, tol in checks:
-        ok = value <= tol
-        ok_all &= ok
-        results[name] = {"value": value, "tolerance": tol, "pass": bool(ok)}
-        lines.append(f"[{'PASS' if ok else 'FAIL'}] {name}: value={value:.3e} "
-                     f"tol={tol:.0e}")
-    p1 = out / "check.txt"
-    p1.write_text("\n".join(lines) + "\n")
+    results = {name: {"value": value, "tolerance": tol, "pass": bool(value <= tol)}
+               for name, value, tol in checks}
     p2 = out / "check.json"
     p2.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
-    files = [p1, p2]
-    mpath = write_manifest(out, "check", cfg, files, time.perf_counter() - t0)
-    for f in files + [mpath]:
-        print(f"wrote {f}")
-    print("\n".join(lines))
-    return 0 if ok_all else 1
+    gates = [Gate(name, value <= tol, f"value={value:.3e} tol={tol:.0e}")
+             for name, value, tol in checks]
+    summary = out / "check.txt"
+    return _finish("check", cfg, out, t0, [summary, p2], gates, summary)
 
 
 _COMMANDS = {
@@ -756,12 +695,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
         if args.preset is not None:
-            name = {"custom-coefficients": "fourier", "custom": "fourier"}.get(
-                args.preset, args.preset)
-            if name not in _PRESET_DEFAULT_COEFFS:
+            name = model.PRESET_ALIASES.get(args.preset, args.preset)
+            if name not in model.DEFAULT_COEFFICIENTS:
                 raise ConfigError(f"unknown preset {args.preset!r}")
             cfg = replace(cfg, frequency_preset=name,
-                          frequency_coefficients=_PRESET_DEFAULT_COEFFS[name])
+                          frequency_coefficients=model.DEFAULT_COEFFICIENTS[name])
         if args.epsilon is not None:
             try:
                 eps = tuple(float(x) for x in args.epsilon.split(",") if x.strip())

@@ -16,6 +16,14 @@ import numpy as np
 
 _BOUND_SLACK = 1e-12
 
+# other names accepted for a preset, and each preset's default coefficients
+PRESET_ALIASES = {"custom-coefficients": "fourier", "custom": "fourier"}
+DEFAULT_COEFFICIENTS = {
+    "sine": (2.0, 1.0),
+    "constant": (2.0,),
+    "fourier": (2.0, 0.25, 0.25),
+}
+
 
 def _mathlib(y):
     # scalar inputs go through math (cheap), arrays through numpy
@@ -50,9 +58,7 @@ class FrequencyModel:
         xp = _mathlib(y)
         c = self.coefficients
         if self.preset == "constant":
-            if isinstance(y, np.ndarray):
-                return self._check(np.full_like(np.asarray(y, float), c[0]))
-            return self._check(c[0])
+            return self.derivs(y)[0]
         if self.preset == "sine":
             return self._check(c[0] + c[1] * xp.sin(y))
         acc = c[0] * (np.ones_like(np.asarray(y, float)) if isinstance(y, np.ndarray) else 1.0)
@@ -101,9 +107,16 @@ class FrequencyModel:
         return acc
 
     def derivs(self, y):
-        """(omega, omega', omega'', omega''') in one call; hot path."""
+        """(omega, omega', omega'', omega''') in one call; hot path.
+
+        Each value has the shape of y: floats for a scalar y, arrays for an
+        array y.
+        """
         c = self.coefficients
         if self.preset == "constant":
+            if isinstance(y, np.ndarray):
+                zero = 0.0 * y
+                return self._check(np.full_like(zero, c[0])), zero, zero, zero
             return self._check(c[0]), 0.0, 0.0, 0.0
         if self.preset == "sine":
             xp = _mathlib(y)
@@ -168,7 +181,7 @@ def make_frequency(preset: str, coefficients) -> FrequencyModel:
               a0 + sum_k (a_k cos(k y) + b_k sin(k y)),
               requires a0 - sum_k (|a_k| + |b_k|) > 0.
     """
-    name = {"custom-coefficients": "fourier", "custom": "fourier"}.get(preset, preset)
+    name = PRESET_ALIASES.get(preset, preset)
     coeffs = tuple(float(c) for c in coefficients)
     if name == "constant":
         if len(coeffs) != 1:

@@ -23,14 +23,7 @@ from .expansion import AveragedCorrection, CorrectorValues
 from .homogenized import HomogenizedState
 from .integrate import Trajectory, sample
 from .model import DerivedConstants, FrequencyModel
-from .phase import reduced_sincos, reduced_sincos_array
-
-
-@dataclass(frozen=True)
-class ThermoState:
-    temperature: float
-    entropy: float
-    force: float
+from .phase import reduced_sincos_array
 
 
 @dataclass(frozen=True)
@@ -111,37 +104,26 @@ class EquipartitionReport:
     any_slid: bool
 
 
-def thermo_state(theta: float, y: float, fm: FrequencyModel,
-                 constants: DerivedConstants) -> ThermoState:
-    """Temperature, entropy, and force of the bath state (theta, y)."""
-    if not theta > 0.0:
-        raise ValueError("theta must be positive for thermodynamic state functions")
-    w = fm.omega(y)
-    w1 = fm.domega(y)
-    return ThermoState(temperature=theta * w,
-                       entropy=math.log(theta) + constants.entropy_constant,
-                       force=theta * w1)
+def _a_bar(theta_star, w, w1, p0, p2_bar):
+    """Adiabatic (work-like) part of the averaged second-order energy."""
+    return (p0 * p2_bar
+            + (theta_star * w1 / (4.0 * w)) ** 2
+            - (theta_star * w) * (p0 * w1 / (2.0 * w * w)) ** 2)
 
 
 def expand_thermo(base: HomogenizedState, corr: AveragedCorrection,
                   cv: CorrectorValues, theta_star: float,
                   fm: FrequencyModel) -> ThermoExpansion:
     """Entropy/temperature/force coefficients along the reconstruction."""
-    y0 = base.y0
-    if isinstance(y0, np.ndarray):
-        w = fm.omega(y0)
-        w1 = fm.domega(y0)
-    else:
-        w, w1, _, _ = fm.derivs(y0)
+    w, w1, _, _ = fm.derivs(base.y0)
     dyL = w1 / w
     DtL = base.p0 * dyL
     s1 = cv.theta1 / theta_star
-    # the entropy normalization pins S0 = log(theta_star) + constant to 0
-    s0 = 0.0 if not isinstance(y0, np.ndarray) else np.zeros_like(np.asarray(y0, float))
     return ThermoExpansion(
         T0=theta_star * w,
         F0=theta_star * w1,
-        S0=s0,
+        # the entropy normalization pins S0 = log(theta_star) + constant to 0
+        S0=0.0 * w,
         S1_osc=s1,
         S2_full=(corr.theta2_bar + cv.theta2) / theta_star - 0.5 * s1 * s1,
         S2_bar=corr.theta2_bar / theta_star - (DtL / (4.0 * w)) ** 2,
@@ -158,14 +140,8 @@ def energy_expansion(base: HomogenizedState, corr: AveragedCorrection,
     oscillator part through the action corrector, the slow part through
     the momentum shear) so their cancellation is a real check.
     """
-    y0 = base.y0
-    if isinstance(y0, np.ndarray):
-        w = fm.omega(y0)
-        w1 = fm.domega(y0)
-        s2, c2 = reduced_sincos_array(base.phi0, epsilon, 2)
-    else:
-        w, w1, _, _ = fm.derivs(y0)
-        s2, c2 = reduced_sincos(base.phi0, epsilon, 2)
+    w, w1, _, _ = fm.derivs(base.y0)
+    s2, c2 = reduced_sincos_array(base.phi0, epsilon, 2)
     dyL = w1 / w
     DtL = base.p0 * dyL
     e1_perp = w * cv.theta1
@@ -176,9 +152,6 @@ def energy_expansion(base: HomogenizedState, corr: AveragedCorrection,
                   + theta_star * DtL * (corr.phi2_bar + cv.phi2) * c2
                   + 0.5 * cv.theta1 * DtL * s2)
     e2_perp_bar = theta_star * w1 * corr.y2_bar + w * corr.theta2_bar
-    a_bar = (base.p0 * corr.p2_bar
-             + (theta_star * w1 / (4.0 * w)) ** 2
-             - (theta_star * w) * (base.p0 * w1 / (2.0 * w * w)) ** 2)
     e2_par_bar = (base.p0 * corr.p2_bar
                   + (theta_star * dyL / 4.0) ** 2
                   - theta_star * DtL * DtL / (4.0 * w))
@@ -191,7 +164,7 @@ def energy_expansion(base: HomogenizedState, corr: AveragedCorrection,
         E2_par_osc=e2_par_osc,
         E2_perp_bar=e2_perp_bar,
         E2_par_bar=e2_par_bar,
-        A_bar=a_bar,
+        A_bar=_a_bar(theta_star, w, w1, base.p0, corr.p2_bar),
         E2_bar=e2_perp_bar + e2_par_bar,
     )
 
@@ -207,18 +180,10 @@ def averaged_energy_bundle(base: HomogenizedState, corr: AveragedCorrection,
     with respect to (p0, y0) equal dy2_bar/dt and -dp2_bar/dt along the
     averaged flow.
     """
-    y0, p0 = base.y0, base.p0
-    if isinstance(y0, np.ndarray):
-        w = fm.omega(y0)
-        w1 = fm.domega(y0)
-        w2 = fm.d2omega(y0)
-    else:
-        w, w1, w2, _ = fm.derivs(y0)
+    p0 = base.p0
+    w, w1, w2, _ = fm.derivs(base.y0)
     C = constants.c_sbarbar2
     s2dd = 0.5 * (p0 * w1 / (2.0 * w * w)) ** 2 + C
-    a_bar = (p0 * corr.p2_bar
-             + (theta_star * w1 / (4.0 * w)) ** 2
-             - (theta_star * w) * (p0 * w1 / (2.0 * w * w)) ** 2)
     e2_bar = (p0 * corr.p2_bar
               + theta_star**2 * w1 * w1 / (16.0 * w * w)
               - theta_star * p0 * p0 * w1 * w1 / (8.0 * w**3)
@@ -231,7 +196,8 @@ def averaged_energy_bundle(base: HomogenizedState, corr: AveragedCorrection,
                + 3.0 * theta_star * p0 * p0 * w1**3 / (8.0 * w**4)
                + theta_star * w2 * corr.y2_bar
                + theta_star * w1 * C)
-    return AveragedEnergyBundle(A_bar=a_bar, S2_doublebar_closed=s2dd,
+    return AveragedEnergyBundle(A_bar=_a_bar(theta_star, w, w1, p0, corr.p2_bar),
+                                S2_doublebar_closed=s2dd,
                                 E2_bar=e2_bar, dE2_dy0=de2_dy0,
                                 dE2_dp0=de2_dp0)
 

@@ -36,71 +36,6 @@ def test_floor_frac_array_matches_scalar():
         assert n[i] == ns and r[i] == rs
 
 
-def test_two_scale_compose():
-    assert fs.two_scale_compose(1.2, 0.3, 0.5) == 1.15
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        t = float(rng.uniform(0, 10))
-        s = float(rng.uniform(0, 1))
-        eps = float(10 ** rng.uniform(-3, 0))
-        assert abs(fs.two_scale_compose(t, s, eps) - t) <= eps
-    with pytest.raises(ValueError):
-        fs.two_scale_compose(1.0, 0.5, 0.0)
-
-
-def test_interpolant_is_exact_on_linear_signals():
-    eps = 0.05
-    ts = np.arange(0.0, 1.0001, eps * eps / 4)
-    L = fs.interpolate_two_scale(ts, ts.copy(), eps)
-    rng = np.random.default_rng(6)
-    t = rng.uniform(0.1, 0.8, 200)
-    s = rng.uniform(0.0, 1.0, 200)
-    assert np.max(np.abs(L(t, s) - t)) <= 1e-12
-    assert L.clamped == 0
-
-
-def test_interpolant_recovers_pure_oscillation():
-    # v = sin(2 pi t/eps) sampled at eps^2/4 unfolds to sin(2 pi s),
-    # second-order accurately
-    rng = np.random.default_rng(7)
-    errs = {}
-    for eps in (0.04, 0.01):
-        ts = np.arange(0.0, 1.0001, eps * eps / 4)
-        L = fs.interpolate_two_scale(ts, np.sin(2 * np.pi * ts / eps), eps)
-        t = rng.uniform(2 * eps, 1 - 3 * eps, 300)
-        s = rng.uniform(0.0, 1.0, 300)
-        errs[eps] = np.max(np.abs(L(t, s) - np.sin(2 * np.pi * s)))
-        assert errs[eps] <= 0.5 * eps**2
-    assert 8 <= errs[0.04] / errs[0.01] <= 32  # order ~2 across a factor 4
-
-
-def test_interpolant_periodic_and_continuous():
-    eps = 0.02
-    ts = np.arange(0.0, 1.0001, eps * eps / 4)
-    L = fs.interpolate_two_scale(ts, np.sin(2 * np.pi * ts / eps) + ts**2, eps)
-    rng = np.random.default_rng(8)
-    t = rng.uniform(0.1, 0.9, 200)
-    assert np.max(np.abs(L(t, 1.0) - L(t, 0.0))) <= 1e-13
-    s = rng.uniform(0.0, 1.0, 50)
-    tb = 10 * eps  # cell boundary
-    assert np.max(np.abs(L(tb + 1e-12, s) - L(tb - 1e-12, s))) <= 1e-9
-
-
-def test_interpolant_counts_clamped_lookups():
-    eps = 0.1
-    ts = np.linspace(0.0, 1.0, 401)
-    L = fs.interpolate_two_scale(ts, np.cos(ts), eps)
-    L(np.array([0.95]), np.array([0.9]))  # needs v beyond t=1
-    assert L.clamped > 0
-
-
-def test_interpolant_validates_inputs():
-    with pytest.raises(ValueError):
-        fs.interpolate_two_scale([0.0], [1.0], 0.1)
-    with pytest.raises(ValueError):
-        fs.interpolate_two_scale([0.0, 1.0], [1.0, 2.0], -0.1)
-
-
 @pytest.fixture(scope="module")
 def osc_ref(fm, dc):
     eps = 0.01

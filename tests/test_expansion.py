@@ -6,6 +6,7 @@ theta* = 1/4, omega = 2, omega' = 1, omega'' = 0 at the start.
 """
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -155,3 +156,32 @@ def test_residual_norms_shapes(params, fm):
     # theta residual normalizes by eps at leading order, eps^2 elsewhere
     lead = rep.families["leading"]["theta"]
     assert np.allclose(rep.normalized["leading"]["theta"], lead / np.array([0.04, 0.02]))
+
+
+def test_residual_norms_falls_back_to_one_worker(params, fm, monkeypatch):
+    monkeypatch.setenv("FASTSLOW_WORKERS", "two")
+    rep = fs.residual_norms(params, fm, (0.04,), grid_points=51)
+    assert rep.epsilons == (0.04,)
+    assert np.all(rep.theta_min > 0)
+
+
+def test_kernels_agree_on_scalars_and_length_one_arrays(expansion_run, fm, dc):
+    traj, grid, base, corr = expansion_run
+    i, eps, ts = 1234, 0.01, dc.theta_star
+
+    def at(obj, pick):
+        return type(obj)(*(pick(v) for v in asdict(obj).values()))
+
+    results = []
+    for pick in (lambda v: float(v[i]), lambda v: v[i:i + 1]):
+        b, c = at(base, pick), at(corr, pick)
+        cv = fs.correctors(b, c.phi2_bar, eps, fm, ts)
+        results.append([cv, fs.averaged_rhs(c, b, fm, ts),
+                        fs.expand_thermo(b, c, cv, ts, fm),
+                        fs.energy_expansion(b, c, cv, eps, ts, fm),
+                        fs.averaged_energy_bundle(b, c, fm, ts, dc)])
+    for scalar, array in zip(*results):
+        for name, value in asdict(scalar).items():
+            assert np.ndim(value) == 0, name
+            assert getattr(array, name).shape == (1,), name
+            assert getattr(array, name)[0] == value, name

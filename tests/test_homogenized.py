@@ -5,14 +5,12 @@ import math
 import numpy as np
 
 import fastslow as fs
+from fastslow.homogenized import homogenized_field
 
 
 def test_rhs_at_start(fm):
-    s = fs.HomogenizedState(phi0=0.0, y0=0.0, p0=1.0, theta0=0.25)
-    d = fs.homogenized_rhs(s, fm)
-    assert d.phi0 == 2.0
-    assert d.y0 == 1.0
-    assert d.p0 == -0.25
+    d = homogenized_field(fm, 0.25)(0.0, np.array([0.0, 0.0, 1.0]))
+    assert d.tolist() == [2.0, 1.0, -0.25]  # [omega, p0, -theta* omega']
 
 
 def test_constant_frequency_gives_free_motion(params):
@@ -49,18 +47,20 @@ def test_invert_phase_round_trip(params, fm):
     traj = fs.solve_homogenized(params, fm)
     r_max = float(traj.states[-1, 0]) / math.pi
     r = np.linspace(0.0, 0.98 * r_max, 50)
-    ts = fs.invert_phase(traj, r)
+    ts = fs.invert_monotone(traj, math.pi * r, component=0)
     phis = fs.sample(traj, ts)[:, 0]
     assert np.max(np.abs(phis - math.pi * r)) <= 1e-10
     assert abs(ts[0]) <= 1e-15  # bisection pins r=0 at the left endpoint
 
 
 def test_eval_homogenized_structure(params, fm, dc):
-    traj = fs.solve_homogenized(params, fm)
+    # the homogenized state comes out of the joint expansion solve
+    traj = fs.solve_expansion(params, fm)
     grid = np.linspace(0.0, 1.0, 7)
-    st = fs.eval_homogenized(traj, grid)
+    st, corr = fs.eval_expansion(traj, grid)
     assert st.phi0.shape == grid.shape
     assert np.all(st.theta0 == dc.theta_star)
     xs = fs.sample(traj, grid)
     assert np.array_equal(st.y0, xs[:, 1])
     assert np.array_equal(st.p0, xs[:, 2])
+    assert np.array_equal(corr.p2_bar, xs[:, 6])

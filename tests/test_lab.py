@@ -149,3 +149,17 @@ def test_thermo_command_structure(tmp_path):
     summary = (out / "thermo_summary.txt").read_text()
     assert "FAIL" not in summary
     assert "entropy normalization" in summary
+
+
+@pytest.mark.parametrize("command", ["sweep", "thermo", "twoscale"])
+def test_reference_error_cap_applies_to_every_command(tmp_path, command):
+    # factor 10 leaves the eps = 0.04 run above the 1e-8 Richardson cap
+    cfgfile = tmp_path / "coarse.txt"
+    cfgfile.write_text("integrate.reference_factor = 10\n"
+                       "run.epsilons = 0.04,0.02\n")
+    rc = fs.main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    assert rc == 3
+
+
+def test_public_names_resolve():
+    assert [name for name in fs.__all__ if not hasattr(fs, name)] == []

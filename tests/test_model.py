@@ -56,6 +56,22 @@ def test_rejects_nonpositive_or_malformed(preset, coeffs):
         fs.make_frequency(preset, coeffs)
 
 
+@pytest.mark.parametrize("preset, coeffs", [
+    ("constant", (2.0,)),
+    ("sine", (2.0, 1.0)),
+    ("fourier", (2.0, 0.25, 0.25, -0.3, 0.1)),
+])
+def test_derivs_follow_the_shape_of_y(preset, coeffs):
+    fmx = fs.make_frequency(preset, coeffs)
+    y = np.linspace(-3.0, 3.0, 7) if preset != "constant" else np.zeros(3)
+    vals = fmx.derivs(y)
+    singles = (fmx.omega(y), fmx.domega(y), fmx.d2omega(y), fmx.d3omega(y))
+    for v, single in zip(vals, singles):
+        assert isinstance(v, np.ndarray) and v.shape == y.shape
+        assert np.array_equal(v, single)
+    assert all(np.ndim(v) == 0 for v in fmx.derivs(0.5))
+
+
 def test_array_evaluation_matches_scalar(fm):
     y = np.linspace(-7, 7, 57)
     ws = np.array([fm.omega(float(v)) for v in y])

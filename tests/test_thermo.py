@@ -9,15 +9,16 @@ import pytest
 import fastslow as fs
 
 
-def test_thermo_state_values(fm, dc):
-    st = fs.thermo_state(0.25, 0.0, fm, dc)
-    assert st.temperature == 0.5
-    assert st.entropy == 0.0  # log(1/4) + log(4), exact cancellation
-    assert st.force == 0.25
-    with pytest.raises(ValueError):
-        fs.thermo_state(0.0, 0.0, fm, dc)
-    with pytest.raises(ValueError):
-        fs.thermo_state(-0.1, 0.0, fm, dc)
+def test_thermo_state_values(params, fm, dc):
+    # bath state at t = 0: theta* = 1/4, omega = 2, omega' = 1
+    base = fs.HomogenizedState(phi0=0.0, y0=0.0, p0=1.0, theta0=dc.theta_star)
+    corr = fs.initial_corrections(params, fm)
+    cv = fs.correctors(base, corr.phi2_bar, 0.04, fm, dc.theta_star)
+    th = fs.expand_thermo(base, corr, cv, dc.theta_star, fm)
+    assert th.T0 == 0.5
+    assert th.S0 == 0.0  # the entropy constant pins the start to zero
+    assert dc.entropy_constant == -math.log(dc.theta_star)
+    assert th.F0 == 0.25
 
 
 @pytest.fixture(scope="module")
