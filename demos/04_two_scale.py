@@ -20,16 +20,16 @@ clock = fs.integrate_fixed(lambda t, x: np.array([math.pi]), np.array([0.0]),
 
 
 def surface(t, s_arr):
-    return np.sin(t) + 0.3 * np.sin(2 * math.pi * s_arr)
+    return (np.sin(t) + 0.3 * np.sin(2 * math.pi * s_arr),)
 
 
 print("synthetic unfolding of v = sin(t) + 0.3 sin(2 pi t/eps)")
 prev = None
 for eps in (0.04, 0.02, 0.01):
     def v(times, _eps=eps):
-        return np.sin(times) + 0.3 * np.sin(2 * math.pi * times / _eps)
+        return (np.sin(times) + 0.3 * np.sin(2 * math.pi * times / _eps),)
 
-    err, info = fs.nonlinear_two_scale_error(v, surface, clock, eps)
+    (err,), info = fs.nonlinear_two_scale_error(v, surface, clock, eps)
     note = "" if prev is None else f"   ratio {prev / err:5.2f}"
     print(f"  eps {eps:5.3f}: sup gap {err:.3e} over {info['cells']} cells{note}")
     prev = err
@@ -51,7 +51,7 @@ def limit(t, s_arr):
                             base.p0[:, None], base.theta0[:, None])
     cv = fs.two_scale_limits(b, corr.phi2_bar[:, None], ss[None, :],
                              fm, dc.theta_star)
-    return cv.theta1
+    return (cv.theta1,)
 
 
 print()
@@ -62,9 +62,9 @@ for eps in (0.04, 0.02, 0.01):
 
     def u(times, _eps=eps, _ref=ref):
         xs = fs.sample(_ref, times)
-        return (xs[:, 1] - dc.theta_star) / _eps
+        return ((xs[:, 1] - dc.theta_star) / _eps,)
 
-    err, info = fs.nonlinear_two_scale_error(u, limit, etraj, eps)
+    (err,), info = fs.nonlinear_two_scale_error(u, limit, etraj, eps)
     note = "" if prev is None else f"   ratio {prev / err:5.2f}"
     print(f"  eps {eps:5.3f}: sup error {err:.3e} over {info['cells']} cells{note}")
     prev = err

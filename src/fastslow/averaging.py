@@ -31,52 +31,58 @@ def floor_frac(x):
 
 def nonlinear_two_scale_error(u, limit, phase_traj: Trajectory, epsilon: float,
                               r_points: int = 512, s_points: int = 256):
-    """Sup distance between an unfolded signal and its two-scale limit.
+    """Sup distances between unfolded signals and their two-scale limits.
 
-    u: vectorized callable of time (the finite-epsilon signal).
-    limit: vectorized callable (t, s) -> limit values, 1-periodic in s.
+    u: vectorized callable of time returning a sequence of k signals
+    (the finite-epsilon remainders), each an array over the times.
+    limit: vectorized callable (t, s) returning the k matching limit
+    surfaces, 1-periodic in s, in the same order.
     phase_traj: trajectory whose component 0 is the limit phase phi0;
-    the signal is resampled at the times where phi0 passes pi*r, which
+    the signals are resampled at the times where phi0 passes pi*r, which
     is the slow-time change of variables that makes the fast variable
-    exactly epsilon-periodic in r.
+    exactly epsilon-periodic in r.  Fine and slow r-points are inverted
+    in one call, so the phase is inverted once however many signals.
 
     The unfolding is evaluated on a uniform fine r-grid of spacing
     epsilon/s_points, so every lookup lands on a precomputed sample; the
     sup runs over interior slow points (three cells clear of the end).
-    Returns (sup_error, info dict).
+    Returns ([sup_error per signal], info dict).
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     phi_T = float(phase_traj.states[-1, 0])
     r_max = phi_T / math.pi
-    # resample the signal on the uniform fine r-grid via phase inversion
     n_cells = int(math.floor(r_max / epsilon))
     if n_cells < 4:
         raise ValueError("epsilon too large: fewer than four fast cells in range")
     k_max = s_points * n_cells
     r_fine = epsilon * np.arange(k_max + 1) / s_points
-    t_fine = invert_monotone(phase_traj, np.pi * r_fine, component=0)
-    v_fine = np.asarray(u(t_fine), float)
-
     r_lo, r_hi = 0.0, (n_cells - 3) * epsilon
     r_grid = np.linspace(r_lo, r_hi, r_points)
+    t_all = invert_monotone(phase_traj, np.pi * np.concatenate([r_fine, r_grid]),
+                            component=0)
+    t_fine, t_slow = t_all[:r_fine.size], t_all[r_fine.size:]
+
     n, rho = floor_frac(r_grid / epsilon)
     n = n.astype(int)
     j = np.arange(s_points)
     s_grid = j / s_points
     base = n[:, None] * s_points + j[None, :]
-    blend = ((1.0 - rho)[:, None] * v_fine[base]
-             + rho[:, None] * v_fine[base + s_points])
-    cell_jump = v_fine[(n + 1) * s_points] - v_fine[n * s_points]
-    next_jump = v_fine[(n + 2) * s_points] - v_fine[(n + 1) * s_points]
-    jump = (1.0 - rho) * cell_jump + rho * next_jump
-    unfolded = blend - s_grid[None, :] * jump[:, None]
-
-    t_slow = invert_monotone(phase_traj, np.pi * r_grid, component=0)
-    lim = np.asarray(limit(t_slow[:, None], s_grid[None, :]), float)
-    err = float(np.max(np.abs(unfolded - lim)))
-    return err, {"r_max": r_max, "cells": n_cells,
-                 "r_window": (r_lo, r_hi), "s_points": s_points}
+    # the signals' temporaries are freed before the k limit surfaces are
+    # built, and the unfolded surfaces are made one at a time
+    signals = [np.asarray(v, float) for v in u(t_fine)]
+    limits = limit(t_slow[:, None], s_grid[None, :])
+    errs = []
+    for v_fine, lim in zip(signals, limits, strict=True):
+        blend = ((1.0 - rho)[:, None] * v_fine[base]
+                 + rho[:, None] * v_fine[base + s_points])
+        cell_jump = v_fine[(n + 1) * s_points] - v_fine[n * s_points]
+        next_jump = v_fine[(n + 2) * s_points] - v_fine[(n + 1) * s_points]
+        jump = (1.0 - rho) * cell_jump + rho * next_jump
+        unfolded = blend - s_grid[None, :] * jump[:, None]
+        errs.append(float(np.max(np.abs(unfolded - np.asarray(lim, float)))))
+    return errs, {"r_max": r_max, "cells": n_cells,
+                  "r_window": (r_lo, r_hi), "s_points": s_points}
 
 
 @dataclass(frozen=True)
@@ -105,7 +111,7 @@ def windowed_average(signal, t: float, epsilon: float, phase_traj: Trajectory,
     """
     if m < 1:
         raise ValueError("need at least one period")
-    phi = float(sample(phase_traj, np.array([t]))[0, 0])
+    phi = float(sample(phase_traj, np.array([t]), component=0)[0])
     half = math.pi * m * epsilon / phase_scale
     phi_lo_all = float(phase_traj.states[0, 0])
     phi_hi_all = float(phase_traj.states[-1, 0])

@@ -179,8 +179,14 @@ def dense_eval(traj: Trajectory, t: float) -> np.ndarray:
                     traj.states[i + 1], traj.derivs[i], traj.derivs[i + 1])
 
 
-def sample(traj: Trajectory, grid) -> np.ndarray:
-    """Vectorized dense evaluation on a sorted grid; returns (len(grid), d)."""
+def sample(traj: Trajectory, grid, component: int | None = None) -> np.ndarray:
+    """Vectorized dense evaluation on a sorted grid.
+
+    Returns (len(grid), d), or only column `component` as (len(grid),)
+    when one is given; that column is bitwise equal to the same column of
+    the full evaluation, since the Hermite arithmetic runs in the same
+    order on the same operands.
+    """
     times = traj.times
     grid = np.asarray(grid, float)
     t_end = times[-1]
@@ -191,16 +197,22 @@ def sample(traj: Trajectory, grid) -> np.ndarray:
     idx = np.clip(np.searchsorted(times, g, side="right") - 1, 0, len(times) - 2)
     t0 = times[idx]
     t1 = times[idx + 1]
-    h = (t1 - t0)[:, None]
-    tau = ((g - t0) / (t1 - t0))[:, None]
+    h = t1 - t0
+    tau = (g - t0) / h
+    if component is None:
+        x, f = traj.states, traj.derivs
+        h = h[:, None]
+        tau = tau[:, None]
+    else:
+        x, f = traj.states[:, component], traj.derivs[:, component]
     tau2 = tau * tau
     tau3 = tau2 * tau
     h00 = 2.0 * tau3 - 3.0 * tau2 + 1.0
     h10 = tau3 - 2.0 * tau2 + tau
     h01 = -2.0 * tau3 + 3.0 * tau2
     h11 = tau3 - tau2
-    return (h00 * traj.states[idx] + h10 * h * traj.derivs[idx]
-            + h01 * traj.states[idx + 1] + h11 * h * traj.derivs[idx + 1])
+    return (h00 * x[idx] + h10 * h * f[idx]
+            + h01 * x[idx + 1] + h11 * h * f[idx + 1])
 
 
 def reference_solution(rhs, x0, horizon_T: float, base_h: float,
@@ -233,19 +245,24 @@ def invert_monotone(traj: Trajectory, targets, component: int = 0,
                     iterations: int = 60) -> np.ndarray:
     """Times at which a strictly increasing component crosses the targets.
 
-    Vectorized bisection on the dense interpolant; resolves times to
-    ~1e-15 * horizon, so component values are matched to ~|slope|*1e-15.
+    Vectorized bisection on the dense interpolant of that component alone;
+    resolves times to ~1e-15 * horizon, so component values are matched
+    to ~|slope|*1e-15.  Each target is bisected independently, so one
+    call on concatenated targets returns the concatenated answers bitwise.
+    Raises ValueError when the component's node values are not strictly
+    increasing or a target lies outside their range.
     """
     targets = np.atleast_1d(np.asarray(targets, float))
     vals = traj.states[:, component]
+    if not np.all(np.diff(vals) > 0.0):
+        raise ValueError("component is not strictly increasing at the nodes")
     if np.any(targets < vals[0] - 1e-9) or np.any(targets > vals[-1] + 1e-9):
         raise ValueError("target outside the component's range")
     lo = np.full(targets.shape, traj.times[0])
     hi = np.full(targets.shape, traj.times[-1])
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
-        v = sample(traj, mid)[:, component]
-        take_hi = v < targets
+        take_hi = sample(traj, mid, component=component) < targets
         lo = np.where(take_hi, mid, lo)
         hi = np.where(take_hi, hi, mid)
     return 0.5 * (lo + hi)

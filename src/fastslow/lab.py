@@ -499,10 +499,15 @@ def cmd_thermo(cfg: RunConfig, out: Path) -> int:
     return _finish("thermo", cfg, out, t0, [p1, summary], lines + gates, summary)
 
 
+TWO_SCALE_VARIABLES = ("theta1", "phi2", "y2", "p2", "theta2")
+
+
 def two_scale_error_table(cfg: RunConfig, fm, params, refs: dict | None = None) -> dict:
     """Unfolding errors of the five rescaled remainders, per epsilon.
 
-    refs may carry precomputed reference trajectories keyed by epsilon.
+    All five are unfolded in one call per epsilon, so the phase is
+    inverted and the expansion evaluated once for them.  refs may carry
+    precomputed reference trajectories keyed by epsilon.
     Returns {epsilon: {variable: sup_error}}.
     """
     dc = model.derived_constants(params, fm)
@@ -510,25 +515,19 @@ def two_scale_error_table(cfg: RunConfig, fm, params, refs: dict | None = None) 
     etraj = expansion.solve_expansion(params, fm, cfg.rtol, cfg.atol,
                                       cfg.max_slow_step)
 
-    def limit_for(var):
-        def lim(t, s):
-            tt = np.asarray(t).ravel()
-            ss = np.asarray(s).ravel()
-            base, corr = expansion.eval_expansion(etraj, tt)
-            b = homogenized.HomogenizedState(base.phi0[:, None], base.y0[:, None],
-                                             base.p0[:, None], base.theta0[:, None])
-            cv = expansion.two_scale_limits(b, corr.phi2_bar[:, None],
-                                            ss[None, :], fm, theta_star)
-            if var == "theta1":
-                return cv.theta1
-            if var == "phi2":
-                return corr.phi2_bar[:, None] + cv.phi2
-            if var == "y2":
-                return corr.y2_bar[:, None] + cv.y2
-            if var == "p2":
-                return corr.p2_bar[:, None] + cv.p2
-            return corr.theta2_bar[:, None] + cv.theta2
-        return lim
+    def limit(t, s):
+        tt = np.asarray(t).ravel()
+        ss = np.asarray(s).ravel()
+        base, corr = expansion.eval_expansion(etraj, tt)
+        b = homogenized.HomogenizedState(base.phi0[:, None], base.y0[:, None],
+                                         base.p0[:, None], base.theta0[:, None])
+        cv = expansion.two_scale_limits(b, corr.phi2_bar[:, None],
+                                        ss[None, :], fm, theta_star)
+        return (cv.theta1,
+                corr.phi2_bar[:, None] + cv.phi2,
+                corr.y2_bar[:, None] + cv.y2,
+                corr.p2_bar[:, None] + cv.p2,
+                corr.theta2_bar[:, None] + cv.theta2)
 
     out = {}
     for eps in cfg.epsilons:
@@ -536,28 +535,19 @@ def two_scale_error_table(cfg: RunConfig, fm, params, refs: dict | None = None) 
         if ref is None:
             ref = expansion.reference_run(params, fm, eps, cfg.reference_factor)
 
-        def u_for(var):
-            def u(ts):
-                xs = integrate.sample(ref, ts)
-                base, corr = expansion.eval_expansion(etraj, ts)
-                cv = expansion.correctors(base, corr.phi2_bar, eps, fm, theta_star)
-                if var == "theta1":
-                    return (xs[:, 1] - theta_star) / eps
-                if var == "phi2":
-                    return (xs[:, 0] - base.phi0) / eps**2
-                if var == "y2":
-                    return (xs[:, 2] - base.y0) / eps**2
-                if var == "p2":
-                    return (xs[:, 3] - base.p0) / eps**2
-                return ((xs[:, 1] - theta_star) / eps - cv.theta1) / eps
-            return u
+        def u(ts):
+            xs = integrate.sample(ref, ts)
+            base, corr = expansion.eval_expansion(etraj, ts)
+            cv = expansion.correctors(base, corr.phi2_bar, eps, fm, theta_star)
+            theta1 = (xs[:, 1] - theta_star) / eps
+            return (theta1,
+                    (xs[:, 0] - base.phi0) / eps**2,
+                    (xs[:, 2] - base.y0) / eps**2,
+                    (xs[:, 3] - base.p0) / eps**2,
+                    (theta1 - cv.theta1) / eps)
 
-        errs = {}
-        for var in ("theta1", "phi2", "y2", "p2", "theta2"):
-            e, _ = averaging.nonlinear_two_scale_error(u_for(var), limit_for(var),
-                                                       etraj, eps)
-            errs[var] = e
-        out[eps] = errs
+        errs, _ = averaging.nonlinear_two_scale_error(u, limit, etraj, eps)
+        out[eps] = dict(zip(TWO_SCALE_VARIABLES, errs, strict=True))
     return out
 
 
@@ -568,10 +558,9 @@ def cmd_twoscale(cfg: RunConfig, out: Path) -> int:
     params = cfg.params()
     table = two_scale_error_table(cfg, fm, params)
     eps_list = list(table)
-    variables = ("theta1", "phi2", "y2", "p2", "theta2")
     rows_eps, rows_var, rows_err = [], [], []
     for eps in eps_list:
-        for var in variables:
+        for var in TWO_SCALE_VARIABLES:
             rows_eps.append(eps)
             rows_var.append(var)
             rows_err.append(table[eps][var])
@@ -580,7 +569,7 @@ def cmd_twoscale(cfg: RunConfig, out: Path) -> int:
               [rows_eps, rows_var, rows_err])
     report = []
     if len(eps_list) >= 2:
-        for var in variables:
+        for var in TWO_SCALE_VARIABLES:
             seq = [table[e][var] for e in eps_list]
             report.append(Gate(f"unfolding error of {var} strictly decreasing",
                                bool(np.all(np.diff(seq) < 0)),

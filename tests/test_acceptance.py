@@ -45,14 +45,8 @@ def thermo_min_eps(expansion_run, corrector_sets, fm, dc):
 
 
 @pytest.fixture(scope="module")
-def reference_runs(fm, dc):
-    refs = {}
-    for eps in EPSILONS:
-        x0 = np.array([0.0, dc.theta_star, 0.0, 1.0])
-        h = 2 * math.pi * eps / (80 * fm.omega_upper_bound)
-        refs[eps] = fs.reference_solution(fs.action_angle_field(eps, fm),
-                                          x0, 1.0, h)
-    return refs
+def reference_runs(params, fm):
+    return {eps: fs.reference_run(params, fm, eps, 80.0) for eps in EPSILONS}
 
 
 def test_c01_energy_conservation(sweep_report, acceptance_lines):

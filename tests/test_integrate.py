@@ -153,3 +153,53 @@ def test_invert_monotone_recovers_times():
     ts = fs.invert_monotone(traj, targets)
     vals = fs.sample(traj, ts)[:, 0]
     assert np.max(np.abs(vals - targets)) <= 1e-10
+
+
+def test_sample_component_matches_full_columns(expansion_run):
+    traj = expansion_run[0]
+    assert traj.states.shape[1] == 7
+    mids = 0.5 * (traj.times[:-1] + traj.times[1:])
+    grid = np.sort(np.concatenate([traj.times, mids, np.linspace(0.0, 1.0, 997)]))
+    full = fs.sample(traj, grid)
+    for c in range(7):
+        col = fs.sample(traj, grid, component=c)
+        assert col.shape == grid.shape
+        assert np.array_equal(col, full[:, c])
+
+
+def _invert_full_width(traj, targets, component=0, iterations=60):
+    # bisection that interpolates every column and keeps one
+    lo = np.full(targets.shape, traj.times[0])
+    hi = np.full(targets.shape, traj.times[-1])
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        v = fs.sample(traj, mid)[:, component]
+        take_hi = v < targets
+        lo = np.where(take_hi, mid, lo)
+        hi = np.where(take_hi, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_invert_monotone_matches_full_width_bisection(expansion_run):
+    traj = expansion_run[0]
+    phi_T = float(traj.states[-1, 0])
+    targets = np.concatenate([np.linspace(0.0, phi_T, 4001),
+                              np.random.default_rng(7).uniform(0.0, phi_T, 500)])
+    ts = fs.invert_monotone(traj, targets, component=0)
+    assert np.array_equal(ts, _invert_full_width(traj, targets))
+    # each target is bisected on its own: split calls give the same bits
+    halves = [fs.invert_monotone(traj, part) for part in np.split(targets, [1234])]
+    assert np.array_equal(np.concatenate(halves), ts)
+
+
+def test_invert_monotone_rejects_a_column_that_turns_back():
+    # x = sin(t) rises to 1 at t = pi/2 and falls after it
+    traj = fs.integrate_fixed(lambda t, x: np.array([math.cos(t)]),
+                              np.array([0.0]), 3.0, 1e-2)
+    assert float(traj.states[-1, 0]) > 0.1
+    with pytest.raises(ValueError, match="strictly increasing"):
+        fs.invert_monotone(traj, np.array([0.1]))
+    flat = fs.integrate_fixed(lambda t, x: np.array([0.0]), np.array([1.0]),
+                              1.0, 0.1)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        fs.invert_monotone(flat, np.array([1.0]))
