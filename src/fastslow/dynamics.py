@@ -184,27 +184,33 @@ def split_energy_cartesian(s: CartesianState, epsilon: float,
 
 
 def action_angle_field(epsilon: float, fm: FrequencyModel):
-    """Vector field f(t, x) for the integrators, x = [phi, theta, y, p]."""
+    """Vector field f(t, x) for the integrators, x = (phi, theta, y, p).
+
+    Takes any sequence of four floats and returns a tuple of floats.
+    """
     _check_epsilon(epsilon)
 
     def f(t, x):
         phi, theta, y, p = x
         w, w1, w2, _ = fm.derivs(y)
         s2, c2 = reduced_sincos(phi, epsilon, 2)
-        return np.array(_aa_rhs_tuple(theta, p, epsilon, w, w1, w2, s2, c2))
+        return _aa_rhs_tuple(theta, p, epsilon, w, w1, w2, s2, c2)
 
     return f
 
 
 def cartesian_field(epsilon: float, fm: FrequencyModel):
-    """Vector field f(t, x) for the integrators, x = [y, eta, z, zeta]."""
+    """Vector field f(t, x) for the integrators, x = (y, eta, z, zeta).
+
+    Takes any sequence of four floats and returns a tuple of floats.
+    """
     _check_epsilon(epsilon)
     inv2 = 1.0 / (epsilon * epsilon)
 
     def f(t, x):
         y, eta, z, zeta = x
         w, w1, _, _ = fm.derivs(y)
-        return np.array([eta, -inv2 * w * w1 * z * z, zeta, -inv2 * w * w * z])
+        return eta, -inv2 * w * w1 * z * z, zeta, -inv2 * w * w * z
 
     return f
 

@@ -35,32 +35,42 @@ def integrate_fixed(rhs, x0, horizon_T: float, h: float) -> Trajectory:
     Node times are i*h (not accumulated sums) so that a run at h/2 hits
     every node of a run at h bit-exactly; the last step is shortened to
     land on horizon_T.
+
+    rhs(t, x) receives the state as a tuple of Python floats and may
+    return any sequence of d floats (tuple, list or ndarray).  The stage
+    sums run component by component in the operation order of the vector
+    form x + (h/6)*(((k1 + 2 k2) + 2 k3) + k4), so the states are bitwise
+    those of the same scheme in ndarray arithmetic, at a fraction of the
+    per-step cost for small d.
     """
     if not h > 0.0:
         raise ValueError("step must be positive")
     if h > horizon_T:
         raise ValueError("step exceeds the horizon")
-    x = np.asarray(x0, dtype=float).copy()
+    x = tuple(np.asarray(x0, dtype=float).tolist())
     n_steps = int(math.ceil(horizon_T / h - 1e-12))
     times = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, x.size))
+    states = np.empty((n_steps + 1, len(x)))
     derivs = np.empty_like(states)
-    t = 0.0
+    isfinite = math.isfinite
     times[0] = 0.0
     states[0] = x
-    f = rhs(t, x)
+    f = rhs(0.0, x)
     derivs[0] = f
     for i in range(n_steps):
         t = i * h
         t_next = horizon_T if i == n_steps - 1 else (i + 1) * h
         hi = t_next - t
+        half = 0.5 * hi
         k1 = f
-        k2 = rhs(t + 0.5 * hi, x + (0.5 * hi) * k1)
-        k3 = rhs(t + 0.5 * hi, x + (0.5 * hi) * k2)
-        k4 = rhs(t_next, x + hi * k3)
-        x = x + (hi / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
-            raise NumericalError(f"non-finite state at t={t_next!r}: {x}")
+        k2 = rhs(t + half, tuple([a + half * b for a, b in zip(x, k1)]))
+        k3 = rhs(t + half, tuple([a + half * b for a, b in zip(x, k2)]))
+        k4 = rhs(t_next, tuple([a + hi * b for a, b in zip(x, k3)]))
+        sixth = hi / 6.0
+        x = tuple([a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                   for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)])
+        if not all(map(isfinite, x)):
+            raise NumericalError(f"non-finite state at t={t_next!r}: {np.array(x)}")
         f = rhs(t_next, x)
         times[i + 1] = t_next
         states[i + 1] = x

@@ -186,7 +186,7 @@ def _sha256(path: Path) -> str:
 
 
 def write_manifest(out: Path, command: str, cfg: RunConfig, files: list[Path],
-                   wall_seconds: float) -> Path:
+                   wall_seconds: float, runs: list | None = None) -> Path:
     from . import __version__
 
     manifest = {
@@ -197,6 +197,8 @@ def write_manifest(out: Path, command: str, cfg: RunConfig, files: list[Path],
         "files": {f.name: {"bytes": f.stat().st_size, "sha256": _sha256(f)}
                   for f in files},
     }
+    if runs is not None:
+        manifest["runs"] = runs
     path = out / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
@@ -218,18 +220,21 @@ class Gate(NamedTuple):
 
 
 def _finish(command: str, cfg: RunConfig, out: Path, t0: float, files: list,
-            report=(), summary: Path | None = None) -> int:
+            report=(), summary: Path | None = None,
+            runs: list | None = None) -> int:
     """End a command: write the summary and the manifest, print, and
     return the exit code.
 
     report holds Gate records and ready-made [INFO] lines in output order;
-    summary, one of files, receives the report.  The exit code is 1 if
-    any gate failed, else 0.
+    summary, one of files, receives the report; runs, when given, goes
+    into the manifest as its "runs" list.  The exit code is 1 if any gate
+    failed, else 0.
     """
     lines = [str(r) for r in report]
     if summary is not None:
         summary.write_text("\n".join(lines) + "\n")
-    mpath = write_manifest(out, command, cfg, files, time.perf_counter() - t0)
+    mpath = write_manifest(out, command, cfg, files, time.perf_counter() - t0,
+                           runs)
     for f in files + [mpath]:
         print(f"wrote {f}")
     if lines:
@@ -373,8 +378,11 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
 
     if not can_fit:
         gates.append("[INFO] fewer than three epsilons: order gates skipped")
+    runs = [{"epsilon": e, "richardson_error": float(r), "theta_min": float(m)}
+            for e, r, m in zip(rep.epsilons, rep.reference_errors, rep.theta_min)]
     summary = out / "summary.txt"
-    return _finish("sweep", cfg, out, t0, [p1, p2, summary], gates, summary)
+    return _finish("sweep", cfg, out, t0, [p1, p2, summary], gates, summary,
+                   runs)
 
 
 def thermo_tables(cfg: RunConfig, fm, params) -> dict:

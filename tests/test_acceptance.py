@@ -22,8 +22,26 @@ def record(acceptance_lines, num, name, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def sweep_report(params, fm):
-    return fs.residual_norms(params, fm, EPSILONS)
+def reference_runs(params, fm):
+    return {eps: fs.reference_run(params, fm, eps, 80.0) for eps in EPSILONS}
+
+
+@pytest.fixture(scope="module")
+def sweep_report(params, fm, reference_runs):
+    # residual_norms on the reference_runs trajectories: each epsilon is
+    # integrated once in this module (same arguments, so the same bits)
+    hits = []
+
+    def lookup(params_, fm_, eps, reference_factor, error_cap):
+        assert (params_, fm_, reference_factor, error_cap) == (params, fm, 80.0, 1e-8)
+        hits.append(eps)
+        return reference_runs[eps]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fs.expansion, "reference_run", lookup)
+        report = fs.residual_norms(params, fm, EPSILONS, workers=1)
+    assert hits == list(EPSILONS)
+    return report
 
 
 @pytest.fixture(scope="module")
@@ -42,11 +60,6 @@ def thermo_min_eps(expansion_run, corrector_sets, fm, dc):
     ex = fs.energy_expansion(base, corr, cv, eps, dc.theta_star, fm)
     bundle = fs.averaged_energy_bundle(base, corr, fm, dc.theta_star, dc)
     return th, ex, bundle
-
-
-@pytest.fixture(scope="module")
-def reference_runs(params, fm):
-    return {eps: fs.reference_run(params, fm, eps, 80.0) for eps in EPSILONS}
 
 
 def test_c01_energy_conservation(sweep_report, acceptance_lines):

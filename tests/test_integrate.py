@@ -9,7 +9,7 @@ import fastslow as fs
 
 
 def decay(t, x):
-    return -x
+    return tuple(-v for v in x)
 
 
 def test_fixed_step_is_fourth_order():
@@ -203,3 +203,63 @@ def test_invert_monotone_rejects_a_column_that_turns_back():
                               1.0, 0.1)
     with pytest.raises(ValueError, match="strictly increasing"):
         fs.invert_monotone(flat, np.array([1.0]))
+
+
+def _rk4_ndarray(rhs, x0, horizon_T, h):
+    # RK4 in ndarray vector form: the oracle integrate_fixed must match bitwise
+    x = np.asarray(x0, dtype=float).copy()
+    n_steps = int(math.ceil(horizon_T / h - 1e-12))
+    times = np.empty(n_steps + 1)
+    states = np.empty((n_steps + 1, x.size))
+    derivs = np.empty_like(states)
+    times[0] = 0.0
+    states[0] = x
+    f = np.asarray(rhs(0.0, x))
+    derivs[0] = f
+    for i in range(n_steps):
+        t = i * h
+        t_next = horizon_T if i == n_steps - 1 else (i + 1) * h
+        hi = t_next - t
+        k1 = f
+        k2 = np.asarray(rhs(t + 0.5 * hi, x + (0.5 * hi) * k1))
+        k3 = np.asarray(rhs(t + 0.5 * hi, x + (0.5 * hi) * k2))
+        k4 = np.asarray(rhs(t_next, x + hi * k3))
+        x = x + (hi / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        f = np.asarray(rhs(t_next, x))
+        times[i + 1] = t_next
+        states[i + 1] = x
+        derivs[i + 1] = f
+    return times, states, derivs
+
+
+def test_tuple_rk4_matches_ndarray_rk4():
+    eps = 0.02
+    T = 0.3
+    for preset, coefficients in (("sine", (2.0, 1.0)),
+                                 ("fourier", (3.0, 0.5, 0.5, 0.3, -0.4)),
+                                 ("constant", (2.0,))):
+        fm = fs.make_frequency(preset, coefficients)
+        # T/h is not an integer, so the shortened last step is compared too
+        h = 2 * math.pi * eps / (80 * fm.omega_upper_bound)
+        assert T / h != math.floor(T / h)
+        cases = ((fs.action_angle_field(eps, fm), np.array([0.0, 0.25, 0.1, 0.9])),
+                 (fs.cartesian_field(eps, fm), np.array([0.1, 0.9, 0.0, 1.0])))
+        for field, x0 in cases:
+            traj = fs.integrate_fixed(field, x0, T, h)
+            times, coarse, derivs = _rk4_ndarray(field, x0, T, h)
+            assert traj.times[-1] == T
+            assert np.array_equal(traj.times, times)
+            assert np.array_equal(traj.states, coarse)
+            assert np.array_equal(traj.derivs, derivs)
+            ref = fs.reference_solution(field, x0, T, h)
+            fine_t, fine, fine_d = _rk4_ndarray(field, x0, T, 0.5 * h)
+            assert np.array_equal(ref.times, fine_t)
+            assert np.array_equal(ref.states, fine)
+            assert np.array_equal(ref.derivs, fine_d)
+            idx = np.searchsorted(fine_t, times)
+            assert ref.meta["richardson_error"] == float(
+                np.max(np.abs(fine[idx] - coarse))) / 15.0
+    # x' = x^2 from x = 2 blows up at t = 1/2: the state overflows mid-run
+    with pytest.raises(fs.NumericalError, match=r"non-finite state at t=0\.5"):
+        fs.integrate_fixed(lambda t, x: tuple(v * v for v in x),
+                           np.array([2.0]), 1.0, 1e-3)

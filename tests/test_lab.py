@@ -112,6 +112,11 @@ def test_sweep_gates_and_worker_invariance(tmp_path, monkeypatch):
     rows = (d1 / "residuals.csv").read_text().splitlines()
     assert rows[0] == "epsilon,variable,sup_norm,normalized_norm"
     assert len(rows) == 1 + 3 * 9  # 3 epsilons x (4 leading + 1 first + 4 second)
+    runs = json.loads((d1 / "manifest.json").read_text())["runs"]
+    assert runs == json.loads((d2 / "manifest.json").read_text())["runs"]
+    assert [r["epsilon"] for r in runs] == [0.04, 0.02, 0.01]
+    assert all(0.0 < r["richardson_error"] <= 1e-8 for r in runs)
+    assert all(0.0 < r["theta_min"] < 1.0 for r in runs)
 
 
 def test_sweep_with_two_epsilons_skips_order_fit(tmp_path):
