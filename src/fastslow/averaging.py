@@ -16,6 +16,10 @@ import numpy as np
 from .integrate import Trajectory, invert_monotone, sample
 
 
+class PhaseRangeError(ValueError):
+    """epsilon too large for the phase range of the trajectory."""
+
+
 def floor_frac(x):
     """Split x into (N, R) with N = floor(x) as a float and R = x - N.
 
@@ -54,7 +58,7 @@ def nonlinear_two_scale_error(u, limit, phase_traj: Trajectory, epsilon: float,
     r_max = phi_T / math.pi
     n_cells = int(math.floor(r_max / epsilon))
     if n_cells < 4:
-        raise ValueError("epsilon too large: fewer than four fast cells in range")
+        raise PhaseRangeError("epsilon too large: fewer than four fast cells in range")
     k_max = s_points * n_cells
     r_fine = epsilon * np.arange(k_max + 1) / s_points
     r_lo, r_hi = 0.0, (n_cells - 3) * epsilon
@@ -116,7 +120,7 @@ def windowed_average(signal, t: float, epsilon: float, phase_traj: Trajectory,
     phi_lo_all = float(phase_traj.states[0, 0])
     phi_hi_all = float(phase_traj.states[-1, 0])
     if 2 * half > phi_hi_all - phi_lo_all:
-        raise ValueError("window wider than the available phase range")
+        raise PhaseRangeError("window wider than the available phase range")
     lo = phi - half
     hi = phi + half
     slid_left = lo < phi_lo_all

@@ -25,9 +25,6 @@ class CartesianState:
     z: float
     zeta: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.y, self.eta, self.z, self.zeta])
-
 
 @dataclass(frozen=True)
 class ActionAngleState:
@@ -36,9 +33,6 @@ class ActionAngleState:
     y: float
     p: float
     degenerate: bool = False
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.phi, self.theta, self.y, self.p])
 
 
 def _check_epsilon(epsilon: float) -> None:

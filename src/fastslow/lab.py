@@ -18,6 +18,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -240,6 +241,16 @@ def _finish(command: str, cfg: RunConfig, out: Path, t0: float, files: list,
     if lines:
         print("\n".join(lines))
     return 0 if all(r.ok for r in report if isinstance(r, Gate)) else 1
+
+
+@contextmanager
+def _epsilon_fits(epsilon: float):
+    """Report an epsilon too large for the run's phase range as bad
+    configuration (exit 2), not as a traceback."""
+    try:
+        yield
+    except averaging.PhaseRangeError as e:
+        raise ConfigError(f"run.epsilons: epsilon {epsilon:g}: {e}") from e
 
 
 def _fast_run(cfg: RunConfig, fm, epsilon: float, representation: str):
@@ -477,12 +488,17 @@ def cmd_thermo(cfg: RunConfig, out: Path) -> int:
 
     lines = []
     equip = []
+    runs = []
     for eps in cfg.epsilons:
         ref = expansion.reference_run(params, fm, eps, cfg.reference_factor)
-        rep = thermo.equipartition_check(ref, eps, fm, m=cfg.window_periods,
-                                         grid_points=cfg.grid_points)
+        with _epsilon_fits(eps):
+            rep = thermo.equipartition_check(ref, eps, fm, m=cfg.window_periods,
+                                             grid_points=cfg.grid_points)
         equip.append(rep)
         xs = integrate.sample(ref, grid)
+        runs.append({"epsilon": eps,
+                     "richardson_error": float(ref.meta["richardson_error"]),
+                     "theta_min": float(np.min(xs[:, 1]))})
         t_gap = np.abs(xs[:, 1] * fm.omega(xs[:, 2]) - tab["thermo"].T0)
         theta_gap = np.abs(xs[:, 1] - dc.theta_star)
         lines.append(f"[INFO] eps={eps:g}: equipartition gap {rep.gap_max:.3e}, "
@@ -504,7 +520,8 @@ def cmd_thermo(cfg: RunConfig, out: Path) -> int:
     lines.append("[INFO] entropy normalization: additive constant -log(theta_star) "
                  f"= {dc.entropy_constant!r} pins initial entropy to zero")
     summary = out / "thermo_summary.txt"
-    return _finish("thermo", cfg, out, t0, [p1, summary], lines + gates, summary)
+    return _finish("thermo", cfg, out, t0, [p1, summary], lines + gates, summary,
+                   runs)
 
 
 TWO_SCALE_VARIABLES = ("theta1", "phi2", "y2", "p2", "theta2")
@@ -516,7 +533,8 @@ def two_scale_error_table(cfg: RunConfig, fm, params, refs: dict | None = None) 
     All five are unfolded in one call per epsilon, so the phase is
     inverted and the expansion evaluated once for them.  refs may carry
     precomputed reference trajectories keyed by epsilon.
-    Returns {epsilon: {variable: sup_error}}.
+    Returns {epsilon: {variable: sup_error, "richardson_error": tag of
+    the reference run}}.
     """
     dc = model.derived_constants(params, fm)
     theta_star = dc.theta_star
@@ -554,8 +572,10 @@ def two_scale_error_table(cfg: RunConfig, fm, params, refs: dict | None = None) 
                     (xs[:, 3] - base.p0) / eps**2,
                     (theta1 - cv.theta1) / eps)
 
-        errs, _ = averaging.nonlinear_two_scale_error(u, limit, etraj, eps)
-        out[eps] = dict(zip(TWO_SCALE_VARIABLES, errs, strict=True))
+        with _epsilon_fits(eps):
+            errs, _ = averaging.nonlinear_two_scale_error(u, limit, etraj, eps)
+        out[eps] = dict(zip(TWO_SCALE_VARIABLES, errs, strict=True),
+                        richardson_error=float(ref.meta["richardson_error"]))
     return out
 
 
@@ -584,8 +604,11 @@ def cmd_twoscale(cfg: RunConfig, out: Path) -> int:
                                " -> ".join(f"{v:.3e}" for v in seq)))
     else:
         report.append("[INFO] single epsilon: table emitted, no trend gate")
+    runs = [{"epsilon": e, "richardson_error": table[e]["richardson_error"]}
+            for e in eps_list]
     summary = out / "summary.txt"
-    return _finish("twoscale", cfg, out, t0, [p1, summary], report, summary)
+    return _finish("twoscale", cfg, out, t0, [p1, summary], report, summary,
+                   runs)
 
 
 def cmd_check(cfg: RunConfig, out: Path) -> int:

@@ -4,11 +4,12 @@ The oscillatory terms of the model are functions of k*phi/epsilon with
 k in {1, 2, 4}.  Forming t = k*phi/epsilon in double precision and calling
 math.sin(t) loses absolute accuracy once t is large: the rounding error of
 the division alone is t*2^-53, which for t ~ 1e6 is already ~1e-10.  The
-helpers here keep the reduced phase accurate to ~2e-15 absolute by carrying
-the division residual separately (a two-product) and reducing the high part
-with a Cody-Waite scheme whose 2*pi is stored in 33-bit pieces, so the
-products quotient*piece are exact for quotients below 2^20 (below 2^40
-after splitting the quotient itself).
+helpers here keep the reduced phase accurate to ~2e-15 absolute for
+reduction quotients up to 2^50 (and ~q*2^-102 beyond, 3e-13 near 2^60) by
+carrying the division residual separately (a Dekker two-product) and
+reducing the high part with a Cody-Waite scheme whose 2*pi is stored in
+33-bit pieces.  Everything is float64, and one routine serves Python
+floats and numpy arrays, so both give the same bits on every platform.
 """
 
 from __future__ import annotations
@@ -18,118 +19,82 @@ import math
 import numpy as np
 
 # Pieces of 2*pi with 33 significant bits each: q*piece is exact for
-# integer q < 2^20.  The four pieces sum to 2*pi with residual ~3e-48.
+# integer |q| <= 2^20.  The four pieces sum to 2*pi with residual ~3e-48.
 _TWO_PI_1 = 4.0 * float.fromhex("0x1.921fb544p+0")
 _TWO_PI_2 = 4.0 * float.fromhex("0x1.0b4611a6p-34")
 _TWO_PI_3 = 4.0 * float.fromhex("0x1.3198a2ep-69")
 _TWO_PI_3T = 4.0 * float.fromhex("0x1.b839a252049c1p-104")
 _INV_TWO_PI = 0.15915494309189535
 
-_Q_SMALL = 1 << 20
-_Q_LARGE = 1 << 40
-
-_TAU_HI_LD = np.longdouble("6.283185307179586476925286766559005768394")
-_TAU_LO_LD = np.longdouble("-1.003311522533666404711465e-19")
-_INV_TAU_LD = np.longdouble(1.0) / (_TAU_HI_LD + _TAU_LO_LD)
-
-_HAS_FMA = hasattr(math, "fma")
 # 2^27 + 1, Dekker splitting constant for 53-bit doubles
 _SPLIT = 134217729.0
-# 2^32 + 1, Dekker splitting constant for 64-bit extended mantissas
-_SPLIT_LD = np.longdouble(4294967297.0)
+# below this every 20-bit chunk of q but the lowest is zero
+_Q_SHORT = 2.0**19
 
 
-def _two_product(a: float, b: float) -> tuple[float, float]:
-    """Return (hi, lo) with hi = fl(a*b) and hi + lo = a*b exactly."""
-    hi = a * b
-    if _HAS_FMA:
-        return hi, math.fma(a, b, -hi)
-    ah = _SPLIT * a
-    ah = ah - (ah - a)
-    al = a - ah
-    bh = _SPLIT * b
-    bh = bh - (bh - b)
-    bl = b - bh
-    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
-    return hi, lo
+def _reduce(a, epsilon, rint, every):
+    """a/epsilon reduced modulo 2*pi into roughly [-pi, pi].
 
+    a is a float or an array; rint rounds half to even on it (round or
+    np.rint) and every(mask) says whether a comparison holds for all of it
+    (bool or np.all).  Quotients of 2^19 and more are split into 20-bit
+    chunks q2 + q1 + q0 (q2, q1 multiples of 2^40, 2^20), so each
+    chunk*piece product stays exact below 2^60; with zero high chunks the
+    split path subtracts 0.0, so both paths give the same bits.
+    """
+    t_hi = a / epsilon
+    # exact division residual via a two-product p + pl = t_hi*epsilon,
+    # so that t_hi + t_lo = a/epsilon to ~2^-106 relative
+    p = t_hi * epsilon
+    th = _SPLIT * t_hi
+    th = th - (th - t_hi)
+    tl = t_hi - th
+    eh = _SPLIT * epsilon
+    eh = eh - (eh - epsilon)
+    el = epsilon - eh
+    pl = ((th * eh - p) + th * el + tl * eh) + tl * el
+    t_lo = ((a - p) - pl) / epsilon
 
-def _reduce_core(t_hi: float, t_lo: float) -> float:
-    q = round(t_hi * _INV_TWO_PI)
-    aq = abs(q)
-    if aq < _Q_SMALL:
+    q = rint(t_hi * _INV_TWO_PI)
+    if every(abs(q) < _Q_SHORT):
         r = t_hi - q * _TWO_PI_1
         r -= q * _TWO_PI_2
-        r += t_lo
-        r -= q * _TWO_PI_3
-        r -= q * _TWO_PI_3T
-        return r
-    if aq < _Q_LARGE:
-        # split the quotient so every product keeps <= 53 significant bits
-        q_hi = (q >> 20) << 20
-        q_lo = q - q_hi
-        r = t_hi - q_hi * _TWO_PI_1
-        r -= q_lo * _TWO_PI_1
-        r -= q_hi * _TWO_PI_2
-        r -= q_lo * _TWO_PI_2
-        r += t_lo
-        r -= q * _TWO_PI_3
-        r -= q * _TWO_PI_3T
-        return r
-    # absurdly large quotient: extended precision, accuracy degrades to
-    # ~q*1e-20 which is still ~1e-8 at q ~ 1e12
-    t = np.longdouble(t_hi) + np.longdouble(t_lo)
-    qq = np.rint(t * _INV_TAU_LD)
-    return float((t - qq * _TAU_HI_LD) - qq * _TAU_LO_LD)
+    else:
+        q2 = rint(q * 2.0**-40) * 2.0**40
+        q1 = rint((q - q2) * 2.0**-20) * 2.0**20
+        q0 = (q - q2) - q1
+        r = t_hi - q2 * _TWO_PI_1
+        r -= q1 * _TWO_PI_1
+        r -= q0 * _TWO_PI_1
+        r -= q2 * _TWO_PI_2
+        r -= q1 * _TWO_PI_2
+        r -= q0 * _TWO_PI_2
+    r += t_lo
+    r -= q * _TWO_PI_3
+    r -= q * _TWO_PI_3T
+    return r
 
 
 def reduce_phase(phi: float, epsilon: float, k: int = 2) -> float:
     """Return k*phi/epsilon reduced modulo 2*pi into roughly [-pi, pi].
 
-    Absolute accuracy ~2e-15 for reduction quotients below 2^40.
+    Absolute accuracy ~2e-15 for reduction quotients up to 2^50.
     """
-    a = k * phi  # exact for k in {1, 2, 4}: power-of-two scaling
-    t_hi = a / epsilon
-    # exact division residual via a two-product, so that
-    # t_hi + t_lo = a/epsilon to ~2^-106 relative
-    p, pl = _two_product(t_hi, epsilon)
-    t_lo = ((a - p) - pl) / epsilon
-    return _reduce_core(t_hi, t_lo)
+    # k*phi is exact for k in {1, 2, 4}: power-of-two scaling
+    return _reduce(k * phi, epsilon, round, bool)
 
 
 def reduced_sincos(phi: float, epsilon: float, k: int = 2) -> tuple[float, float]:
     """sin and cos of k*phi/epsilon via accurate phase reduction."""
-    r = reduce_phase(phi, epsilon, k)
+    r = _reduce(k * phi, epsilon, round, bool)
     return math.sin(r), math.cos(r)
 
 
 def reduced_sincos_array(phi, epsilon: float, k: int = 2):
-    """Vectorized sin/cos of k*phi/epsilon.
-
-    Extended-precision mirror of the scalar path: division residual via a
-    Dekker two-product on 64-bit mantissas, then Cody-Waite with the same
-    33-bit pieces (products exact for quotients below 2^31).
-    """
-    a = np.asarray(phi, dtype=np.longdouble) * k
-    eps = np.longdouble(epsilon)
-    t_hi = a / eps
-    p = t_hi * eps
-    ah = _SPLIT_LD * t_hi
-    ah = ah - (ah - t_hi)
-    al = t_hi - ah
-    bh = _SPLIT_LD * eps
-    bh = bh - (bh - eps)
-    bl = eps - bh
-    pl = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    t_lo = ((a - p) - pl) / eps
-    q = np.rint(t_hi * np.longdouble(_INV_TWO_PI))
-    r = t_hi - q * np.longdouble(_TWO_PI_1)
-    r -= q * np.longdouble(_TWO_PI_2)
-    r += t_lo
-    r -= q * np.longdouble(_TWO_PI_3)
-    r -= q * np.longdouble(_TWO_PI_3T)
-    r64 = r.astype(np.float64)
-    return np.sin(r64), np.cos(r64)
+    """Vectorized sin/cos of k*phi/epsilon; each reduced phase has the
+    bits reduce_phase gives for that element."""
+    r = _reduce(np.asarray(phi, dtype=float) * k, epsilon, np.rint, np.all)
+    return np.sin(r), np.cos(r)
 
 
 def double_angle(s, c):

@@ -132,6 +132,10 @@ def test_twoscale_single_epsilon_reports_only(tmp_path):
     assert rows[0] == "epsilon,variable,sup_error"
     assert len(rows) == 6  # five variables
     assert "no trend gate" in (out / "summary.txt").read_text()
+    runs = json.loads((out / "manifest.json").read_text())["runs"]
+    assert [sorted(r) for r in runs] == [["epsilon", "richardson_error"]]
+    assert runs[0]["epsilon"] == 0.04
+    assert 0.0 < runs[0]["richardson_error"] <= 1e-8
 
 
 def test_preset_and_epsilon_flags_land_in_manifest(tmp_path):
@@ -154,6 +158,20 @@ def test_thermo_command_structure(tmp_path):
     summary = (out / "thermo_summary.txt").read_text()
     assert "FAIL" not in summary
     assert "entropy normalization" in summary
+    runs = json.loads((out / "manifest.json").read_text())["runs"]
+    assert [r["epsilon"] for r in runs] == [0.04, 0.02]
+    assert all(0.0 < r["richardson_error"] <= 1e-8 for r in runs)
+    assert all(0.0 < r["theta_min"] < 1.0 for r in runs)
+
+
+@pytest.mark.parametrize("command, epsilon", [("twoscale", "0.5"), ("thermo", "0.9")])
+def test_epsilon_too_large_for_the_phase_range_exits_2(tmp_path, capsys,
+                                                       command, epsilon):
+    rc = fs.main([command, "--epsilon", epsilon, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error")
+    assert "run.epsilons" in err
 
 
 @pytest.mark.parametrize("command", ["sweep", "thermo", "twoscale"])

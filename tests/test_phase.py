@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import fastslow as fs
+from fastslow import phase
 
 mp.mp.dps = 60
 
@@ -35,7 +36,8 @@ def test_scalar_small_quotient_vs_mpmath():
 
 
 def test_scalar_split_quotient_vs_mpmath():
-    # quotients between 2^20 and 2^40 take the split-product branch
+    # quotients of 2^19 and more take the chunked branch; below 2^40 its
+    # highest 20-bit chunk is zero
     rng = np.random.default_rng(8)
     worst = 0.0
     for _ in range(300):
@@ -49,9 +51,8 @@ def test_scalar_split_quotient_vs_mpmath():
     assert worst <= 1e-13
 
 
-def test_scalar_huge_quotient_degrades_gracefully():
-    # beyond 2^40 the extended-precision fallback carries ~1e-5 error,
-    # far outside anything the laboratory produces but still usable
+def test_scalar_huge_quotient_vs_mpmath():
+    # beyond 2^40 all three 20-bit chunks of the quotient are in use
     rng = np.random.default_rng(9)
     worst = 0.0
     for _ in range(100):
@@ -62,7 +63,7 @@ def test_scalar_huge_quotient_degrades_gracefully():
         sm, cm = oracle_sincos(phi, eps)
         assert abs(s * s + c * c - 1.0) <= 1e-15
         worst = max(worst, abs(s - sm), abs(c - cm))
-    assert worst <= 1e-3
+    assert worst <= 1e-13
 
 
 def test_vector_path_vs_mpmath():
@@ -84,8 +85,35 @@ def test_vector_agrees_with_scalar():
         s, c = fs.reduced_sincos_array(phi, eps)
         for i in range(phi.size):
             ss, cc = fs.reduced_sincos(float(phi[i]), eps)
-            assert abs(s[i] - ss) <= 1e-12
-            assert abs(c[i] - cc) <= 1e-12
+            assert s[i] == ss
+            assert c[i] == cc
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("log2_quotient", [7, 21, 31, 45])
+def test_scalar_and_array_reduced_phases_are_bitwise_equal(k, log2_quotient):
+    rng = np.random.default_rng(14 + log2_quotient)
+    phi = rng.choice([-1.0, 1.0], 400) * rng.uniform(1.0, 2.0, 400)
+    eps = k * 1.5 / (2 * math.pi * 2.0**log2_quotient)
+    r = phase._reduce(phi * k, eps, np.rint, np.all)
+    for i in range(phi.size):
+        assert r[i] == fs.reduce_phase(float(phi[i]), eps, k)
+    s, c = fs.reduced_sincos_array(phi, eps, k)
+    assert np.array_equal(s, np.sin(r)) and np.array_equal(c, np.cos(r))
+
+
+def test_small_quotient_shortcut_matches_chunked_path():
+    # below 2^19 the high chunks are zero and subtract 0.0
+    rng = np.random.default_rng(15)
+    never = lambda mask: False
+    for eps in (0.04, 0.005, 1e-4):
+        a = 2 * rng.uniform(-20, 20, 500)
+        assert np.all(np.abs(a / eps) < 2 * math.pi * 2**19)
+        short = phase._reduce(a, eps, np.rint, np.all)
+        assert np.array_equal(phase._reduce(a, eps, np.rint, never), short)
+        for x in a[:50]:
+            assert (phase._reduce(float(x), eps, round, never)
+                    == phase._reduce(float(x), eps, round, bool))
 
 
 def test_reduced_value_lies_in_principal_interval():
