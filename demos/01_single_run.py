@@ -45,7 +45,7 @@ print(f"momentum gap        sup|p - p0|       = {np.max(np.abs(xs[:, 3] - hs[:, 
 
 # the contrast that makes theta an adiabatic invariant: the oscillator
 # energy E_perp = theta*omega swings at order one while theta barely moves
-w = fm.omega(xs[:, 2])
+w = fm.derivs(xs[:, 2])[0]
 E_perp = xs[:, 1] * w
 print(f"E_perp span         max - min         = {E_perp.max() - E_perp.min():.3e}"
       f"   (order one)")

@@ -45,8 +45,7 @@ print(f"leading order:  max |dE0_perp - F0 dy0 - T0 dS0|        = "
 # at second order the balance needs the second-order force
 # F2 = omega' theta2_bar + theta* omega'' y2_bar acting through dy0;
 # without it the residual is the quasi-static defect, order 1e-2 here
-w1 = fm.domega(base.y0)
-w2 = fm.d2omega(base.y0)
+_, w1, w2, _ = fm.derivs(base.y0)
 force2 = w1 * corr.theta2_bar + dc.theta_star * w2 * corr.y2_bar
 second = fs.check_first_law(ex.E2_perp_bar, corr.y2_bar, th.S2_doublebar,
                             th.F0, th.T0, dt,
@@ -76,7 +75,7 @@ print(f"Hamilton form, p2_bar:    sup |d/dt p2_bar + dE2/dy0|  = "
 print()
 print("temperature = twice the mean kinetic energy over one fast period")
 for i in (0, 1000, 2000):
-    E_perp = dc.theta_star * fm.omega(base.y0[i])
+    E_perp = dc.theta_star * fm.derivs(base.y0[i])[0]
     direct = fs.hertz_temperature_oracle(E_perp, base.y0[i], fm)
     print(f"  t={grid[i]:4.2f}: T0 = {th.T0[i]:.8f}   quadrature = {direct:.8f}   "
         f"gap = {abs(th.T0[i] - direct):.1e}")

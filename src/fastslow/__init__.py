@@ -34,14 +34,11 @@ from .dynamics import (
     action_angle_rhs,
     action_angle_rhs_composed,
     cartesian_field,
-    cartesian_rhs,
     energy_action_angle,
     energy_action_angle_arrays,
     energy_cartesian,
     from_action_angle,
     oscillator_energy_gap_arrays,
-    split_energy,
-    split_energy_cartesian,
     to_action_angle,
     to_action_angle_arrays,
 )
@@ -109,7 +106,7 @@ __all__ = [
     "ThermoExpansion", "Trajectory", "WindowedAverage",
     "action_angle_field", "action_angle_rhs", "action_angle_rhs_composed",
     "averaged_energy_bundle", "averaged_rhs",
-    "cartesian_field", "cartesian_rhs", "check_first_law", "correctors",
+    "cartesian_field", "check_first_law", "correctors",
     "dense_eval", "derived_constants", "energy_action_angle",
     "energy_action_angle_arrays", "energy_cartesian", "energy_expansion",
     "equipartition_check", "estimate_order", "eval_expansion",
@@ -122,6 +119,6 @@ __all__ = [
     "phase_space_volume", "reconstruct", "reduce_phase", "reduced_sincos",
     "reduced_sincos_array", "reference_run", "reference_solution",
     "residual_norms", "sample", "solve_expansion", "solve_homogenized",
-    "split_energy", "split_energy_cartesian", "to_action_angle",
-    "to_action_angle_arrays", "two_scale_limits", "windowed_average",
+    "to_action_angle", "to_action_angle_arrays", "two_scale_limits",
+    "windowed_average",
 ]

@@ -33,8 +33,7 @@ def floor_frac(x):
     return n, np.where(r >= 1.0, np.nextafter(1.0, 0.0), r)
 
 
-def nonlinear_two_scale_error(u, limit, phase_traj: Trajectory, epsilon: float,
-                              r_points: int = 512, s_points: int = 256):
+def nonlinear_two_scale_error(u, limit, phase_traj: Trajectory, epsilon: float):
     """Sup distances between unfolded signals and their two-scale limits.
 
     u: vectorized callable of time returning a sequence of k signals
@@ -47,9 +46,10 @@ def nonlinear_two_scale_error(u, limit, phase_traj: Trajectory, epsilon: float,
     exactly epsilon-periodic in r.  Fine and slow r-points are inverted
     in one call, so the phase is inverted once however many signals.
 
-    The unfolding is evaluated on a uniform fine r-grid of spacing
-    epsilon/s_points, so every lookup lands on a precomputed sample; the
-    sup runs over interior slow points (three cells clear of the end).
+    The unfolding is evaluated at 256 points s per cell, on a uniform
+    fine r-grid of spacing epsilon/256, so every lookup lands on a
+    precomputed sample; the sup runs over 512 interior slow points (three
+    cells clear of the end).
     Returns ([sup_error per signal], info dict).
     """
     if not epsilon > 0:
@@ -59,6 +59,7 @@ def nonlinear_two_scale_error(u, limit, phase_traj: Trajectory, epsilon: float,
     n_cells = int(math.floor(r_max / epsilon))
     if n_cells < 4:
         raise PhaseRangeError("epsilon too large: fewer than four fast cells in range")
+    r_points, s_points = 512, 256
     k_max = s_points * n_cells
     r_fine = epsilon * np.arange(k_max + 1) / s_points
     r_lo, r_hi = 0.0, (n_cells - 3) * epsilon
@@ -104,19 +105,19 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
 def windowed_average(signal, t: float, epsilon: float, phase_traj: Trajectory,
-                     m: int = 8, phase_scale: float = 2.0) -> WindowedAverage:
+                     m: int = 8) -> WindowedAverage:
     """Average a vectorized signal over m whole fast periods around t.
 
     The window edges are found by inverting the phase (component 0 of
-    phase_traj): the fast factor exp(i*phase_scale*phi/eps) completes
-    exactly m cycles between them, so the oscillatory parts of the signal
-    cancel to high order.  Windows that would stick out of the time range
+    phase_traj): the fast factor exp(2i*phi/eps) completes exactly m
+    cycles between them, so the oscillatory parts of the signal cancel to
+    high order.  Windows that would stick out of the time range
     slide inward, keeping their width; slid windows are flagged.
     """
     if m < 1:
         raise ValueError("need at least one period")
     phi = float(sample(phase_traj, np.array([t]), component=0)[0])
-    half = math.pi * m * epsilon / phase_scale
+    half = math.pi * m * epsilon / 2.0
     phi_lo_all = float(phase_traj.states[0, 0])
     phi_hi_all = float(phase_traj.states[-1, 0])
     if 2 * half > phi_hi_all - phi_lo_all:

@@ -40,19 +40,6 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError("epsilon must be positive")
 
 
-def cartesian_rhs(s: CartesianState, epsilon: float, fm: FrequencyModel) -> CartesianState:
-    """Time derivative of the cartesian state."""
-    _check_epsilon(epsilon)
-    w, w1, _, _ = fm.derivs(s.y)
-    inv2 = 1.0 / (epsilon * epsilon)
-    return CartesianState(
-        y=s.eta,
-        eta=-inv2 * w * w1 * s.z * s.z,
-        z=s.zeta,
-        zeta=-inv2 * w * w * s.z,
-    )
-
-
 def action_angle_rhs(s: ActionAngleState, epsilon: float, fm: FrequencyModel) -> ActionAngleState:
     """Time derivative of the action-angle state (exact at finite epsilon)."""
     _check_epsilon(epsilon)
@@ -138,7 +125,7 @@ def from_action_angle(s: ActionAngleState, epsilon: float, fm: FrequencyModel) -
 
 def energy_cartesian(s: CartesianState, epsilon: float, fm: FrequencyModel) -> float:
     _check_epsilon(epsilon)
-    w = fm.omega(s.y)
+    w = fm.derivs(s.y)[0]
     return 0.5 * s.eta**2 + 0.5 * s.zeta**2 + 0.5 * (w * s.z / epsilon) ** 2
 
 
@@ -153,40 +140,17 @@ def energy_action_angle(s: ActionAngleState, epsilon: float, fm: FrequencyModel)
     return 0.5 * s.p**2 + s.p * shear + 0.5 * shear * shear + s.theta * w
 
 
-def split_energy(s: ActionAngleState, epsilon: float, fm: FrequencyModel) -> tuple[float, float]:
-    """(oscillator energy, slow kinetic energy); they sum to the total.
-
-    The oscillator part is exactly theta*omega; the slow part carries the
-    shear between eta and p.
-    """
-    _check_epsilon(epsilon)
-    w, w1, _, _ = fm.derivs(s.y)
-    s2, _ = reduced_sincos(s.phi, epsilon, 2)
-    shear = epsilon * (0.5 * s.theta * w1 / w) * s2
-    e_perp = s.theta * w
-    e_par = 0.5 * s.p**2 + s.p * shear + 0.5 * shear * shear
-    return e_perp, e_par
-
-
-def split_energy_cartesian(s: CartesianState, epsilon: float,
-                           fm: FrequencyModel) -> tuple[float, float]:
-    """(oscillator energy, slow kinetic energy) from the cartesian chart."""
-    _check_epsilon(epsilon)
-    w = fm.omega(s.y)
-    e_perp = 0.5 * s.zeta**2 + 0.5 * (w * s.z / epsilon) ** 2
-    return e_perp, 0.5 * s.eta**2
-
-
 def action_angle_field(epsilon: float, fm: FrequencyModel):
     """Vector field f(t, x) for the integrators, x = (phi, theta, y, p).
 
     Takes any sequence of four floats and returns a tuple of floats.
     """
     _check_epsilon(epsilon)
+    derivs = fm.scalar_derivs()
 
     def f(t, x):
         phi, theta, y, p = x
-        w, w1, w2, _ = fm.derivs(y)
+        w, w1, w2, _ = derivs(y)
         s2, c2 = reduced_sincos(phi, epsilon, 2)
         return _aa_rhs_tuple(theta, p, epsilon, w, w1, w2, s2, c2)
 
@@ -200,10 +164,11 @@ def cartesian_field(epsilon: float, fm: FrequencyModel):
     """
     _check_epsilon(epsilon)
     inv2 = 1.0 / (epsilon * epsilon)
+    derivs = fm.scalar_derivs()
 
     def f(t, x):
         y, eta, z, zeta = x
-        w, w1, _, _ = fm.derivs(y)
+        w, w1, _, _ = derivs(y)
         return eta, -inv2 * w * w1 * z * z, zeta, -inv2 * w * w * z
 
     return f
@@ -248,6 +213,6 @@ def oscillator_energy_gap_arrays(PHI, THETA, Y, epsilon: float, fm: FrequencyMod
     double-frequency oscillation whose windowed averages vanish to second
     order.
     """
-    w = fm.omega(np.asarray(Y, float))
+    w = fm.derivs(np.asarray(Y, float))[0]
     _, c2 = reduced_sincos_array(np.asarray(PHI, float), epsilon, 2)
     return np.asarray(THETA, float) * w * c2

@@ -232,27 +232,26 @@ def two_scale_limits(base: HomogenizedState, phi2_bar, s,
 
 
 def reference_run(params: SystemParams, fm: FrequencyModel, epsilon: float,
-                  reference_factor: float,
-                  error_cap: float | None = 1e-8) -> Trajectory:
+                  reference_factor: float) -> Trajectory:
     """Step-halved action-angle reference run at one epsilon.
 
     The base step resolves the fastest period 2*pi*eps/omega_upper_bound
     by reference_factor steps.  Raises NumericalError when the run's
-    Richardson error estimate exceeds error_cap.
+    Richardson error estimate exceeds 1e-8.
     """
     dc = derived_constants(params, fm)
     base_h = 2.0 * math.pi * epsilon / (reference_factor * fm.omega_upper_bound)
     x0 = np.array([0.0, dc.theta_star, params.y_star, params.p_star])
     return reference_solution(action_angle_field(epsilon, fm), x0,
-                              params.horizon_T, base_h, error_cap)
+                              params.horizon_T, base_h, error_cap=1e-8)
 
 
 def _norms_for_epsilon(params: SystemParams, fm: FrequencyModel, epsilon: float,
                        grid: np.ndarray, exp_traj: Trajectory,
-                       reference_factor: float, error_cap: float | None):
+                       reference_factor: float):
     """Reference run at one epsilon and its distances to the reconstruction."""
     dc = derived_constants(params, fm)
-    ref = reference_run(params, fm, epsilon, reference_factor, error_cap)
+    ref = reference_run(params, fm, epsilon, reference_factor)
     xs = sample(ref, grid)
     phi_e, theta_e, y_e, p_e = xs[:, 0], xs[:, 1], xs[:, 2], xs[:, 3]
 
@@ -279,19 +278,18 @@ def _norms_for_epsilon(params: SystemParams, fm: FrequencyModel, epsilon: float,
 
 
 def _norms_job(args):
-    (params, fm, epsilon, grid_points, reference_factor, error_cap,
+    (params, fm, epsilon, grid_points, reference_factor,
      rtol, atol, max_step) = args
     grid = np.linspace(0.0, params.horizon_T, grid_points)
     exp_traj = solve_expansion(params, fm, rtol, atol, max_step)
     return _norms_for_epsilon(params, fm, epsilon, grid, exp_traj,
-                              reference_factor, error_cap)
+                              reference_factor)
 
 
 def residual_norms(params: SystemParams, fm: FrequencyModel, epsilon_list,
                    rtol: float = 1e-12, atol: float = 1e-12,
                    max_step: float = 0.002, grid_points: int = 2001,
                    reference_factor: float = 80.0,
-                   error_cap: float | None = 1e-8,
                    workers: int | None = None) -> ResidualReport:
     """Measure reconstruction quality across epsilons.
 
@@ -308,7 +306,7 @@ def residual_norms(params: SystemParams, fm: FrequencyModel, epsilon_list,
             workers = max(1, int(os.environ.get("FASTSLOW_WORKERS", "1")))
         except ValueError:
             workers = 1
-    jobs = [(params, fm, e, grid_points, reference_factor, error_cap,
+    jobs = [(params, fm, e, grid_points, reference_factor,
              rtol, atol, max_step) for e in eps]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -317,7 +315,7 @@ def residual_norms(params: SystemParams, fm: FrequencyModel, epsilon_list,
         grid = np.linspace(0.0, params.horizon_T, grid_points)
         exp_traj = solve_expansion(params, fm, rtol, atol, max_step)
         results = [_norms_for_epsilon(params, fm, e, grid, exp_traj,
-                                      reference_factor, error_cap)
+                                      reference_factor)
                    for e in eps]
     families: dict = {"leading": {}, "first": {}, "second": {}}
     for fam in families:

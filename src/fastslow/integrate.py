@@ -94,7 +94,7 @@ _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 4
 
 
 def integrate_controlled(rhs, x0, horizon_T: float, rtol: float, atol: float,
-                         max_step: float = math.inf, h0: float | None = None,
+                         max_step: float = math.inf,
                          max_steps: int = 10_000_000) -> Trajectory:
     """Dormand-Prince 5(4) with a PI step-size controller.
 
@@ -110,7 +110,7 @@ def integrate_controlled(rhs, x0, horizon_T: float, rtol: float, atol: float,
     d = x.size
     t = 0.0
     f = np.asarray(rhs(t, x), float)
-    h = min(max_step, horizon_T / 100.0) if h0 is None else min(h0, max_step)
+    h = min(max_step, horizon_T / 100.0)
     times = [0.0]
     states = [x.copy()]
     derivs = [f.copy()]
@@ -251,13 +251,12 @@ def reference_solution(rhs, x0, horizon_T: float, base_h: float,
     return fine
 
 
-def invert_monotone(traj: Trajectory, targets, component: int = 0,
-                    iterations: int = 60) -> np.ndarray:
+def invert_monotone(traj: Trajectory, targets, component: int = 0) -> np.ndarray:
     """Times at which a strictly increasing component crosses the targets.
 
-    Vectorized bisection on the dense interpolant of that component alone;
-    resolves times to ~1e-15 * horizon, so component values are matched
-    to ~|slope|*1e-15.  Each target is bisected independently, so one
+    Vectorized bisection (60 halvings) on the dense interpolant of that
+    component alone; resolves times to ~1e-15 * horizon, so component
+    values are matched to ~|slope|*1e-15.  Each target is bisected independently, so one
     call on concatenated targets returns the concatenated answers bitwise.
     Raises ValueError when the component's node values are not strictly
     increasing or a target lies outside their range.
@@ -270,7 +269,7 @@ def invert_monotone(traj: Trajectory, targets, component: int = 0,
         raise ValueError("target outside the component's range")
     lo = np.full(targets.shape, traj.times[0])
     hi = np.full(targets.shape, traj.times[-1])
-    for _ in range(iterations):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         take_hi = sample(traj, mid, component=component) < targets
         lo = np.where(take_hi, mid, lo)

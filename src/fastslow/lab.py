@@ -277,7 +277,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         xs = integrate.sample(traj, grid)
         E = dynamics.energy_action_angle_arrays(xs[:, 0], xs[:, 1], xs[:, 2],
                                                 xs[:, 3], eps, fm)
-        w = fm.omega(xs[:, 2])
+        w = fm.derivs(xs[:, 2])[0]
         e_perp = xs[:, 1] * w
         p1 = out / f"traj_eps{eps:g}.csv"
         write_csv(p1, ["t", "phi", "theta", "y", "p", "E", "E_perp", "E_par"],
@@ -287,7 +287,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
 
         ctraj = _fast_run(cfg, fm, eps, "cartesian")
         cs = integrate.sample(ctraj, grid)
-        wc = fm.omega(cs[:, 0])
+        wc = fm.derivs(cs[:, 0])[0]
         ce_perp = 0.5 * cs[:, 3] ** 2 + 0.5 * (wc * cs[:, 2] / eps) ** 2
         ce_par = 0.5 * cs[:, 1] ** 2
         p2 = out / f"cart_eps{eps:g}.csv"
@@ -300,7 +300,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     htraj = homogenized.solve_homogenized(params, fm, cfg.rtol, cfg.atol,
                                           cfg.max_slow_step)
     hs = integrate.sample(htraj, grid)
-    e0 = 0.5 * hs[:, 2] ** 2 + dc.theta_star * fm.omega(hs[:, 1])
+    e0 = 0.5 * hs[:, 2] ** 2 + dc.theta_star * fm.derivs(hs[:, 1])[0]
     p3 = out / "homogenized.csv"
     write_csv(p3, ["t", "phi0", "y0", "p0", "theta0", "E0"],
               [grid, hs[:, 0], hs[:, 1], hs[:, 2],
@@ -499,7 +499,7 @@ def cmd_thermo(cfg: RunConfig, out: Path) -> int:
         runs.append({"epsilon": eps,
                      "richardson_error": float(ref.meta["richardson_error"]),
                      "theta_min": float(np.min(xs[:, 1]))})
-        t_gap = np.abs(xs[:, 1] * fm.omega(xs[:, 2]) - tab["thermo"].T0)
+        t_gap = np.abs(xs[:, 1] * fm.derivs(xs[:, 2])[0] - tab["thermo"].T0)
         theta_gap = np.abs(xs[:, 1] - dc.theta_star)
         lines.append(f"[INFO] eps={eps:g}: equipartition gap {rep.gap_max:.3e}, "
                      f"sup|dz/dt*z| {rep.xi_sup:.3e}, "
@@ -527,12 +527,11 @@ def cmd_thermo(cfg: RunConfig, out: Path) -> int:
 TWO_SCALE_VARIABLES = ("theta1", "phi2", "y2", "p2", "theta2")
 
 
-def two_scale_error_table(cfg: RunConfig, fm, params, refs: dict | None = None) -> dict:
+def two_scale_error_table(cfg: RunConfig, fm, params) -> dict:
     """Unfolding errors of the five rescaled remainders, per epsilon.
 
     All five are unfolded in one call per epsilon, so the phase is
-    inverted and the expansion evaluated once for them.  refs may carry
-    precomputed reference trajectories keyed by epsilon.
+    inverted and the expansion evaluated once for them.
     Returns {epsilon: {variable: sup_error, "richardson_error": tag of
     the reference run}}.
     """
@@ -557,9 +556,7 @@ def two_scale_error_table(cfg: RunConfig, fm, params, refs: dict | None = None) 
 
     out = {}
     for eps in cfg.epsilons:
-        ref = refs.get(eps) if refs else None
-        if ref is None:
-            ref = expansion.reference_run(params, fm, eps, cfg.reference_factor)
+        ref = expansion.reference_run(params, fm, eps, cfg.reference_factor)
 
         def u(ts):
             xs = integrate.sample(ref, ts)

@@ -246,20 +246,18 @@ def check_first_law(energy: np.ndarray, position: np.ndarray,
                           max_residual=float(np.max(np.abs(residuals))))
 
 
-def hertz_temperature_oracle(E_perp: float, y: float, fm: FrequencyModel,
-                             n_samples: int = 2001) -> float:
+def hertz_temperature_oracle(E_perp: float, y: float, fm: FrequencyModel) -> float:
     """Mean kinetic energy of one oscillator period, by direct quadrature.
 
     Integrates 2*E_perp*cos^2(omega t)/period over one period with
-    composite Simpson; agrees with the closed form (the temperature is
-    E_perp itself) to quadrature accuracy.  Independent of the expansion
-    machinery by construction: only omega(y) enters.
+    composite Simpson on 2001 points; agrees with the closed form (the
+    temperature is E_perp itself) to quadrature accuracy.  Independent of
+    the expansion machinery by construction: only omega(y) enters.
     """
     if E_perp < 0:
         raise ValueError("oscillator energy must be nonnegative")
-    if n_samples < 3 or n_samples % 2 == 0:
-        raise ValueError("n_samples must be odd and at least 3")
-    w = fm.omega(y)
+    n_samples = 2001
+    w = fm.derivs(y)[0]
     period = 2.0 * math.pi / w
     ts = np.linspace(0.0, period, n_samples)
     vals = 2.0 * E_perp * np.cos(w * ts) ** 2
@@ -270,25 +268,23 @@ def hertz_temperature_oracle(E_perp: float, y: float, fm: FrequencyModel,
 
 
 def phase_space_volume(E_perp: float, y: float, fm: FrequencyModel,
-                       epsilon: float | None = None, method: str = "closed-form",
-                       scaled: bool = False, n_cells: int = 2000) -> float:
+                       method: str = "closed-form") -> float:
     """Phase-plane area enclosed by the oscillator orbit of energy E_perp.
 
     closed-form: 2*pi*E_perp/omega.  area-quadrature: numerical area of
-    the sublevel set 0.5*zeta^2 + 0.5*omega^2*q^2 <= E_perp via midpoint
-    slices (an independent check, accurate to ~1e-5 relative).  With
-    scaled=True the area is measured in the original (z, zeta) plane,
-    which shrinks it by the factor epsilon.
+    the sublevel set 0.5*zeta^2 + 0.5*omega^2*q^2 <= E_perp via 2000
+    midpoint slices (an independent check, accurate to ~1e-5 relative).
     """
     if E_perp < 0:
         raise ValueError("oscillator energy must be nonnegative")
-    w = fm.omega(y)
+    w = fm.derivs(y)[0]
     if method == "closed-form":
         area = 2.0 * math.pi * E_perp / w
     elif method == "area-quadrature":
         if E_perp == 0.0:
             area = 0.0
         else:
+            n_cells = 2000
             q_max = math.sqrt(2.0 * E_perp) / w
             h = 2.0 * q_max / n_cells
             q = -q_max + h * (np.arange(n_cells) + 0.5)
@@ -296,28 +292,21 @@ def phase_space_volume(E_perp: float, y: float, fm: FrequencyModel,
             area = float(np.sum(width) * h)
     else:
         raise ValueError(f"unknown method: {method!r}")
-    if scaled:
-        if epsilon is None or not epsilon > 0:
-            raise ValueError("scaled area needs a positive epsilon")
-        area *= epsilon
     return area
 
 
 def equipartition_check(traj: Trajectory, epsilon: float, fm: FrequencyModel,
-                        m: int = 8, centers=None, grid_points: int = 2001
-                        ) -> EquipartitionReport:
+                        m: int = 8, grid_points: int = 2001) -> EquipartitionReport:
     """Windowed means of the kinetic-potential gap along a fast trajectory.
 
     traj holds action-angle states [phi, theta, y, p].  The gap
     theta*omega*cos(2 phi/eps) is averaged over m whole fast periods of
-    the trajectory's own phase at interior centers; each mean is
-    second-order small.  Also reports the sup of the virial-type product
-    (d z/dt)*z = eps*theta*sin(2 phi/eps).
+    the trajectory's own phase at nine centers evenly spaced over
+    [0.3 T, 0.7 T]; each mean is second-order small.  Also reports the
+    sup of the virial-type product (d z/dt)*z = eps*theta*sin(2 phi/eps).
     """
     T = float(traj.times[-1])
-    if centers is None:
-        centers = T * np.linspace(0.3, 0.7, 9)
-    centers = np.asarray(centers, float)
+    centers = T * np.linspace(0.3, 0.7, 9)
 
     def gap_signal(ts):
         xs = sample(traj, ts)

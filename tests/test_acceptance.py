@@ -4,6 +4,7 @@ criterion, at its stated tolerance, on the standard desk-scale configuration
 0.005}).  Each test records a PASS/FAIL line that is echoed after the run.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -26,19 +27,26 @@ def reference_runs(params, fm):
     return {eps: fs.reference_run(params, fm, eps, 80.0) for eps in EPSILONS}
 
 
-@pytest.fixture(scope="module")
-def sweep_report(params, fm, reference_runs):
-    # residual_norms on the reference_runs trajectories: each epsilon is
-    # integrated once in this module (same arguments, so the same bits)
+@contextlib.contextmanager
+def reusing(reference_runs, params, fm):
+    """Serve every reference_run call from the module's runs, so each
+    epsilon is integrated once here (same arguments, so the same bits);
+    yields the list of epsilons served."""
     hits = []
 
-    def lookup(params_, fm_, eps, reference_factor, error_cap):
-        assert (params_, fm_, reference_factor, error_cap) == (params, fm, 80.0, 1e-8)
+    def lookup(params_, fm_, eps, reference_factor):
+        assert (params_, fm_, reference_factor) == (params, fm, 80.0)
         hits.append(eps)
         return reference_runs[eps]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fs.expansion, "reference_run", lookup)
+        yield hits
+
+
+@pytest.fixture(scope="module")
+def sweep_report(params, fm, reference_runs):
+    with reusing(reference_runs, params, fm) as hits:
         report = fs.residual_norms(params, fm, EPSILONS, workers=1)
     assert hits == list(EPSILONS)
     return report
@@ -112,8 +120,8 @@ def test_c05_first_order_energy_cancellation(expansion_run, corrector_sets,
 
 def test_c06_averaged_action_identity(expansion_run, fm, dc, acceptance_lines):
     traj, grid, base, corr = expansion_run
-    w = fm.omega(base.y0)
-    dyL = fm.domega(base.y0) / w
+    w, w1, _, _ = fm.derivs(base.y0)
+    dyL = w1 / w
     resid = (corr.theta2_bar + (base.p0 / w) * corr.p2_bar
              + dc.theta_star * dyL * corr.y2_bar
              + dc.theta_star**2 * dyL * dyL / (16.0 * w)
@@ -163,8 +171,8 @@ def test_c10_first_law(expansion_run, thermo_min_eps, fm, dc, acceptance_lines):
     dt = grid[1] - grid[0]
     assert dt == 5e-4
     lead = fs.check_first_law(ex.E0_perp, base.y0, th.S0, th.F0, th.T0, dt)
-    force2 = (fm.domega(base.y0) * corr.theta2_bar
-              + dc.theta_star * fm.d2omega(base.y0) * corr.y2_bar)
+    _, w1, w2, _ = fm.derivs(base.y0)
+    force2 = w1 * corr.theta2_bar + dc.theta_star * w2 * corr.y2_bar
     second = fs.check_first_law(ex.E2_perp_bar, corr.y2_bar, th.S2_doublebar,
                                 th.F0, th.T0, dt,
                                 second_order_work=(force2, base.y0))
@@ -208,8 +216,9 @@ def test_c12_equipartition(reference_runs, fm, acceptance_lines):
 
 def test_c13_two_scale_convergence(reference_runs, fm, params,
                                    acceptance_lines):
-    cfg = RunConfig()
-    table = two_scale_error_table(cfg, fm, params, refs=reference_runs)
+    with reusing(reference_runs, params, fm) as hits:
+        table = two_scale_error_table(RunConfig(), fm, params)
+    assert hits == list(EPSILONS)
     ok = True
     details = []
     for var in ("theta1", "phi2", "y2", "p2", "theta2"):

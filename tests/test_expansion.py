@@ -58,8 +58,12 @@ def test_p2_corrector_matches_frequency_ratio_derivative(fm, dc):
     # p2 amplitude = theta* p0 / 4 * d/dy (omega'/omega^2), phase cos
     y, p0 = 0.37, 0.9
     h = 1e-6
-    fd = (fm.domega(y + h) / fm.omega(y + h) ** 2
-          - fm.domega(y - h) / fm.omega(y - h) ** 2) / (2 * h)
+
+    def ratio(v):
+        w, w1, _, _ = fm.derivs(v)
+        return w1 / w**2
+
+    fd = (ratio(y + h) - ratio(y - h)) / (2 * h)
     b = fs.HomogenizedState(0.0, y, p0, dc.theta_star)
     cv = fs.correctors(b, 0.0, 0.25, fm, dc.theta_star)
     assert abs(cv.p2 - dc.theta_star * p0 / 4 * fd) <= 1e-9
@@ -136,9 +140,7 @@ def test_corrector_amplitudes_bounded(phi, y, p, eps, phi2_bar):
     theta_star = 0.25
     b = fs.HomogenizedState(phi, y, p, theta_star)
     cv = fs.correctors(b, phi2_bar, eps, fm, theta_star)
-    w = fm.omega(y)
-    w1 = fm.domega(y)
-    w2 = fm.d2omega(y)
+    w, w1, w2, _ = fm.derivs(y)
     dtl = abs(p * w1 / w)
     assert abs(cv.theta1) <= theta_star * dtl / (2 * w) + 1e-15
     assert abs(cv.phi2) <= dtl / (4 * w) + 1e-15

@@ -27,7 +27,7 @@ def test_leading_energy_conserved(params, fm, dc):
     traj = fs.solve_homogenized(params, fm)
     grid = np.linspace(0.0, 1.0, 2001)
     xs = fs.sample(traj, grid)
-    E0 = 0.5 * xs[:, 2] ** 2 + dc.theta_star * fm.omega(xs[:, 1])
+    E0 = 0.5 * xs[:, 2] ** 2 + dc.theta_star * fm.derivs(xs[:, 1])[0]
     assert np.max(np.abs(E0 - E0[0])) <= 1e-10
     assert E0[0] == 1.0  # p*^2/2 + theta* omega(y*)
 

@@ -10,20 +10,14 @@ import fastslow as fs
 
 def test_sine_preset_derivatives_at_origin(fm):
     # omega = 2 + sin(y): values at 0 are 2, 1, 0, -1
-    assert fm.omega(0.0) == 2.0
-    assert fm.domega(0.0) == 1.0
-    assert fm.d2omega(0.0) == 0.0
-    assert fm.d3omega(0.0) == -1.0
+    assert fm.derivs(0.0) == (2.0, 1.0, 0.0, -1.0)
     assert fm.omega_lower_bound == 1.0
     assert fm.omega_upper_bound == 3.0
 
 
 def test_fourier_preset_derivatives_at_origin():
     fmf = fs.make_frequency("fourier", (2.0, 0.25, 0.25))
-    assert fmf.omega(0.0) == 2.25
-    assert fmf.domega(0.0) == 0.25
-    assert fmf.d2omega(0.0) == -0.25
-    assert fmf.d3omega(0.0) == -0.25
+    assert fmf.derivs(0.0) == (2.25, 0.25, -0.25, -0.25)
     assert fmf.omega_lower_bound == 1.5
     assert fmf.omega_upper_bound == 2.5
 
@@ -31,14 +25,15 @@ def test_fourier_preset_derivatives_at_origin():
 def test_fourier_alias_names():
     for alias in ("custom-coefficients", "custom"):
         fma = fs.make_frequency(alias, (2.0, 0.25, 0.25))
-        assert fma.omega(0.3) == fs.make_frequency("fourier", (2.0, 0.25, 0.25)).omega(0.3)
+        assert fma.derivs(0.3) == fs.make_frequency("fourier", (2.0, 0.25, 0.25)).derivs(0.3)
 
 
 def test_constant_preset():
     fmc = fs.make_frequency("constant", (2.0,))
     y = np.linspace(-5, 5, 11)
-    assert np.all(fmc.omega(y) == 2.0)
-    assert np.all(fmc.domega(y) == 0.0)
+    w, w1, _, _ = fmc.derivs(y)
+    assert np.all(w == 2.0)
+    assert np.all(w1 == 0.0)
     assert fmc.omega_lower_bound == fmc.omega_upper_bound == 2.0
 
 
@@ -64,20 +59,84 @@ def test_rejects_nonpositive_or_malformed(preset, coeffs):
 def test_derivs_follow_the_shape_of_y(preset, coeffs):
     fmx = fs.make_frequency(preset, coeffs)
     y = np.linspace(-3.0, 3.0, 7) if preset != "constant" else np.zeros(3)
-    vals = fmx.derivs(y)
-    singles = (fmx.omega(y), fmx.domega(y), fmx.d2omega(y), fmx.d3omega(y))
-    for v, single in zip(vals, singles):
+    for v in fmx.derivs(y):
         assert isinstance(v, np.ndarray) and v.shape == y.shape
-        assert np.array_equal(v, single)
     assert all(np.ndim(v) == 0 for v in fmx.derivs(0.5))
 
 
 def test_array_evaluation_matches_scalar(fm):
     y = np.linspace(-7, 7, 57)
-    ws = np.array([fm.omega(float(v)) for v in y])
-    assert np.array_equal(fm.omega(y), ws)
-    d3 = np.array([fm.d3omega(float(v)) for v in y])
-    assert np.array_equal(fm.d3omega(y), d3)
+    for k, v in enumerate(fm.derivs(y)):
+        assert np.array_equal(v, [fm.derivs(float(e))[k] for e in y])
+
+
+def _four_method_arithmetic(preset, c, y):
+    """(omega, omega', omega'', omega''') as the former per-derivative
+    methods computed them: their derivs for the constant and sine presets,
+    and omega, domega, d2omega, d3omega one after the other for fourier."""
+    xp = np if isinstance(y, np.ndarray) else math
+    if preset == "constant":
+        if isinstance(y, np.ndarray):
+            zero = 0.0 * y
+            return np.full_like(zero, c[0]), zero, zero, zero
+        return c[0], 0.0, 0.0, 0.0
+    if preset == "sine":
+        s = xp.sin(y)
+        co = xp.cos(y)
+        return c[0] + c[1] * s, c[1] * co, -c[1] * s, -c[1] * co
+    harmonics = [(j, (j + 1) // 2) for j in range(1, len(c), 2)]
+    w = c[0] * (np.ones_like(np.asarray(y, float)) if isinstance(y, np.ndarray) else 1.0)
+    for j, kk in harmonics:
+        w = w + c[j] * xp.cos(kk * y) + c[j + 1] * xp.sin(kk * y)
+    w1 = 0.0 * y
+    for j, kk in harmonics:
+        w1 = w1 + kk * (-c[j] * xp.sin(kk * y) + c[j + 1] * xp.cos(kk * y))
+    w2 = 0.0 * y
+    for j, kk in harmonics:
+        w2 = w2 - kk * kk * (c[j] * xp.cos(kk * y) + c[j + 1] * xp.sin(kk * y))
+    w3 = 0.0 * y
+    for j, kk in harmonics:
+        w3 = w3 + kk**3 * (c[j] * xp.sin(kk * y) - c[j + 1] * xp.cos(kk * y))
+    return w, w1, w2, w3
+
+
+def _same_bits(a, b):
+    return (type(a) is type(b) and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("preset, coeffs", [
+    ("constant", (2.0,)),
+    ("sine", (2.0, 1.0)),
+    ("fourier", (2.0,)),
+    ("fourier", (2.0, 0.0, 0.0)),  # signed zeros reach the sums
+    ("fourier", (2.0, 0.25, 0.25)),
+    ("fourier", (3.0, 0.5, 0.5, 0.3, -0.4)),
+])
+def test_preset_routines_keep_the_four_method_arithmetic(preset, coeffs):
+    fmx = fs.make_frequency(preset, coeffs)
+    ys = np.array([-11.5, -math.pi, -2.0, -0.3, -0.0, 0.0, 0.7, 3.0, 9.25])
+    bound = fmx.scalar_derivs()
+    for y in [float(v) for v in ys]:
+        want = _four_method_arithmetic(preset, coeffs, y)
+        for got in (fmx.derivs(y), bound(y)):
+            assert all(_same_bits(g, w) for g, w in zip(got, want, strict=True)), y
+    want = _four_method_arithmetic(preset, coeffs, ys)
+    assert all(_same_bits(g, w) for g, w in zip(fmx.derivs(ys), want, strict=True))
+
+
+def test_frequency_below_its_floor_raises():
+    # a claimed floor of 1.5, which 2 + sin(y) breaks at y = -pi/2 (omega = 1)
+    bad = fs.FrequencyModel("sine", (2.0, 1.0), 1.5, 3.0)
+    y = -math.pi / 2
+    assert bad.derivs(0.0)[0] == 2.0
+    calls = (lambda: bad.derivs(y),
+             lambda: bad.derivs(np.array([0.0, y])),
+             lambda: fs.action_angle_field(0.01, bad)(0.0, (0.0, 0.25, y, 1.0)),
+             lambda: fs.cartesian_field(0.01, bad)(0.0, (y, 1.0, 0.0, 1.0)))
+    for call in calls:
+        with pytest.raises(ValueError, match="below its positive floor"):
+            call()
 
 
 def test_log_derivatives_at_origin(fm):

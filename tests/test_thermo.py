@@ -34,16 +34,17 @@ def thermo_pieces(expansion_run, fm, dc):
 
 def test_expansion_leading_terms(thermo_pieces, fm, dc):
     grid, base, corr, cv, th, ex, bundle = thermo_pieces
-    assert np.array_equal(th.T0, base.theta0 * fm.omega(base.y0))
-    assert np.array_equal(th.F0, base.theta0 * fm.domega(base.y0))
+    w, w1, _, _ = fm.derivs(base.y0)
+    assert np.array_equal(th.T0, base.theta0 * w)
+    assert np.array_equal(th.F0, base.theta0 * w1)
     assert np.all(th.S0 == 0.0)
     assert th.T0[0] == 0.5 and th.F0[0] == 0.25
 
 
 def test_entropy_coefficient_relations(thermo_pieces, fm, dc):
     grid, base, corr, cv, th, ex, bundle = thermo_pieces
-    w = fm.omega(base.y0)
-    dtl = base.p0 * fm.domega(base.y0) / w
+    w, w1, _, _ = fm.derivs(base.y0)
+    dtl = base.p0 * w1 / w
     # singly averaged = doubly averaged minus the squared first-order mean
     gap = th.S2_bar - (th.S2_doublebar - (dtl / (4 * w)) ** 2)
     assert np.max(np.abs(gap)) <= 1e-15
@@ -96,8 +97,7 @@ def test_first_law_along_expansion(thermo_pieces, fm, dc):
     dt = grid[1] - grid[0]
     lead = fs.check_first_law(ex.E0_perp, base.y0, th.S0, th.F0, th.T0, dt)
     assert lead.max_residual <= 1e-8
-    w1 = fm.domega(base.y0)
-    w2 = fm.d2omega(base.y0)
+    _, w1, w2, _ = fm.derivs(base.y0)
     force2 = w1 * corr.theta2_bar + dc.theta_star * w2 * corr.y2_bar
     second = fs.check_first_law(ex.E2_perp_bar, corr.y2_bar, th.S2_doublebar,
                                 th.F0, th.T0, dt,
@@ -131,8 +131,6 @@ def test_hertz_temperature_matches_action_times_frequency(fm):
 def test_phase_space_volume_closed_form(fm):
     assert fs.phase_space_volume(1.0, 0.0, fm) == math.pi  # 2 pi E/omega
     assert fs.phase_space_volume(0.0, 0.3, fm) == 0.0
-    v = fs.phase_space_volume(1.0, 0.0, fm, epsilon=0.01, scaled=True)
-    assert v == pytest.approx(0.01 * math.pi, rel=1e-15)
 
 
 def test_phase_space_volume_quadrature(fm):
