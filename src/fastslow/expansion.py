@@ -14,6 +14,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -21,7 +22,8 @@ from .dynamics import action_angle_field, energy_action_angle_arrays
 from .homogenized import HomogenizedState
 from .integrate import (Trajectory, integrate_controlled, reference_solution,
                         sample)
-from .model import FrequencyModel, SystemParams, derived_constants
+from .model import (DerivedConstants, FrequencyModel, SystemParams,
+                    derived_constants)
 from .phase import reduced_sincos_array
 
 
@@ -68,7 +70,6 @@ class ResidualReport:
     energy_drift: np.ndarray
     reference_errors: np.ndarray
     theta_min: np.ndarray
-    grid_points: int
 
 
 def _corrector_core(theta_star, w, w1, w2, p0, s2, c2, phi2_bar):
@@ -158,10 +159,11 @@ def expansion_field(params: SystemParams, fm: FrequencyModel):
     """Joint vector field for [phi0, y0, p0, phi2_bar, theta2_bar,
     y2_bar, p2_bar]: the homogenized flow drives the averaged layer."""
     theta_star = derived_constants(params, fm).theta_star
+    derivs = fm.scalar_derivs()
 
     def f(t, x):
         _, y0, p0, _, th2b, y2b, p2b = x
-        w, w1, w2, _ = fm.derivs(y0)
+        w, w1, w2, _ = derivs(y0)
         d = _averaged_core(theta_star, w, w1, w2, p0, th2b, y2b, p2b)
         return np.array([w, p0, -theta_star * w1,
                          d.phi2_bar, d.theta2_bar, d.y2_bar, d.p2_bar])
@@ -246,16 +248,15 @@ def reference_run(params: SystemParams, fm: FrequencyModel, epsilon: float,
                               params.horizon_T, base_h, error_cap=1e-8)
 
 
-def _norms_for_epsilon(params: SystemParams, fm: FrequencyModel, epsilon: float,
-                       grid: np.ndarray, exp_traj: Trajectory,
-                       reference_factor: float):
-    """Reference run at one epsilon and its distances to the reconstruction."""
-    dc = derived_constants(params, fm)
+def _norms_for_epsilon(params: SystemParams, fm: FrequencyModel,
+                       dc: DerivedConstants, grid: np.ndarray,
+                       base: HomogenizedState, corr: AveragedCorrection,
+                       reference_factor: float, epsilon: float):
+    """Reference run at one epsilon and its distances to the reconstruction
+    (base, corr) sampled on grid."""
     ref = reference_run(params, fm, epsilon, reference_factor)
     xs = sample(ref, grid)
     phi_e, theta_e, y_e, p_e = xs[:, 0], xs[:, 1], xs[:, 2], xs[:, 3]
-
-    base, corr = eval_expansion(exp_traj, grid)
     cv = correctors(base, corr.phi2_bar, epsilon, fm, dc.theta_star)
     phi_hat, theta_hat, y_hat, p_hat = reconstruct(epsilon, base, corr, cv,
                                                    dc.theta_star)
@@ -277,15 +278,6 @@ def _norms_for_epsilon(params: SystemParams, fm: FrequencyModel, epsilon: float,
     }
 
 
-def _norms_job(args):
-    (params, fm, epsilon, grid_points, reference_factor,
-     rtol, atol, max_step) = args
-    grid = np.linspace(0.0, params.horizon_T, grid_points)
-    exp_traj = solve_expansion(params, fm, rtol, atol, max_step)
-    return _norms_for_epsilon(params, fm, epsilon, grid, exp_traj,
-                              reference_factor)
-
-
 def residual_norms(params: SystemParams, fm: FrequencyModel, epsilon_list,
                    rtol: float = 1e-12, atol: float = 1e-12,
                    max_step: float = 0.002, grid_points: int = 2001,
@@ -293,10 +285,11 @@ def residual_norms(params: SystemParams, fm: FrequencyModel, epsilon_list,
                    workers: int | None = None) -> ResidualReport:
     """Measure reconstruction quality across epsilons.
 
-    Each epsilon gets an independent step-halved reference run compared
-    on a common output grid; per-epsilon jobs can fan out over processes
-    (workers > 1, or the FASTSLOW_WORKERS environment variable).  Results
-    are bitwise independent of the worker count.
+    The epsilon-independent expansion is solved and sampled once; each
+    epsilon then gets an independent step-halved reference run compared
+    on the common output grid.  The per-epsilon jobs can fan out over
+    processes (workers > 1, or the FASTSLOW_WORKERS environment variable).
+    Results are bitwise independent of the worker count.
     """
     eps = tuple(float(e) for e in epsilon_list)
     if any(e <= 0 for e in eps):
@@ -306,17 +299,16 @@ def residual_norms(params: SystemParams, fm: FrequencyModel, epsilon_list,
             workers = max(1, int(os.environ.get("FASTSLOW_WORKERS", "1")))
         except ValueError:
             workers = 1
-    jobs = [(params, fm, e, grid_points, reference_factor,
-             rtol, atol, max_step) for e in eps]
-    if workers > 1 and len(jobs) > 1:
+    grid = np.linspace(0.0, params.horizon_T, grid_points)
+    base, corr = eval_expansion(solve_expansion(params, fm, rtol, atol, max_step),
+                                grid)
+    job = partial(_norms_for_epsilon, params, fm, derived_constants(params, fm),
+                  grid, base, corr, reference_factor)
+    if workers > 1 and len(eps) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_norms_job, jobs))
+            results = list(pool.map(job, eps))
     else:
-        grid = np.linspace(0.0, params.horizon_T, grid_points)
-        exp_traj = solve_expansion(params, fm, rtol, atol, max_step)
-        results = [_norms_for_epsilon(params, fm, e, grid, exp_traj,
-                                      reference_factor)
-                   for e in eps]
+        results = list(map(job, eps))
     families: dict = {"leading": {}, "first": {}, "second": {}}
     for fam in families:
         for var in results[0][fam]:
@@ -333,5 +325,4 @@ def residual_norms(params: SystemParams, fm: FrequencyModel, epsilon_list,
         energy_drift=np.array([r["energy_drift"] for r in results]),
         reference_errors=np.array([r["reference_error"] for r in results]),
         theta_min=np.array([r["theta_min"] for r in results]),
-        grid_points=grid_points,
     )

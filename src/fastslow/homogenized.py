@@ -33,10 +33,11 @@ class HomogenizedState:
 def homogenized_field(fm: FrequencyModel, theta_star: float):
     """Vector field f(t, x) with x = [phi0, y0, p0]; theta0 enters as the
     constant theta_star."""
+    derivs = fm.scalar_derivs()
 
     def f(t, x):
         _, y0, p0 = x
-        w, w1, _, _ = fm.derivs(y0)
+        w, w1, _, _ = derivs(y0)
         return np.array([w, p0, -theta_star * w1])
 
     return f

@@ -103,6 +103,19 @@ def _echo_value(value, kind) -> str:
     return repr(value) if kind is float else str(value)
 
 
+def _parse_value(val: str, kind):
+    if kind == "floats":
+        parsed = tuple(float(x) for x in val.split(",") if x.strip() != "")
+        if not parsed:
+            raise ValueError("empty list")
+        return parsed
+    if kind == "bool":
+        if val.lower() not in ("true", "false"):
+            raise ValueError("expected true or false")
+        return val.lower() == "true"
+    return kind(val)
+
+
 def parse_config_text(text: str) -> RunConfig:
     """Parse flat key = value lines into a validated RunConfig."""
     values = {}
@@ -119,19 +132,9 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         name, kind = _KEY_FIELDS[key]
         try:
-            if kind == "floats":
-                parsed = tuple(float(x) for x in val.split(",") if x.strip() != "")
-                if not parsed:
-                    raise ValueError("empty list")
-            elif kind == "bool":
-                if val.lower() not in ("true", "false"):
-                    raise ValueError("expected true or false")
-                parsed = val.lower() == "true"
-            else:
-                parsed = kind(val)
+            values[name] = _parse_value(val, kind)
         except ValueError as e:
             raise ConfigError(f"line {lineno}: bad value for {key}: {e}") from e
-        values[name] = parsed
     cfg = RunConfig(**values)
     validate_config(cfg)
     return cfg
@@ -145,6 +148,12 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
+    for key, (name, kind) in _KEY_FIELDS.items():
+        value = getattr(cfg, name)
+        # integrate.max_slow_step = inf means no cap on the slow step
+        if (kind in (float, "floats") and not np.all(np.isfinite(value))
+                and not (name == "max_slow_step" and value == math.inf)):
+            raise ConfigError(f"{key} must be finite")
     if any(e <= 0 for e in cfg.epsilons):
         raise ConfigError("epsilons must be positive")
     if len(cfg.epsilons) > 1 and any(b >= a for a, b in zip(cfg.epsilons, cfg.epsilons[1:])):
@@ -163,22 +172,15 @@ def validate_config(cfg: RunConfig) -> None:
     cfg.params()
 
 
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
-
-
 def write_csv(path: Path, header: list[str], columns: list) -> None:
-    """Write columns (same length) as CSV with 17-significant-digit floats."""
-    n = len(columns[0])
-    rows = [",".join(header)]
-    for i in range(n):
-        rows.append(",".join(_fmt(col[i]) for col in columns))
+    """Write columns (same length) as CSV.  Each column holds only str,
+    written as is, or only numbers, written as 17-significant-digit floats."""
+    cells = []
+    for col in columns:
+        a = np.asarray(col)
+        cells.append(a.tolist() if a.dtype.kind == "U" else
+                     [f"{x:.17g}" for x in a.astype(float).tolist()])
+    rows = [",".join(header), *map(",".join, zip(*cells))]
     path.write_text("\n".join(rows) + "\n")
 
 
@@ -253,27 +255,19 @@ def _epsilon_fits(epsilon: float):
         raise ConfigError(f"run.epsilons: epsilon {epsilon:g}: {e}") from e
 
 
-def _fast_run(cfg: RunConfig, fm, epsilon: float, representation: str):
-    dc = model.derived_constants(cfg.params(), fm)
-    h = 2.0 * math.pi * epsilon / (cfg.step_factor * fm.omega_upper_bound)
-    if representation == "action-angle":
-        x0 = np.array([0.0, dc.theta_star, cfg.y_star, cfg.p_star])
-        return integrate.integrate_fixed(dynamics.action_angle_field(epsilon, fm),
-                                         x0, cfg.horizon_T, h)
-    x0 = np.array([cfg.y_star, cfg.p_star, 0.0, cfg.u_star])
-    return integrate.integrate_fixed(dynamics.cartesian_field(epsilon, fm),
-                                     x0, cfg.horizon_T, h)
-
-
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     """Write finite-epsilon, homogenized, and averaged trajectories."""
     t0 = time.perf_counter()
     fm = cfg.frequency()
     params = cfg.params()
+    dc = model.derived_constants(params, fm)
     grid = _grid(cfg)
     files = []
     for eps in cfg.epsilons:
-        traj = _fast_run(cfg, fm, eps, "action-angle")
+        h = 2.0 * math.pi * eps / (cfg.step_factor * fm.omega_upper_bound)
+        traj = integrate.integrate_fixed(
+            dynamics.action_angle_field(eps, fm),
+            np.array([0.0, dc.theta_star, cfg.y_star, cfg.p_star]), cfg.horizon_T, h)
         xs = integrate.sample(traj, grid)
         E = dynamics.energy_action_angle_arrays(xs[:, 0], xs[:, 1], xs[:, 2],
                                                 xs[:, 3], eps, fm)
@@ -285,7 +279,9 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
                    E - e_perp])
         files.append(p1)
 
-        ctraj = _fast_run(cfg, fm, eps, "cartesian")
+        ctraj = integrate.integrate_fixed(
+            dynamics.cartesian_field(eps, fm),
+            np.array([cfg.y_star, cfg.p_star, 0.0, cfg.u_star]), cfg.horizon_T, h)
         cs = integrate.sample(ctraj, grid)
         wc = fm.derivs(cs[:, 0])[0]
         ce_perp = 0.5 * cs[:, 3] ** 2 + 0.5 * (wc * cs[:, 2] / eps) ** 2
@@ -296,7 +292,6 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
                    ce_perp + ce_par, ce_perp, ce_par])
         files.append(p2)
 
-    dc = model.derived_constants(params, fm)
     htraj = homogenized.solve_homogenized(params, fm, cfg.rtol, cfg.atol,
                                           cfg.max_slow_step)
     hs = integrate.sample(htraj, grid)
@@ -315,12 +310,6 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
               [grid, es[:, 3], es[:, 4], es[:, 5], es[:, 6]])
     files.append(p4)
     return _finish("simulate", cfg, out, t0, files)
-
-
-def _order_fit_smallest(epsilons, errors, k: int = 3):
-    eps = np.asarray(epsilons, float)[-k:]
-    errs = np.asarray(errors, float)[-k:]
-    return averaging.estimate_order(eps, errs)
 
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
@@ -344,48 +333,38 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     write_csv(p1, ["epsilon", "variable", "sup_norm", "normalized_norm"],
               [rows_eps, rows_var, rows_sup, rows_norm])
 
-    gates = []
-    order_rows = []
     tiny = 1e-12  # residual indistinguishable from integrator rounding noise
     can_fit = len(eps) >= 3
-    if can_fit:
-        for fam, var, floor in (("leading", "y", 1.9), ("leading", "p", 1.9),
-                                ("leading", "phi", 1.9), ("first", "theta", 1.9)):
-            sups = rep.families[fam][var]
-            if np.max(sups) <= tiny:
-                gates.append(Gate(f"order {var}_{fam} >= {floor}, R^2 >= 0.98", True,
-                                  f"residual at rounding level ({np.max(sups):.1e})"))
-                continue
-            order, r2 = _order_fit_smallest(eps, sups)
-            order_rows.append((f"{var}_{fam}", order, r2))
-            gates.append(Gate(f"order {var}_{fam} >= {floor}, R^2 >= 0.98",
-                              order >= floor and r2 >= 0.98,
-                              f"order={order:.3f} R^2={r2:.5f}"))
-        for var in sorted(rep.families["second"]):
-            sups = rep.families["second"][var]
-            if np.max(sups) <= tiny:
-                continue
-            order, r2 = _order_fit_smallest(eps, sups)
-            order_rows.append((f"{var}_second", order, r2))
-    if len(eps) >= 2:
-        for var in sorted(rep.normalized["second"]):
-            vals = rep.normalized["second"][var]
-            raw = np.max(rep.families["second"][var])
-            if raw <= tiny:
-                gates.append(Gate(f"normalized second-order residual of {var} strictly decreasing",
-                                  True, f"residual at rounding level ({raw:.1e})"))
-                continue
-            ok = bool(np.all(np.diff(vals) < 0))
-            gates.append(Gate(f"normalized second-order residual of {var} strictly decreasing",
-                              ok, " -> ".join(f"{v:.3e}" for v in vals)))
+    gated = [("leading", "y"), ("leading", "p"), ("leading", "phi"), ("first", "theta")]
+    second = [("second", var) for var in sorted(rep.families["second"])]
+    raw = {(fam, var): np.max(rep.families[fam][var]) for fam, var in gated + second}
+    fits = {(fam, var): averaging.estimate_order(eps[-3:], rep.families[fam][var][-3:])
+            for fam, var in gated + second if can_fit and raw[fam, var] > tiny}
+    order_rows = [(f"{var}_{fam}", *fit) for (fam, var), fit in fits.items()]
+
+    def gate(name, key, ok, detail):
+        """A gate, passed outright when the residual is at rounding level."""
+        if raw[key] <= tiny:
+            return Gate(name, True, f"residual at rounding level ({raw[key]:.1e})")
+        return Gate(name, ok, detail)
+
+    gates = []
+    for fam, var in gated if can_fit else ():
+        order, r2 = fits.get((fam, var), (math.nan, math.nan))
+        gates.append(gate(f"order {var}_{fam} >= 1.9, R^2 >= 0.98", (fam, var),
+                          order >= 1.9 and r2 >= 0.98, f"order={order:.3f} R^2={r2:.5f}"))
+    for key in second if len(eps) >= 2 else ():
+        vals = rep.normalized["second"][key[1]]
+        gates.append(gate(f"normalized second-order residual of {key[1]} strictly decreasing",
+                          key, bool(np.all(np.diff(vals) < 0)),
+                          " -> ".join(f"{v:.3e}" for v in vals)))
     drift_ok = bool(np.all(rep.energy_drift <= 1e-8))
     gates.append(Gate("energy drift <= 1e-8 at every epsilon", drift_ok,
                       " ".join(f"{v:.2e}" for v in rep.energy_drift)))
 
     p2 = out / "orders.csv"
     write_csv(p2, ["variable", "order", "r_squared"],
-              [[r[0] for r in order_rows], [r[1] for r in order_rows],
-               [r[2] for r in order_rows]] if order_rows else [[], [], []])
+              [[r[i] for r in order_rows] for i in range(3)])
 
     if not can_fit:
         gates.append("[INFO] fewer than three epsilons: order gates skipped")
@@ -396,8 +375,11 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
                    runs)
 
 
-def thermo_tables(cfg: RunConfig, fm, params) -> dict:
-    """All thermodynamic series and scalar diagnostics for one config."""
+def cmd_thermo(cfg: RunConfig, out: Path) -> int:
+    """Thermodynamic series, balance residuals, and oscillator diagnostics."""
+    t0 = time.perf_counter()
+    fm = cfg.frequency()
+    params = cfg.params()
     dc = model.derived_constants(params, fm)
     grid = _grid(cfg)
     dt = grid[1] - grid[0]
@@ -419,58 +401,35 @@ def thermo_tables(cfg: RunConfig, fm, params) -> dict:
     literal = thermo.check_first_law(ex.E2_perp_bar, corr.y2_bar, th.S2_doublebar,
                                      th.F0, th.T0, dt)
     rhs = expansion.averaged_rhs(corr, base, fm, dc.theta_star)
-    hamilton_y = float(np.max(np.abs(rhs.y2_bar - bundle.dE2_dp0)))
-    hamilton_p = float(np.max(np.abs(rhs.p2_bar + bundle.dE2_dy0)))
-    identity = expansion.averaged_action_identity(base, corr, fm, dc.theta_star)
-    return {
-        "grid": grid, "dt": dt, "base": base, "corr": corr, "cv": cv,
-        "thermo": th, "energy": ex, "bundle": bundle,
-        "first_law_leading": lead, "first_law_second": second,
-        "first_law_literal": literal,
-        "quasi_static_gap": float(np.max(np.abs(literal.residuals))),
-        "hamilton_y": hamilton_y, "hamilton_p": hamilton_p,
-        "e2_bar_sup": float(np.max(np.abs(ex.E2_bar))),
-        "action_identity_sup": float(np.max(np.abs(identity))),
-        "closed_form_gap": float(np.max(np.abs(
-            corr.theta2_bar - dc.theta_star * bundle.S2_doublebar_closed))),
-        "theta_star": dc.theta_star, "constants": dc,
-    }
-
-
-def cmd_thermo(cfg: RunConfig, out: Path) -> int:
-    """Thermodynamic series, balance residuals, and oscillator diagnostics."""
-    t0 = time.perf_counter()
-    fm = cfg.frequency()
-    params = cfg.params()
-    tab = thermo_tables(cfg, fm, params)
-    grid = tab["grid"]
-    th = tab["thermo"]
-    ex = tab["energy"]
+    hamilton_y = np.max(np.abs(rhs.y2_bar - bundle.dE2_dp0))
+    hamilton_p = np.max(np.abs(rhs.p2_bar + bundle.dE2_dy0))
+    e2_bar_sup = np.max(np.abs(ex.E2_bar))
+    identity_sup = np.max(np.abs(
+        expansion.averaged_action_identity(base, corr, fm, dc.theta_star)))
+    closed_form_gap = np.max(np.abs(
+        corr.theta2_bar - dc.theta_star * bundle.S2_doublebar_closed))
     p1 = out / "thermo.csv"
     write_csv(p1, ["t", "T0", "F0", "S0", "S2_doublebar", "E2_perp_bar",
                    "E2_par_bar", "first_law_residual"],
               [grid, th.T0, th.F0, th.S0, th.S2_doublebar, ex.E2_perp_bar,
-               ex.E2_par_bar, tab["first_law_second"].residuals])
+               ex.E2_par_bar, second.residuals])
 
     gates = [
         Gate("leading-order energy balance <= 1e-8",
-             tab["first_law_leading"].max_residual <= 1e-8,
-             f"{tab['first_law_leading'].max_residual:.3e}"),
+             lead.max_residual <= 1e-8, f"{lead.max_residual:.3e}"),
         Gate("second-order energy balance <= 1e-6",
-             tab["first_law_second"].max_residual <= 1e-6,
-             f"{tab['first_law_second'].max_residual:.3e}"),
+             second.max_residual <= 1e-6, f"{second.max_residual:.3e}"),
         Gate("averaged second-order energy vanishes <= 1e-8",
-             tab["e2_bar_sup"] <= 1e-8, f"{tab['e2_bar_sup']:.3e}"),
+             e2_bar_sup <= 1e-8, f"{e2_bar_sup:.3e}"),
         Gate("averaged action identity <= 1e-8",
-             tab["action_identity_sup"] <= 1e-8, f"{tab['action_identity_sup']:.3e}"),
+             identity_sup <= 1e-8, f"{identity_sup:.3e}"),
         Gate("closed-form doubly averaged entropy matches trajectory <= 1e-8",
-             tab["closed_form_gap"] <= 1e-8, f"{tab['closed_form_gap']:.3e}"),
+             closed_form_gap <= 1e-8, f"{closed_form_gap:.3e}"),
         Gate("Hamilton-form residuals <= 1e-7",
-             max(tab["hamilton_y"], tab["hamilton_p"]) <= 1e-7,
-             f"{tab['hamilton_y']:.3e} {tab['hamilton_p']:.3e}"),
+             max(hamilton_y, hamilton_p) <= 1e-7,
+             f"{hamilton_y:.3e} {hamilton_p:.3e}"),
     ]
 
-    dc = tab["constants"]
     t_check = thermo.hertz_temperature_oracle(0.5 * params.u_star**2, params.y_star, fm)
     gates.append(Gate("period-average temperature equals oscillator energy <= 1e-10",
                       abs(t_check - 0.5 * params.u_star**2) <= 1e-10,
@@ -499,7 +458,7 @@ def cmd_thermo(cfg: RunConfig, out: Path) -> int:
         runs.append({"epsilon": eps,
                      "richardson_error": float(ref.meta["richardson_error"]),
                      "theta_min": float(np.min(xs[:, 1]))})
-        t_gap = np.abs(xs[:, 1] * fm.derivs(xs[:, 2])[0] - tab["thermo"].T0)
+        t_gap = np.abs(xs[:, 1] * fm.derivs(xs[:, 2])[0] - th.T0)
         theta_gap = np.abs(xs[:, 1] - dc.theta_star)
         lines.append(f"[INFO] eps={eps:g}: equipartition gap {rep.gap_max:.3e}, "
                      f"sup|dz/dt*z| {rep.xi_sup:.3e}, "
@@ -516,7 +475,7 @@ def cmd_thermo(cfg: RunConfig, out: Path) -> int:
         gates.append(Gate("virial product sup-norm order >= 0.9", xi_order >= 0.9,
                           f"{xi_order:.3f}"))
     gates.append(Gate("quasi-static gap reported (work of second-order force), not asserted",
-                      True, f"{tab['quasi_static_gap']:.3e}"))
+                      True, f"{literal.max_residual:.3e}"))
     lines.append("[INFO] entropy normalization: additive constant -log(theta_star) "
                  f"= {dc.entropy_constant!r} pins initial entropy to zero")
     summary = out / "thermo_summary.txt"
@@ -719,12 +678,9 @@ def main(argv=None) -> int:
                           frequency_coefficients=model.DEFAULT_COEFFICIENTS[name])
         if args.epsilon is not None:
             try:
-                eps = tuple(float(x) for x in args.epsilon.split(",") if x.strip())
+                cfg = replace(cfg, epsilons=_parse_value(args.epsilon, "floats"))
             except ValueError as e:
                 raise ConfigError(f"bad --epsilon list: {e}") from e
-            if not eps:
-                raise ConfigError("--epsilon list is empty")
-            cfg = replace(cfg, epsilons=eps)
         if args.out is not None:
             cfg = replace(cfg, out_dir=args.out)
         validate_config(cfg)

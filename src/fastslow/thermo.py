@@ -51,8 +51,7 @@ class EnergyExpansion:
 
     The first-order pieces cancel exactly (E1_perp_osc + E1_par_osc = 0);
     the second-order averages E2_perp_bar + E2_par_bar vanish identically
-    because total energy is conserved and matched at t = 0.  A_bar is the
-    adiabatic (work-like) part of the averaged second-order energy.
+    because total energy is conserved and matched at t = 0.
     """
 
     E0_perp: object
@@ -63,7 +62,6 @@ class EnergyExpansion:
     E2_par_osc: object
     E2_perp_bar: object
     E2_par_bar: object
-    A_bar: object
     E2_bar: object
 
 
@@ -77,7 +75,6 @@ class AveragedEnergyBundle:
     equations of motion for (p2_bar, y2_bar) in Hamiltonian form.
     """
 
-    A_bar: object
     S2_doublebar_closed: object
     E2_bar: object
     dE2_dy0: object
@@ -102,13 +99,6 @@ class EquipartitionReport:
     gap_max: float
     xi_sup: float
     any_slid: bool
-
-
-def _a_bar(theta_star, w, w1, p0, p2_bar):
-    """Adiabatic (work-like) part of the averaged second-order energy."""
-    return (p0 * p2_bar
-            + (theta_star * w1 / (4.0 * w)) ** 2
-            - (theta_star * w) * (p0 * w1 / (2.0 * w * w)) ** 2)
 
 
 def expand_thermo(base: HomogenizedState, corr: AveragedCorrection,
@@ -164,7 +154,6 @@ def energy_expansion(base: HomogenizedState, corr: AveragedCorrection,
         E2_par_osc=e2_par_osc,
         E2_perp_bar=e2_perp_bar,
         E2_par_bar=e2_par_bar,
-        A_bar=_a_bar(theta_star, w, w1, base.p0, corr.p2_bar),
         E2_bar=e2_perp_bar + e2_par_bar,
     )
 
@@ -175,8 +164,10 @@ def averaged_energy_bundle(base: HomogenizedState, corr: AveragedCorrection,
     """Closed forms of the averaged second-order energy and its partials.
 
     E2_bar here uses the closed-form doubly averaged entropy coefficient,
-    E2_bar = A_bar + F0*y2_bar + T0*S2_doublebar_closed, which collapses
-    to an expression in omega and omega' alone; its partial derivatives
+    E2_bar = A_bar + F0*y2_bar + T0*S2_doublebar_closed, where the
+    adiabatic (work-like) part is A_bar = p0*p2_bar + (theta*w'/(4w))^2
+    - theta*w*(p0*w'/(2w^2))^2.  This collapses to an expression in
+    omega and omega' alone; its partial derivatives
     with respect to (p0, y0) equal dy2_bar/dt and -dp2_bar/dt along the
     averaged flow.
     """
@@ -196,8 +187,7 @@ def averaged_energy_bundle(base: HomogenizedState, corr: AveragedCorrection,
                + 3.0 * theta_star * p0 * p0 * w1**3 / (8.0 * w**4)
                + theta_star * w2 * corr.y2_bar
                + theta_star * w1 * C)
-    return AveragedEnergyBundle(A_bar=_a_bar(theta_star, w, w1, p0, corr.p2_bar),
-                                S2_doublebar_closed=s2dd,
+    return AveragedEnergyBundle(S2_doublebar_closed=s2dd,
                                 E2_bar=e2_bar, dE2_dy0=de2_dy0,
                                 dE2_dp0=de2_dp0)
 

@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
 
 import fastslow as fs
-from fastslow.lab import RunConfig, parse_config_text
+from fastslow.lab import RunConfig, parse_config_text, write_csv
 
 
 def file_hashes(d, skip=("manifest.json",)):
@@ -49,10 +51,22 @@ def test_comments_and_blank_lines_ignored():
     "frequency.preset = sine\nfrequency.coefficients = 1,1",
     "debug.flip_theta1_sign = maybe",
     "just a line without equals",
+    "run.epsilons = 0.04,nan",
+    "integrate.step_factor = inf",
+    "run.horizon_T = inf",
+    "initial.u_star = inf",
+    "initial.y_star = nan",
+    "frequency.coefficients = 2,-inf",
+    "integrate.max_slow_step = nan",
+    "integrate.max_slow_step = -inf",
 ])
 def test_bad_configs_rejected(text):
     with pytest.raises(fs.ConfigError):
         parse_config_text(text)
+
+
+def test_max_slow_step_inf_means_no_cap():
+    assert parse_config_text("integrate.max_slow_step = inf").max_slow_step == math.inf
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -63,7 +77,41 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
 def test_bad_epsilon_flag_exits_2(tmp_path):
     assert fs.main(["check", "--epsilon", "abc", "--out", str(tmp_path)]) == 2
     assert fs.main(["check", "--epsilon", "", "--out", str(tmp_path)]) == 2
+    assert fs.main(["check", "--epsilon", "nan", "--out", str(tmp_path)]) == 2
+    assert fs.main(["check", "--epsilon", "0.04,inf", "--out", str(tmp_path)]) == 2
+    assert fs.main(["sweep", "--epsilon", "nan", "--out", str(tmp_path)]) == 2
+    assert fs.main(["simulate", "--epsilon", "inf", "--out", str(tmp_path)]) == 2
     assert fs.main(["check", "--preset", "unknown", "--out", str(tmp_path)]) == 2
+
+
+def _write_csv_per_cell(path, header, columns):
+    """The per-cell writer that write_csv replaced, kept as its oracle."""
+    def fmt(x):
+        if isinstance(x, str):
+            return x
+        if isinstance(x, (bool, np.bool_)):
+            return "true" if x else "false"
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        return f"{float(x):.17g}"
+    rows = [",".join(header)]
+    for i in range(len(columns[0])):
+        rows.append(",".join(fmt(col[i]) for col in columns))
+    path.write_text("\n".join(rows) + "\n")
+
+
+def test_write_csv_matches_per_cell_writer(tmp_path):
+    array = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e300, 0.1])
+    columns = [array,
+               [np.float64(v) for v in array[::-1]],
+               [float(v) / 3.0 for v in array],
+               ["a", "theta_first", "", "y_second", "x", "nan", "1", "-0"]]
+    header = ["ndarray", "np_float64", "float", "str"]
+    write_csv(tmp_path / "new.csv", header, columns)
+    _write_csv_per_cell(tmp_path / "old.csv", header, columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    write_csv(tmp_path / "empty.csv", ["a", "b"], [[], []])
+    assert (tmp_path / "empty.csv").read_text() == "a,b\n"
 
 
 def test_check_command_passes_and_writes_report(tmp_path, capsys):
