@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FrequencyModel
-from .phase import double_angle, reduced_sincos, reduced_sincos_array
+from .phase import reduced_sincos, reduced_sincos_array, reducer
 
 
 @dataclass(frozen=True)
@@ -45,25 +45,8 @@ def action_angle_rhs(s: ActionAngleState, epsilon: float, fm: FrequencyModel) ->
     _check_epsilon(epsilon)
     if s.theta < 0.0:
         raise ValueError("theta must be nonnegative")
-    w, w1, w2, _ = fm.derivs(s.y)
-    s2, c2 = reduced_sincos(s.phi, epsilon, 2)
-    d = _aa_rhs_tuple(s.theta, s.p, epsilon, w, w1, w2, s2, c2)
+    d = action_angle_field(epsilon, fm)(0.0, (s.phi, s.theta, s.y, s.p))
     return ActionAngleState(*d)
-
-
-def _aa_rhs_tuple(theta, p, epsilon, w, w1, w2, s2, c2):
-    """(phi_dot, theta_dot, y_dot, p_dot) given sin/cos of 2*phi/epsilon."""
-    s4, _ = double_angle(s2, c2)
-    r = w1 / w
-    phi_dot = w + epsilon * (0.5 * p * r) * s2 + (epsilon * epsilon) * (0.25 * theta * r * r) * (s2 * s2)
-    theta_dot = -(theta * p * r) * c2 - epsilon * (0.25 * theta * theta * r * r) * s4
-    y_dot = p + epsilon * (0.5 * theta * r) * s2
-    p_dot = (-theta * w1
-             + epsilon * (0.5 * theta * p * r * r) * s2
-             - epsilon * (0.5 * theta * p * w2 / w) * s2
-             + (epsilon * epsilon) * (0.25 * theta * theta * r * r * r) * (s2 * s2)
-             - (epsilon * epsilon) * (0.25 * theta * theta * r * w2 / w) * (s2 * s2))
-    return phi_dot, theta_dot, y_dot, p_dot
 
 
 def action_angle_rhs_composed(s: ActionAngleState, epsilon: float,
@@ -143,16 +126,32 @@ def energy_action_angle(s: ActionAngleState, epsilon: float, fm: FrequencyModel)
 def action_angle_field(epsilon: float, fm: FrequencyModel):
     """Vector field f(t, x) for the integrators, x = (phi, theta, y, p).
 
-    Takes any sequence of four floats and returns a tuple of floats.
+    Takes any sequence of four floats and returns a tuple of floats.  The
+    frequency routine and the phase reduction are bound once per field;
+    the body is the only copy of the action-angle equations of motion.
     """
     _check_epsilon(epsilon)
     derivs = fm.scalar_derivs()
+    reduce = reducer(epsilon)
+    sin, cos = math.sin, math.cos
+    eps2 = epsilon * epsilon
 
     def f(t, x):
         phi, theta, y, p = x
         w, w1, w2, _ = derivs(y)
-        s2, c2 = reduced_sincos(phi, epsilon, 2)
-        return _aa_rhs_tuple(theta, p, epsilon, w, w1, w2, s2, c2)
+        r2 = reduce(2.0 * phi)
+        s2, c2 = sin(r2), cos(r2)
+        s4 = 2.0 * s2 * c2
+        r = w1 / w
+        phi_dot = w + epsilon * (0.5 * p * r) * s2 + eps2 * (0.25 * theta * r * r) * (s2 * s2)
+        theta_dot = -(theta * p * r) * c2 - epsilon * (0.25 * theta * theta * r * r) * s4
+        y_dot = p + epsilon * (0.5 * theta * r) * s2
+        p_dot = (-theta * w1
+                 + epsilon * (0.5 * theta * p * r * r) * s2
+                 - epsilon * (0.5 * theta * p * w2 / w) * s2
+                 + eps2 * (0.25 * theta * theta * r * r * r) * (s2 * s2)
+                 - eps2 * (0.25 * theta * theta * r * w2 / w) * (s2 * s2))
+        return phi_dot, theta_dot, y_dot, p_dot
 
     return f
 

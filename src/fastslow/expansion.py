@@ -10,9 +10,7 @@ variables start correcting at second order.
 
 from __future__ import annotations
 
-import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -242,10 +240,9 @@ def reference_run(params: SystemParams, fm: FrequencyModel, epsilon: float,
     Richardson error estimate exceeds 1e-8.
     """
     dc = derived_constants(params, fm)
-    base_h = 2.0 * math.pi * epsilon / (reference_factor * fm.omega_upper_bound)
     x0 = np.array([0.0, dc.theta_star, params.y_star, params.p_star])
-    return reference_solution(action_angle_field(epsilon, fm), x0,
-                              params.horizon_T, base_h, error_cap=1e-8)
+    return reference_solution(action_angle_field(epsilon, fm), x0, params.horizon_T,
+                              fm.fast_step(epsilon, reference_factor), error_cap=1e-8)
 
 
 def _norms_for_epsilon(params: SystemParams, fm: FrequencyModel,
@@ -305,6 +302,7 @@ def residual_norms(params: SystemParams, fm: FrequencyModel, epsilon_list,
     job = partial(_norms_for_epsilon, params, fm, derived_constants(params, fm),
                   grid, base, corr, reference_factor)
     if workers > 1 and len(eps) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(job, eps))
     else:

@@ -30,27 +30,27 @@ class Trajectory:
 
 
 def integrate_fixed(rhs, x0, horizon_T: float, h: float) -> Trajectory:
-    """Classical fourth-order Runge-Kutta with fixed step.
+    """Classical fourth-order Runge-Kutta with fixed step on 4-component
+    states, the size of both charts of the lab.
 
     Node times are i*h (not accumulated sums) so that a run at h/2 hits
     every node of a run at h bit-exactly; the last step is shortened to
-    land on horizon_T.
-
-    rhs(t, x) receives the state as a tuple of Python floats and may
-    return any sequence of d floats (tuple, list or ndarray).  The stage
-    sums run component by component in the operation order of the vector
-    form x + (h/6)*(((k1 + 2 k2) + 2 k3) + k4), so the states are bitwise
-    those of the same scheme in ndarray arithmetic, at a fraction of the
-    per-step cost for small d.
+    land on horizon_T.  rhs(t, x) receives a tuple of four Python floats and
+    may return any sequence of four floats.  The stage sums are unrolled in
+    the operation order of the vector form x + (h/6)*(((k1 + 2 k2) + 2 k3)
+    + k4), so the states are bitwise those of the scheme in ndarray arithmetic.
     """
     if not h > 0.0:
         raise ValueError("step must be positive")
     if h > horizon_T:
         raise ValueError("step exceeds the horizon")
     x = tuple(np.asarray(x0, dtype=float).tolist())
+    if len(x) != 4:
+        raise ValueError(f"integrate_fixed steps 4-component states, not {len(x)}")
+    x0, x1, x2, x3 = x
     n_steps = int(math.ceil(horizon_T / h - 1e-12))
     times = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, len(x)))
+    states = np.empty((n_steps + 1, 4))
     derivs = np.empty_like(states)
     isfinite = math.isfinite
     times[0] = 0.0
@@ -62,14 +62,20 @@ def integrate_fixed(rhs, x0, horizon_T: float, h: float) -> Trajectory:
         t_next = horizon_T if i == n_steps - 1 else (i + 1) * h
         hi = t_next - t
         half = 0.5 * hi
-        k1 = f
-        k2 = rhs(t + half, tuple([a + half * b for a, b in zip(x, k1)]))
-        k3 = rhs(t + half, tuple([a + half * b for a, b in zip(x, k2)]))
-        k4 = rhs(t_next, tuple([a + hi * b for a, b in zip(x, k3)]))
+        a0, a1, a2, a3 = f
+        b0, b1, b2, b3 = rhs(t + half, (x0 + half * a0, x1 + half * a1,
+                                        x2 + half * a2, x3 + half * a3))
+        c0, c1, c2, c3 = rhs(t + half, (x0 + half * b0, x1 + half * b1,
+                                        x2 + half * b2, x3 + half * b3))
+        d0, d1, d2, d3 = rhs(t_next, (x0 + hi * c0, x1 + hi * c1,
+                                      x2 + hi * c2, x3 + hi * c3))
         sixth = hi / 6.0
-        x = tuple([a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-                   for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)])
-        if not all(map(isfinite, x)):
+        x0 = x0 + sixth * (((a0 + 2.0 * b0) + 2.0 * c0) + d0)
+        x1 = x1 + sixth * (((a1 + 2.0 * b1) + 2.0 * c1) + d1)
+        x2 = x2 + sixth * (((a2 + 2.0 * b2) + 2.0 * c2) + d2)
+        x3 = x3 + sixth * (((a3 + 2.0 * b3) + 2.0 * c3) + d3)
+        x = (x0, x1, x2, x3)
+        if not (isfinite(x0) and isfinite(x1) and isfinite(x2) and isfinite(x3)):
             raise NumericalError(f"non-finite state at t={t_next!r}: {np.array(x)}")
         f = rhs(t_next, x)
         times[i + 1] = t_next

@@ -255,16 +255,26 @@ def _epsilon_fits(epsilon: float):
         raise ConfigError(f"run.epsilons: epsilon {epsilon:g}: {e}") from e
 
 
+def _step_fits(cfg: RunConfig, fm, factor_key: str) -> None:
+    """A step longer than the horizon is bad configuration (exit 2)."""
+    factor = getattr(cfg, _KEY_FIELDS[factor_key][0])
+    h = fm.fast_step(cfg.epsilons[0], factor)
+    if h > cfg.horizon_T:
+        raise ConfigError(f"{factor_key} = {factor:g} gives a step of {h:.3g} at epsilon "
+                          f"{cfg.epsilons[0]:g}, longer than run.horizon_T = {cfg.horizon_T:g}")
+
+
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     """Write finite-epsilon, homogenized, and averaged trajectories."""
     t0 = time.perf_counter()
     fm = cfg.frequency()
+    _step_fits(cfg, fm, "integrate.step_factor")
     params = cfg.params()
     dc = model.derived_constants(params, fm)
     grid = _grid(cfg)
     files = []
     for eps in cfg.epsilons:
-        h = 2.0 * math.pi * eps / (cfg.step_factor * fm.omega_upper_bound)
+        h = fm.fast_step(eps, cfg.step_factor)
         traj = integrate.integrate_fixed(
             dynamics.action_angle_field(eps, fm),
             np.array([0.0, dc.theta_star, cfg.y_star, cfg.p_star]), cfg.horizon_T, h)
@@ -316,6 +326,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     """Convergence orders of the reconstruction across epsilons."""
     t0 = time.perf_counter()
     fm = cfg.frequency()
+    _step_fits(cfg, fm, "integrate.reference_factor")
     params = cfg.params()
     rep = expansion.residual_norms(params, fm, cfg.epsilons, cfg.rtol, cfg.atol,
                                    cfg.max_slow_step, cfg.grid_points,
@@ -379,8 +390,12 @@ def cmd_thermo(cfg: RunConfig, out: Path) -> int:
     """Thermodynamic series, balance residuals, and oscillator diagnostics."""
     t0 = time.perf_counter()
     fm = cfg.frequency()
+    _step_fits(cfg, fm, "integrate.reference_factor")
     params = cfg.params()
     dc = model.derived_constants(params, fm)
+    if not dc.theta_star > 0.0:
+        raise ConfigError(f"initial.u_star = {cfg.u_star:g} gives zero action, where "
+                          "the entropy log(theta) is undefined")
     grid = _grid(cfg)
     dt = grid[1] - grid[0]
     etraj = expansion.solve_expansion(params, fm, cfg.rtol, cfg.atol,
@@ -539,6 +554,7 @@ def cmd_twoscale(cfg: RunConfig, out: Path) -> int:
     """Unfolding errors of the rescaled remainders against their limits."""
     t0 = time.perf_counter()
     fm = cfg.frequency()
+    _step_fits(cfg, fm, "integrate.reference_factor")
     params = cfg.params()
     table = two_scale_error_table(cfg, fm, params)
     eps_list = list(table)

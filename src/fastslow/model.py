@@ -86,6 +86,10 @@ class FrequencyModel:
             return self._evaluator(np.sin, np.cos, np.all)(y)
         return self.scalar_derivs()(y)
 
+    def fast_step(self, epsilon, steps_per_period):
+        """The fastest period 2*pi*eps/omega_upper_bound over steps_per_period."""
+        return 2.0 * math.pi * epsilon / (steps_per_period * self.omega_upper_bound)
+
     def scalar_derivs(self):
         """derivs for a float y, with the preset's routine bound once; the
         vector fields call it at every stage."""

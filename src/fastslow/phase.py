@@ -32,47 +32,52 @@ _SPLIT = 134217729.0
 _Q_SHORT = 2.0**19
 
 
-def _reduce(a, epsilon, rint, every):
-    """a/epsilon reduced modulo 2*pi into roughly [-pi, pi].
+def reducer(epsilon, rint=round, every=bool):
+    """The map a -> a/epsilon reduced modulo 2*pi into roughly [-pi, pi].
 
-    a is a float or an array; rint rounds half to even on it (round or
-    np.rint) and every(mask) says whether a comparison holds for all of it
-    (bool or np.all).  Quotients of 2^19 and more are split into 20-bit
-    chunks q2 + q1 + q0 (q2, q1 multiples of 2^40, 2^20), so each
-    chunk*piece product stays exact below 2^60; with zero high chunks the
-    split path subtracts 0.0, so both paths give the same bits.
+    The Dekker split of epsilon is done here, once.  The map takes a
+    float or an array; rint rounds half to even on it (round or np.rint)
+    and every(mask) says whether a comparison holds for all of it (bool or
+    np.all).  Quotients of 2^19 and more are split into 20-bit chunks
+    q2 + q1 + q0 (q2, q1 multiples of 2^40, 2^20), so each chunk*piece
+    product stays exact below 2^60; with zero high chunks the split path
+    subtracts 0.0, so both paths give the same bits.
     """
-    t_hi = a / epsilon
-    # exact division residual via a two-product p + pl = t_hi*epsilon,
-    # so that t_hi + t_lo = a/epsilon to ~2^-106 relative
-    p = t_hi * epsilon
-    th = _SPLIT * t_hi
-    th = th - (th - t_hi)
-    tl = t_hi - th
     eh = _SPLIT * epsilon
     eh = eh - (eh - epsilon)
     el = epsilon - eh
-    pl = ((th * eh - p) + th * el + tl * eh) + tl * el
-    t_lo = ((a - p) - pl) / epsilon
 
-    q = rint(t_hi * _INV_TWO_PI)
-    if every(abs(q) < _Q_SHORT):
-        r = t_hi - q * _TWO_PI_1
-        r -= q * _TWO_PI_2
-    else:
-        q2 = rint(q * 2.0**-40) * 2.0**40
-        q1 = rint((q - q2) * 2.0**-20) * 2.0**20
-        q0 = (q - q2) - q1
-        r = t_hi - q2 * _TWO_PI_1
-        r -= q1 * _TWO_PI_1
-        r -= q0 * _TWO_PI_1
-        r -= q2 * _TWO_PI_2
-        r -= q1 * _TWO_PI_2
-        r -= q0 * _TWO_PI_2
-    r += t_lo
-    r -= q * _TWO_PI_3
-    r -= q * _TWO_PI_3T
-    return r
+    def reduce(a):
+        t_hi = a / epsilon
+        # exact division residual via a two-product p + pl = t_hi*epsilon,
+        # so that t_hi + t_lo = a/epsilon to ~2^-106 relative
+        p = t_hi * epsilon
+        th = _SPLIT * t_hi
+        th = th - (th - t_hi)
+        tl = t_hi - th
+        pl = ((th * eh - p) + th * el + tl * eh) + tl * el
+        t_lo = ((a - p) - pl) / epsilon
+
+        q = rint(t_hi * _INV_TWO_PI)
+        if every(abs(q) < _Q_SHORT):
+            r = t_hi - q * _TWO_PI_1
+            r -= q * _TWO_PI_2
+        else:
+            q2 = rint(q * 2.0**-40) * 2.0**40
+            q1 = rint((q - q2) * 2.0**-20) * 2.0**20
+            q0 = (q - q2) - q1
+            r = t_hi - q2 * _TWO_PI_1
+            r -= q1 * _TWO_PI_1
+            r -= q0 * _TWO_PI_1
+            r -= q2 * _TWO_PI_2
+            r -= q1 * _TWO_PI_2
+            r -= q0 * _TWO_PI_2
+        r += t_lo
+        r -= q * _TWO_PI_3
+        r -= q * _TWO_PI_3T
+        return r
+
+    return reduce
 
 
 def reduce_phase(phi: float, epsilon: float, k: int = 2) -> float:
@@ -81,22 +86,18 @@ def reduce_phase(phi: float, epsilon: float, k: int = 2) -> float:
     Absolute accuracy ~2e-15 for reduction quotients up to 2^50.
     """
     # k*phi is exact for k in {1, 2, 4}: power-of-two scaling
-    return _reduce(k * phi, epsilon, round, bool)
+    return reducer(epsilon)(k * phi)
 
 
 def reduced_sincos(phi: float, epsilon: float, k: int = 2) -> tuple[float, float]:
     """sin and cos of k*phi/epsilon via accurate phase reduction."""
-    r = _reduce(k * phi, epsilon, round, bool)
+    r = reducer(epsilon)(k * phi)
     return math.sin(r), math.cos(r)
 
 
 def reduced_sincos_array(phi, epsilon: float, k: int = 2):
     """Vectorized sin/cos of k*phi/epsilon; each reduced phase has the
     bits reduce_phase gives for that element."""
-    r = _reduce(np.asarray(phi, dtype=float) * k, epsilon, np.rint, np.all)
+    r = reducer(epsilon, np.rint, np.all)(np.asarray(phi, dtype=float) * k)
     return np.sin(r), np.cos(r)
 
-
-def double_angle(s, c):
-    """(sin, cos) of the doubled angle from (sin, cos) of the angle."""
-    return 2.0 * s * c, 1.0 - 2.0 * s * s

@@ -127,3 +127,46 @@ def test_field_closures_match_structured_rhs(fm):
     x = np.array([0.3, 0.2, -0.4, 0.9])
     d = fs.action_angle_rhs(fs.ActionAngleState(*x), eps, fm)
     assert np.array_equal(f(0.0, x), np.array([d.phi, d.theta, d.y, d.p]))
+
+
+def _aa_rhs_parent(phi, theta, y, p, epsilon, fm):
+    """The action-angle field as two helpers computed it before the field
+    was fused: derivs and reduced_sincos, then the formula below with
+    sin(4 phi/eps) from the double-angle identity."""
+    w, w1, w2, _ = fm.derivs(y)
+    s2, c2 = fs.reduced_sincos(phi, epsilon, 2)
+    s4 = 2.0 * s2 * c2
+    r = w1 / w
+    phi_dot = w + epsilon * (0.5 * p * r) * s2 + (epsilon * epsilon) * (0.25 * theta * r * r) * (s2 * s2)
+    theta_dot = -(theta * p * r) * c2 - epsilon * (0.25 * theta * theta * r * r) * s4
+    y_dot = p + epsilon * (0.5 * theta * r) * s2
+    p_dot = (-theta * w1
+             + epsilon * (0.5 * theta * p * r * r) * s2
+             - epsilon * (0.5 * theta * p * w2 / w) * s2
+             + (epsilon * epsilon) * (0.25 * theta * theta * r * r * r) * (s2 * s2)
+             - (epsilon * epsilon) * (0.25 * theta * theta * r * w2 / w) * (s2 * s2))
+    return phi_dot, theta_dot, y_dot, p_dot
+
+
+@pytest.mark.parametrize("preset, coefficients", [
+    ("sine", (2.0, 1.0)), ("fourier", (3.0, 0.5, 0.5, 0.3, -0.4)), ("constant", (2.0,))])
+def test_fused_field_is_bitwise_the_structured_formula(preset, coefficients):
+    fm = fs.make_frequency(preset, coefficients)
+    rng = np.random.default_rng(21)
+    edges = [(0.0, 0.0, 0.0, 0.0), (-0.0, 0.0, 1.0, -0.0), (1.5, 0.0, -2.0, 0.0),
+             (0.0, 0.7, 0.0, -0.0)]
+    # the reduction quotient phi/(pi eps) stays below 2^19 at eps = 0.3 and
+    # 0.01 and takes the chunked path above it at eps = 1e-6; at eps = 0.3
+    # the eps and eps^2 terms reach the last bits of the sums
+    for eps, below in ((0.3, True), (0.01, True), (1e-6, False)):
+        phi = rng.uniform(2.0, 20.0, 200) * rng.choice([-1.0, 1.0], 200)
+        assert np.all((np.abs(phi / (math.pi * eps)) < 2**19) == below)
+        states = edges + np.c_[phi, rng.uniform(0.0, 2.0, 200),
+                               rng.uniform(-5.0, 5.0, 200),
+                               rng.uniform(-2.0, 2.0, 200)].tolist()
+        f = fs.action_angle_field(eps, fm)
+        for x in states:
+            got = f(0.0, x)
+            want = _aa_rhs_parent(*x, eps, fm)
+            assert got == want
+            assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]

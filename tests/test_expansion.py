@@ -6,7 +6,11 @@ theta* = 1/4, omega = 2, omega' = 1, omega'' = 0 at the start.
 """
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +169,18 @@ def test_residual_norms_falls_back_to_one_worker(params, fm, monkeypatch):
     rep = fs.residual_norms(params, fm, (0.04,), grid_points=51)
     assert rep.epsilons == (0.04,)
     assert np.all(rep.theta_min > 0)
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # the pool is imported only when residual_norms fans out (workers > 1)
+    src = str(Path(fs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys, fastslow; print(sorted(m for m in sys.modules if m.split('.')[0]"
+            " in ('multiprocessing', 'concurrent')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_kernels_agree_on_scalars_and_length_one_arrays(expansion_run, fm, dc):

@@ -12,29 +12,34 @@ def decay(t, x):
     return tuple(-v for v in x)
 
 
+# integrate_fixed steps 4-component states; these start component 0 at one
+ONE = np.array([1.0, 0.0, 0.0, 0.0])
+ZERO = np.zeros(4)
+
+
 def test_fixed_step_is_fourth_order():
     errs = []
     hs = [0.1, 0.05, 0.025]
     for h in hs:
-        traj = fs.integrate_fixed(decay, np.array([1.0]), 1.0, h)
+        traj = fs.integrate_fixed(decay, ONE, 1.0, h)
         errs.append(abs(traj.states[-1, 0] - math.exp(-1.0)))
     order = math.log(errs[0] / errs[2]) / math.log(4)
     assert abs(order - 4.0) <= 0.1
 
 
 def test_fixed_step_accuracy_at_small_h():
-    traj = fs.integrate_fixed(decay, np.array([1.0]), 1.0, 1e-3)
+    traj = fs.integrate_fixed(decay, ONE, 1.0, 1e-3)
     assert abs(traj.states[-1, 0] - math.exp(-1.0)) <= 1e-10
 
 
 def test_fixed_step_exact_on_constant_field():
-    traj = fs.integrate_fixed(lambda t, x: np.ones(1), np.array([0.0]), 2.0, 0.125)
+    traj = fs.integrate_fixed(lambda t, x: np.ones(4), ZERO, 2.0, 0.125)
     assert traj.times[-1] == 2.0
     assert traj.states[-1, 0] == 2.0  # 16 exact binary steps
 
 
 def test_fixed_step_node_times_are_multiples():
-    traj = fs.integrate_fixed(decay, np.array([1.0]), 1.0, 0.03)
+    traj = fs.integrate_fixed(decay, ONE, 1.0, 0.03)
     assert traj.times[0] == 0.0
     assert traj.times[-1] == 1.0
     assert np.all(np.diff(traj.times) > 0)
@@ -126,18 +131,24 @@ def test_reference_error_cap_enforced(fm):
 
 def test_nonfinite_rhs_raises():
     def bad(t, x):
-        return np.array([float("nan")])
+        return np.full(len(x), float("nan"))
     with pytest.raises(fs.NumericalError):
-        fs.integrate_fixed(bad, np.array([1.0]), 1.0, 0.1)
+        fs.integrate_fixed(bad, ONE, 1.0, 0.1)
     with pytest.raises(fs.NumericalError):
         fs.integrate_controlled(bad, np.array([1.0]), 1.0, 1e-8, 1e-8)
 
 
 def test_step_larger_than_horizon_rejected():
     with pytest.raises(ValueError):
-        fs.integrate_fixed(decay, np.array([1.0]), 1.0, 2.0)
+        fs.integrate_fixed(decay, ONE, 1.0, 2.0)
     with pytest.raises(ValueError):
-        fs.integrate_fixed(decay, np.array([1.0]), 1.0, 0.0)
+        fs.integrate_fixed(decay, ONE, 1.0, 0.0)
+
+
+def test_fixed_step_takes_four_components():
+    for d in (1, 7):
+        with pytest.raises(ValueError, match="4-component"):
+            fs.integrate_fixed(decay, np.ones(d), 1.0, 0.1)
 
 
 def test_step_budget_exhaustion_raises():
@@ -147,8 +158,8 @@ def test_step_budget_exhaustion_raises():
 
 
 def test_invert_monotone_recovers_times():
-    traj = fs.integrate_fixed(lambda t, x: np.array([2.0 + np.sin(x[0])]),
-                              np.array([0.0]), 1.0, 1e-3)
+    traj = fs.integrate_fixed(lambda t, x: (2.0 + math.sin(x[0]), 0.0, 0.0, 0.0),
+                              ZERO, 1.0, 1e-3)
     targets = np.linspace(0.0, float(traj.states[-1, 0]), 20)
     ts = fs.invert_monotone(traj, targets)
     vals = fs.sample(traj, ts)[:, 0]
@@ -194,13 +205,12 @@ def test_invert_monotone_matches_full_width_bisection(expansion_run):
 
 def test_invert_monotone_rejects_a_column_that_turns_back():
     # x = sin(t) rises to 1 at t = pi/2 and falls after it
-    traj = fs.integrate_fixed(lambda t, x: np.array([math.cos(t)]),
-                              np.array([0.0]), 3.0, 1e-2)
+    traj = fs.integrate_fixed(lambda t, x: (math.cos(t), 0.0, 0.0, 0.0),
+                              ZERO, 3.0, 1e-2)
     assert float(traj.states[-1, 0]) > 0.1
     with pytest.raises(ValueError, match="strictly increasing"):
         fs.invert_monotone(traj, np.array([0.1]))
-    flat = fs.integrate_fixed(lambda t, x: np.array([0.0]), np.array([1.0]),
-                              1.0, 0.1)
+    flat = fs.integrate_fixed(lambda t, x: ZERO, ONE, 1.0, 0.1)
     with pytest.raises(ValueError, match="strictly increasing"):
         fs.invert_monotone(flat, np.array([1.0]))
 
@@ -262,4 +272,4 @@ def test_tuple_rk4_matches_ndarray_rk4():
     # x' = x^2 from x = 2 blows up at t = 1/2: the state overflows mid-run
     with pytest.raises(fs.NumericalError, match=r"non-finite state at t=0\.5"):
         fs.integrate_fixed(lambda t, x: tuple(v * v for v in x),
-                           np.array([2.0]), 1.0, 1e-3)
+                           np.array([2.0, 0.0, 0.0, 0.0]), 1.0, 1e-3)

@@ -38,7 +38,7 @@ def test_comments_and_blank_lines_ignored():
     assert cfg.horizon_T == 2.0
 
 
-@pytest.mark.parametrize("text", [
+_REJECTED_WHEN_PARSED = [
     "bogus.key = 1",
     "run.horizon_T == 1",
     "run.horizon_T = abc",
@@ -59,10 +59,51 @@ def test_comments_and_blank_lines_ignored():
     "frequency.coefficients = 2,-inf",
     "integrate.max_slow_step = nan",
     "integrate.max_slow_step = -inf",
-])
-def test_bad_configs_rejected(text):
-    with pytest.raises(fs.ConfigError):
-        parse_config_text(text)
+]
+# (config, command, keys its error names): parsed fine, rejected by the command
+_REJECTED_BY_COMMAND = [
+    ("run.horizon_T = 1e-4", "simulate", ("integrate.step_factor", "run.horizon_T")),
+    ("run.horizon_T = 1e-4", "sweep", ("integrate.reference_factor", "run.horizon_T")),
+    ("integrate.step_factor = 0.01", "simulate", ("integrate.step_factor", "run.horizon_T")),
+    ("integrate.reference_factor = 1e-3", "sweep",
+     ("integrate.reference_factor", "run.horizon_T")),
+    ("integrate.reference_factor = 1e-3", "thermo",
+     ("integrate.reference_factor", "run.horizon_T")),
+    ("integrate.reference_factor = 1e-3", "twoscale",
+     ("integrate.reference_factor", "run.horizon_T")),
+    ("initial.u_star = 0", "thermo", ("initial.u_star",)),
+]
+
+
+@pytest.mark.parametrize(
+    "text, command, keys",
+    [(t, None, ()) for t in _REJECTED_WHEN_PARSED] + _REJECTED_BY_COMMAND,
+    ids=_REJECTED_WHEN_PARSED + [f"{c}: {t}" for t, c, _ in _REJECTED_BY_COMMAND])
+@pytest.mark.filterwarnings("ignore:u_star = 0")
+def test_bad_configs_rejected(text, command, keys, tmp_path, capsys):
+    if command is None:
+        with pytest.raises(fs.ConfigError):
+            parse_config_text(text)
+        return
+    parse_config_text(text)
+    config = tmp_path / "bad.txt"
+    config.write_text(text + "\n")
+    assert fs.main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert all(key in err for key in keys)
+    assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize("command", ["sweep", "simulate"])
+def test_zero_action_accepted_outside_thermo(tmp_path, command):
+    config = tmp_path / "zero.txt"
+    config.write_text("initial.u_star = 0\n")
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="zero action"):
+        rc = fs.main([command, "--config", str(config), "--out", str(out),
+                      "--epsilon", "0.04"])
+    assert rc == 0
 
 
 def test_max_slow_step_inf_means_no_cap():

@@ -95,7 +95,7 @@ def test_scalar_and_array_reduced_phases_are_bitwise_equal(k, log2_quotient):
     rng = np.random.default_rng(14 + log2_quotient)
     phi = rng.choice([-1.0, 1.0], 400) * rng.uniform(1.0, 2.0, 400)
     eps = k * 1.5 / (2 * math.pi * 2.0**log2_quotient)
-    r = phase._reduce(phi * k, eps, np.rint, np.all)
+    r = phase.reducer(eps, np.rint, np.all)(phi * k)
     for i in range(phi.size):
         assert r[i] == fs.reduce_phase(float(phi[i]), eps, k)
     s, c = fs.reduced_sincos_array(phi, eps, k)
@@ -109,11 +109,11 @@ def test_small_quotient_shortcut_matches_chunked_path():
     for eps in (0.04, 0.005, 1e-4):
         a = 2 * rng.uniform(-20, 20, 500)
         assert np.all(np.abs(a / eps) < 2 * math.pi * 2**19)
-        short = phase._reduce(a, eps, np.rint, np.all)
-        assert np.array_equal(phase._reduce(a, eps, np.rint, never), short)
+        short = phase.reducer(eps, np.rint, np.all)(a)
+        assert np.array_equal(phase.reducer(eps, np.rint, never)(a), short)
         for x in a[:50]:
-            assert (phase._reduce(float(x), eps, round, never)
-                    == phase._reduce(float(x), eps, round, bool))
+            assert (phase.reducer(eps, round, never)(float(x))
+                    == phase.reducer(eps, round, bool)(float(x)))
 
 
 def test_reduced_value_lies_in_principal_interval():
