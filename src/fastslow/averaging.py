@@ -104,46 +104,49 @@ class WindowedAverage:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
-def windowed_average(signal, t: float, epsilon: float, phase_traj: Trajectory,
-                     m: int = 8) -> WindowedAverage:
-    """Average a vectorized signal over m whole fast periods around t.
+def windowed_average(signal, centers, epsilon: float, phase_traj: Trajectory,
+                     m: int = 8) -> list[WindowedAverage]:
+    """Average a vectorized signal over m whole fast periods around each
+    of a sequence of centers; returns one WindowedAverage per center.
 
     The window edges are found by inverting the phase (component 0 of
-    phase_traj): the fast factor exp(2i*phi/eps) completes exactly m
-    cycles between them, so the oscillatory parts of the signal cancel to
-    high order.  Windows that would stick out of the time range
-    slide inward, keeping their width; slid windows are flagged.
+    phase_traj), the edges of all windows in one call: the fast factor
+    exp(2i*phi/eps) completes exactly m cycles between them, so the
+    oscillatory parts of the signal cancel to high order.  Windows that
+    would stick out of the time range slide inward, keeping their width;
+    slid windows are flagged.
     """
     if m < 1:
         raise ValueError("need at least one period")
-    phi = float(sample(phase_traj, np.array([t]), component=0)[0])
+    phi = sample(phase_traj, np.asarray(centers, float), component=0)
     half = math.pi * m * epsilon / 2.0
     phi_lo_all = float(phase_traj.states[0, 0])
     phi_hi_all = float(phase_traj.states[-1, 0])
     if 2 * half > phi_hi_all - phi_lo_all:
         raise PhaseRangeError("window wider than the available phase range")
-    lo = phi - half
-    hi = phi + half
-    slid_left = lo < phi_lo_all
-    slid_right = hi > phi_hi_all
-    if slid_left:
-        lo, hi = phi_lo_all, phi_lo_all + 2 * half
-    elif slid_right:
-        lo, hi = phi_hi_all - 2 * half, phi_hi_all
-    t_edges = invert_monotone(phase_traj, np.array([lo, hi]), component=0)
-    t_lo, t_hi = float(t_edges[0]), float(t_edges[1])
+    slid_left = phi - half < phi_lo_all
+    slid_right = phi + half > phi_hi_all
+    lo = np.where(slid_left, phi_lo_all,
+                  np.where(slid_right, phi_hi_all - 2 * half, phi - half))
+    hi = np.where(slid_left, phi_lo_all + 2 * half,
+                  np.where(slid_right, phi_hi_all, phi + half))
+    t_edges = invert_monotone(phase_traj, np.concatenate([lo, hi]), component=0)
     # composite Gauss-Legendre: 4 panels per fast period resolves the
     # oscillation far below the other error terms
     n_panels = 4 * m
-    bounds = np.linspace(t_lo, t_hi, n_panels + 1)
-    a = bounds[:-1]
-    b = bounds[1:]
-    midw = 0.5 * (b - a)
-    nodes = (0.5 * (a + b)[:, None] + midw[:, None] * _GL_NODES[None, :]).ravel()
-    vals = np.asarray(signal(nodes), float).reshape(n_panels, _GL_NODES.size)
-    integral = float(np.sum((vals * _GL_WEIGHTS[None, :]) * midw[:, None]))
-    return WindowedAverage(integral / (t_hi - t_lo), t_lo, t_hi,
-                           slid_left, slid_right)
+    out = []
+    for t_lo, t_hi, left, right in zip(t_edges[:phi.size].tolist(),
+                                       t_edges[phi.size:].tolist(),
+                                       slid_left.tolist(), slid_right.tolist()):
+        bounds = np.linspace(t_lo, t_hi, n_panels + 1)
+        a = bounds[:-1]
+        b = bounds[1:]
+        midw = 0.5 * (b - a)
+        nodes = (0.5 * (a + b)[:, None] + midw[:, None] * _GL_NODES[None, :]).ravel()
+        vals = np.asarray(signal(nodes), float).reshape(n_panels, _GL_NODES.size)
+        integral = float(np.sum((vals * _GL_WEIGHTS[None, :]) * midw[:, None]))
+        out.append(WindowedAverage(integral / (t_hi - t_lo), t_lo, t_hi, left, right))
+    return out
 
 
 def estimate_order(epsilons, errors) -> tuple[float, float]:

@@ -164,16 +164,16 @@ def integrate_controlled(rhs, x0, horizon_T: float, rtol: float, atol: float,
                        "n_accept": n_accept, "n_reject": n_reject})
 
 
-def _hermite(t, t0, t1, x0, x1, f0, f1):
-    h = t1 - t0
-    tau = (t - t0) / h
+def _hermite(tau, h, x, f, i):
+    # the one operation order of dense_eval, sample and invert_monotone; x[i],
+    # f[i], x[i + 1], f[i + 1] are gathered one at a time to bound memory
     tau2 = tau * tau
     tau3 = tau2 * tau
     h00 = 2.0 * tau3 - 3.0 * tau2 + 1.0
     h10 = tau3 - 2.0 * tau2 + tau
     h01 = -2.0 * tau3 + 3.0 * tau2
     h11 = tau3 - tau2
-    return h00 * x0 + (h10 * h) * f0 + h01 * x1 + (h11 * h) * f1
+    return h00 * x[i] + h10 * h * f[i] + h01 * x[i + 1] + h11 * h * f[i + 1]
 
 
 def dense_eval(traj: Trajectory, t: float) -> np.ndarray:
@@ -191,8 +191,8 @@ def dense_eval(traj: Trajectory, t: float) -> np.ndarray:
     t = min(max(t, times[0]), t_end)
     i = int(np.searchsorted(times, t, side="right")) - 1
     i = min(max(i, 0), len(times) - 2)
-    return _hermite(t, times[i], times[i + 1], traj.states[i],
-                    traj.states[i + 1], traj.derivs[i], traj.derivs[i + 1])
+    h = times[i + 1] - times[i]
+    return _hermite((t - times[i]) / h, h, traj.states, traj.derivs, i)
 
 
 def sample(traj: Trajectory, grid, component: int | None = None) -> np.ndarray:
@@ -221,14 +221,7 @@ def sample(traj: Trajectory, grid, component: int | None = None) -> np.ndarray:
         tau = tau[:, None]
     else:
         x, f = traj.states[:, component], traj.derivs[:, component]
-    tau2 = tau * tau
-    tau3 = tau2 * tau
-    h00 = 2.0 * tau3 - 3.0 * tau2 + 1.0
-    h10 = tau3 - 2.0 * tau2 + tau
-    h01 = -2.0 * tau3 + 3.0 * tau2
-    h11 = tau3 - tau2
-    return (h00 * x[idx] + h10 * h * f[idx]
-            + h01 * x[idx + 1] + h11 * h * f[idx + 1])
+    return _hermite(tau, h, x, f, idx)
 
 
 def reference_solution(rhs, x0, horizon_T: float, base_h: float,
@@ -257,15 +250,24 @@ def reference_solution(rhs, x0, horizon_T: float, base_h: float,
     return fine
 
 
+# most targets per bisection block: the temporaries of a pass (64 KiB each)
+# are then reused heap memory, not pages mapped afresh for every operation
+_BLOCK = 8192
+
+
 def invert_monotone(traj: Trajectory, targets, component: int = 0) -> np.ndarray:
     """Times at which a strictly increasing component crosses the targets.
 
-    Vectorized bisection (60 halvings) on the dense interpolant of that
-    component alone; resolves times to ~1e-15 * horizon, so component
-    values are matched to ~|slope|*1e-15.  Each target is bisected independently, so one
-    call on concatenated targets returns the concatenated answers bitwise.
-    Raises ValueError when the component's node values are not strictly
-    increasing or a target lies outside their range.
+    Bisection (60 halvings of [t_0, t_end]) on the dense interpolant of that
+    component alone; resolves times to ~1e-15 * horizon.  The interpolant
+    must be monotone between nodes, as phi' = omega > 0 makes every phase
+    the lab inverts.  A midpoint in the target's own Hermite segment is
+    evaluated with sample's arithmetic, one in a neighbouring segment by
+    sample itself (rounding near a node can carry the cubic across the
+    node's value), one farther out by monotonicity; so the times are
+    bitwise those of calling sample at every halving, and concatenated
+    targets give the concatenated answers.  Raises ValueError when the
+    node values are not strictly increasing or a target lies outside them.
     """
     targets = np.atleast_1d(np.asarray(targets, float))
     vals = traj.states[:, component]
@@ -273,11 +275,31 @@ def invert_monotone(traj: Trajectory, targets, component: int = 0) -> np.ndarray
         raise ValueError("component is not strictly increasing at the nodes")
     if np.any(targets < vals[0] - 1e-9) or np.any(targets > vals[-1] + 1e-9):
         raise ValueError("target outside the component's range")
-    lo = np.full(targets.shape, traj.times[0])
-    hi = np.full(targets.shape, traj.times[-1])
+    blocks = np.array_split(targets.ravel(), targets.size // _BLOCK + 1)
+    return np.concatenate([_bisect(traj, b, component) for b in blocks]).reshape(targets.shape)
+
+
+def _bisect(traj: Trajectory, targets: np.ndarray, component: int) -> np.ndarray:
+    times = traj.times
+    vals, f = traj.states[:, component], traj.derivs[:, component]
+    i = np.clip(np.searchsorted(vals, targets, side="right") - 1, 0, len(times) - 2)
+    # sample's segment k is [e[k + 1], e[k + 2]), padded so that k = -1 and
+    # k = n - 1 are empty
+    e = np.concatenate([[-np.inf, -np.inf], times[1:-1], [np.inf, np.inf]])
+    below, start, end, above = e[i], e[i + 1], e[i + 2], e[i + 3]
+    t0 = times[i]
+    h = times[i + 1] - t0
+    # each target's segment end values, as rows 0 and 1
+    x01, f01 = np.stack([vals[i], vals[i + 1]]), np.stack([f[i], f[i + 1]])
+    lo = np.full(targets.shape, times[0])
+    hi = np.full(targets.shape, times[-1])
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        take_hi = sample(traj, mid, component=component) < targets
+        take_hi = (mid < start) | ((mid < end)
+                                   & (_hermite((mid - t0) / h, h, x01, f01, 0) < targets))
+        nb = ((below <= mid) & (mid < start)) | ((end <= mid) & (mid < above))
+        if nb.any():
+            take_hi[nb] = sample(traj, mid[nb], component=component) < targets[nb]
         lo = np.where(take_hi, mid, lo)
         hi = np.where(take_hi, hi, mid)
     return 0.5 * (lo + hi)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import WindowedAverage, windowed_average
+from .averaging import windowed_average
 from .dynamics import oscillator_energy_gap_arrays
 from .expansion import AveragedCorrection, CorrectorValues
 from .homogenized import HomogenizedState
@@ -303,20 +303,15 @@ def equipartition_check(traj: Trajectory, epsilon: float, fm: FrequencyModel,
         return oscillator_energy_gap_arrays(xs[:, 0], xs[:, 1], xs[:, 2],
                                             epsilon, fm)
 
-    vals = []
-    slid = False
-    for tc in centers:
-        wa: WindowedAverage = windowed_average(gap_signal, float(tc), epsilon,
-                                               traj, m=m)
-        vals.append(wa.value)
-        slid = slid or wa.slid_left or wa.slid_right
+    windows = windowed_average(gap_signal, centers, epsilon, traj, m=m)
     grid = np.linspace(0.0, T, grid_points)
     xs = sample(traj, grid)
     s2, _ = reduced_sincos_array(xs[:, 0], epsilon, 2)
     xi = epsilon * xs[:, 1] * s2
-    gap_values = np.array(vals)
+    gap_values = np.array([wa.value for wa in windows])
     return EquipartitionReport(epsilon=epsilon, centers=centers,
                                gap_values=gap_values,
                                gap_max=float(np.max(np.abs(gap_values))),
                                xi_sup=float(np.max(np.abs(xi))),
-                               any_slid=slid)
+                               any_slid=any(wa.slid_left or wa.slid_right
+                                            for wa in windows))

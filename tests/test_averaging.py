@@ -46,14 +46,14 @@ def osc_ref(fm, dc):
 
 def test_windowed_average_constant_and_linear(osc_ref):
     eps, ref = osc_ref
-    wa = fs.windowed_average(lambda ts: np.full(ts.size, 3.25), 0.5, eps, ref)
+    wa, = fs.windowed_average(lambda ts: np.full(ts.size, 3.25), [0.5], eps, ref)
     assert wa.value == pytest.approx(3.25, abs=1e-14)
     assert not wa.slid_left and not wa.slid_right
     f = lambda ts: np.sin(ts)
     g = lambda ts: ts**2
-    a = fs.windowed_average(f, 0.5, eps, ref).value
-    b = fs.windowed_average(g, 0.5, eps, ref).value
-    c = fs.windowed_average(lambda ts: 2 * f(ts) - 3 * g(ts), 0.5, eps, ref).value
+    a = fs.windowed_average(f, [0.5], eps, ref)[0].value
+    b = fs.windowed_average(g, [0.5], eps, ref)[0].value
+    c = fs.windowed_average(lambda ts: 2 * f(ts) - 3 * g(ts), [0.5], eps, ref)[0].value
     assert abs(c - (2 * a - 3 * b)) <= 1e-13
 
 
@@ -65,7 +65,7 @@ def test_windowed_average_cancels_oscillation(osc_ref, fm):
         s2, _ = fs.reduced_sincos_array(xs[:, 0], eps, 2)
         return s2
 
-    wa = fs.windowed_average(s2_signal, 0.5, eps, ref)
+    wa, = fs.windowed_average(s2_signal, [0.5], eps, ref)
     assert abs(wa.value) <= 5e-3  # amplitude-1 oscillation averages out
 
     def sq_signal(ts):
@@ -73,19 +73,65 @@ def test_windowed_average_cancels_oscillation(osc_ref, fm):
         s1, _ = fs.reduced_sincos_array(xs[:, 0], eps, 1)
         return s1**2
 
-    wa2 = fs.windowed_average(sq_signal, 0.5, eps, ref)
+    wa2, = fs.windowed_average(sq_signal, [0.5], eps, ref)
     assert abs(wa2.value - 0.5) <= 1e-3
 
 
 def test_windowed_average_slides_at_edges(osc_ref):
     eps, ref = osc_ref
-    wa = fs.windowed_average(lambda ts: np.ones(ts.size), 0.0, eps, ref)
+    wa, wb = fs.windowed_average(lambda ts: np.ones(ts.size), [0.0, 1.0], eps, ref)
     assert wa.slid_left and not wa.slid_right
     assert wa.t_lo >= 0.0
-    wb = fs.windowed_average(lambda ts: np.ones(ts.size), 1.0, eps, ref)
     assert wb.slid_right
     with pytest.raises(ValueError):
-        fs.windowed_average(lambda ts: np.ones(ts.size), 0.5, eps, ref, m=0)
+        fs.windowed_average(lambda ts: np.ones(ts.size), [0.5], eps, ref, m=0)
+
+
+def _windowed_average_one(signal, t, epsilon, phase_traj, m=8):
+    """The per-center routine that windowed_average replaced, kept as its oracle."""
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(10)
+    phi = float(fs.sample(phase_traj, np.array([t]), component=0)[0])
+    half = math.pi * m * epsilon / 2.0
+    phi_lo_all = float(phase_traj.states[0, 0])
+    phi_hi_all = float(phase_traj.states[-1, 0])
+    lo = phi - half
+    hi = phi + half
+    slid_left = lo < phi_lo_all
+    slid_right = hi > phi_hi_all
+    if slid_left:
+        lo, hi = phi_lo_all, phi_lo_all + 2 * half
+    elif slid_right:
+        lo, hi = phi_hi_all - 2 * half, phi_hi_all
+    t_edges = fs.invert_monotone(phase_traj, np.array([lo, hi]), component=0)
+    t_lo, t_hi = float(t_edges[0]), float(t_edges[1])
+    n_panels = 4 * m
+    bounds = np.linspace(t_lo, t_hi, n_panels + 1)
+    a = bounds[:-1]
+    b = bounds[1:]
+    midw = 0.5 * (b - a)
+    nodes = (0.5 * (a + b)[:, None] + midw[:, None] * gl_nodes[None, :]).ravel()
+    vals = np.asarray(signal(nodes), float).reshape(n_panels, gl_nodes.size)
+    integral = float(np.sum((vals * gl_weights[None, :]) * midw[:, None]))
+    return fs.WindowedAverage(integral / (t_hi - t_lo), t_lo, t_hi,
+                              slid_left, slid_right)
+
+
+@pytest.mark.parametrize("m", [1, 8])
+def test_windowed_average_over_centers_matches_one_center_at_a_time(osc_ref, m):
+    eps, ref = osc_ref
+
+    def s2_signal(ts):
+        xs = fs.sample(ref, ts)
+        s2, _ = fs.reduced_sincos_array(xs[:, 0], eps, 2)
+        return xs[:, 1] * s2 + ts**2
+
+    # windows slid at 0 and at T, interior ones, and a repeated center
+    centers = [0.0, 0.01, 0.3, 0.5, 0.5, 0.7 + 1e-9, 0.99, 1.0]
+    got = fs.windowed_average(s2_signal, centers, eps, ref, m=m)
+    want = [_windowed_average_one(s2_signal, t, eps, ref, m=m) for t in centers]
+    assert got == want  # every field, compared exactly
+    assert got[0].slid_left and got[-1].slid_right
+    assert not any(w.slid_left or w.slid_right for w in got[2:6])
 
 
 def test_nonlinear_unfolding_error_of_exact_limit(params, fm, dc):

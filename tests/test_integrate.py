@@ -203,6 +203,31 @@ def test_invert_monotone_matches_full_width_bisection(expansion_run):
     assert np.array_equal(np.concatenate(halves), ts)
 
 
+@pytest.mark.parametrize("preset, coefficients, horizon_T", [
+    ("sine", (2.0, 1.0), 1.0),
+    # a non-dyadic horizon: the halving midpoints round
+    ("fourier", (3.0, 0.5, 0.5, 0.3, -0.4), 1.3),
+])
+def test_invert_monotone_matches_sample_bisection_on_reference_runs(
+        preset, coefficients, horizon_T):
+    fm = fs.make_frequency(preset, coefficients)
+    params = fs.SystemParams(y_star=0.0, p_star=1.0, u_star=1.0, horizon_T=horizon_T)
+    ref = fs.reference_run(params, fm, 0.01, 80.0)
+    vals = ref.states[:, 0]
+    # every node value and its neighbours on both sides, both ends, and
+    # targets inside the 1e-9 slack beyond them
+    targets = np.concatenate([
+        vals, np.nextafter(vals, -np.inf), np.nextafter(vals, np.inf),
+        np.linspace(vals[0], vals[-1], 1001),
+        [vals[0] - 1e-9, vals[0] - 5e-10, vals[-1] + 5e-10, vals[-1] + 1e-9]])
+    targets = targets[(targets >= vals[0] - 1e-9) & (targets <= vals[-1] + 1e-9)]
+    ts = fs.invert_monotone(ref, targets)
+    assert np.array_equal(ts, _invert_full_width(ref, targets))
+    # split calls give the answers of one call on the concatenated targets
+    parts = np.split(targets, [1, 777, 8192, 8193, 20000])
+    assert np.array_equal(np.concatenate([fs.invert_monotone(ref, p) for p in parts]), ts)
+
+
 def test_invert_monotone_rejects_a_column_that_turns_back():
     # x = sin(t) rises to 1 at t = pi/2 and falls after it
     traj = fs.integrate_fixed(lambda t, x: (math.cos(t), 0.0, 0.0, 0.0),

@@ -95,14 +95,17 @@ def test_bad_configs_rejected(text, command, keys, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [config]
 
 
-@pytest.mark.parametrize("command", ["sweep", "simulate"])
+@pytest.mark.parametrize("command", ["sweep", "simulate", "twoscale"])
 def test_zero_action_accepted_outside_thermo(tmp_path, command):
     config = tmp_path / "zero.txt"
     config.write_text("initial.u_star = 0\n")
     out = tmp_path / "out"
+    # twoscale's trend gates need two epsilons; its remainders of theta1, y2,
+    # p2 and theta2 are then at rounding level and must pass as such
+    epsilons = "0.04,0.02" if command == "twoscale" else "0.04"
     with pytest.warns(UserWarning, match="zero action"):
         rc = fs.main([command, "--config", str(config), "--out", str(out),
-                      "--epsilon", "0.04"])
+                      "--epsilon", epsilons])
     assert rc == 0
 
 
