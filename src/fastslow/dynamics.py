@@ -35,16 +35,16 @@ class ActionAngleState:
     degenerate: bool = False
 
 
-def _check_epsilon(epsilon: float) -> None:
+def _check(epsilon: float, theta: float = 0.0) -> None:
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
+    if theta < 0.0:
+        raise ValueError("theta must be nonnegative")
 
 
 def action_angle_rhs(s: ActionAngleState, epsilon: float, fm: FrequencyModel) -> ActionAngleState:
     """Time derivative of the action-angle state (exact at finite epsilon)."""
-    _check_epsilon(epsilon)
-    if s.theta < 0.0:
-        raise ValueError("theta must be nonnegative")
+    _check(epsilon, s.theta)
     d = action_angle_field(epsilon, fm)(0.0, (s.phi, s.theta, s.y, s.p))
     return ActionAngleState(*d)
 
@@ -54,9 +54,7 @@ def action_angle_rhs_composed(s: ActionAngleState, epsilon: float,
     """Equations of motion assembled from total time derivatives of
     log omega along the flow; algebraically identical to
     action_angle_rhs and used as a consistency oracle."""
-    _check_epsilon(epsilon)
-    if s.theta < 0.0:
-        raise ValueError("theta must be nonnegative")
+    _check(epsilon, s.theta)
     w, w1, w2, _ = fm.derivs(s.y)
     s2, c2 = reduced_sincos(s.phi, epsilon, 2)
     dyL = w1 / w
@@ -79,7 +77,7 @@ def to_action_angle(s: CartesianState, epsilon: float, fm: FrequencyModel) -> Ac
     At theta = 0 the angle is undefined: phi is set to 0 and the state
     is flagged degenerate.
     """
-    _check_epsilon(epsilon)
+    _check(epsilon)
     w, w1, _, _ = fm.derivs(s.y)
     wz = w * s.z / epsilon
     theta = (s.zeta * s.zeta + wz * wz) / (2.0 * w)
@@ -93,9 +91,7 @@ def to_action_angle(s: CartesianState, epsilon: float, fm: FrequencyModel) -> Ac
 
 def from_action_angle(s: ActionAngleState, epsilon: float, fm: FrequencyModel) -> CartesianState:
     """Exact chart change action-angle -> cartesian."""
-    _check_epsilon(epsilon)
-    if s.theta < 0.0:
-        raise ValueError("theta must be nonnegative")
+    _check(epsilon, s.theta)
     w, w1, _, _ = fm.derivs(s.y)
     s1, c1 = reduced_sincos(s.phi, epsilon, 1)
     amp = math.sqrt(2.0 * s.theta / w)
@@ -107,15 +103,13 @@ def from_action_angle(s: ActionAngleState, epsilon: float, fm: FrequencyModel) -
 
 
 def energy_cartesian(s: CartesianState, epsilon: float, fm: FrequencyModel) -> float:
-    _check_epsilon(epsilon)
+    _check(epsilon)
     w = fm.derivs(s.y)[0]
     return 0.5 * s.eta**2 + 0.5 * s.zeta**2 + 0.5 * (w * s.z / epsilon) ** 2
 
 
 def energy_action_angle(s: ActionAngleState, epsilon: float, fm: FrequencyModel) -> float:
-    _check_epsilon(epsilon)
-    if s.theta < 0.0:
-        raise ValueError("theta must be nonnegative")
+    _check(epsilon, s.theta)
     w, w1, _, _ = fm.derivs(s.y)
     s2, _ = reduced_sincos(s.phi, epsilon, 2)
     r = w1 / w
@@ -130,7 +124,7 @@ def action_angle_field(epsilon: float, fm: FrequencyModel):
     frequency routine and the phase reduction are bound once per field;
     the body is the only copy of the action-angle equations of motion.
     """
-    _check_epsilon(epsilon)
+    _check(epsilon)
     derivs = fm.scalar_derivs()
     reduce = reducer(epsilon)
     sin, cos = math.sin, math.cos
@@ -161,7 +155,7 @@ def cartesian_field(epsilon: float, fm: FrequencyModel):
 
     Takes any sequence of four floats and returns a tuple of floats.
     """
-    _check_epsilon(epsilon)
+    _check(epsilon)
     inv2 = 1.0 / (epsilon * epsilon)
     derivs = fm.scalar_derivs()
 
@@ -181,7 +175,7 @@ def to_action_angle_arrays(Y, ETA, Z, ZETA, epsilon: float, fm: FrequencyModel):
     the sampling must resolve the fast oscillation (per-sample phase
     advance below pi).
     """
-    _check_epsilon(epsilon)
+    _check(epsilon)
     Y = np.asarray(Y, float)
     w, w1, _, _ = fm.derivs(Y)
     wz = w * np.asarray(Z, float) / epsilon
@@ -195,7 +189,7 @@ def to_action_angle_arrays(Y, ETA, Z, ZETA, epsilon: float, fm: FrequencyModel):
 
 def energy_action_angle_arrays(PHI, THETA, Y, P, epsilon: float, fm: FrequencyModel):
     """Vectorized total energy along sampled action-angle trajectories."""
-    _check_epsilon(epsilon)
+    _check(epsilon)
     Y = np.asarray(Y, float)
     w, w1, _, _ = fm.derivs(Y)
     s2, _ = reduced_sincos_array(np.asarray(PHI, float), epsilon, 2)

@@ -99,27 +99,26 @@ def correctors(base: HomogenizedState, phi2_bar, epsilon: float,
 
 
 def _averaged_core(theta_star, w, w1, w2, p0, theta2_bar, y2_bar, p2_bar):
+    # d/dt (phi2_bar, theta2_bar, y2_bar, p2_bar), a tuple for the slow field
     dyL = w1 / w
     dy2L = w2 / w - dyL * dyL
     DtL = p0 * dyL
     DtDyL = p0 * dy2L
     Dt2L = -theta_star * w1 * dyL + p0 * p0 * dy2L
-    return AveragedCorrection(
-        phi2_bar=w1 * y2_bar + theta_star * dyL * dyL / 8.0 - DtL * DtL / (8.0 * w),
-        theta2_bar=(theta_star * DtL / (4.0 * w * w)) * (Dt2L - DtL * DtL),
-        y2_bar=p2_bar - theta_star * dyL * DtL / (4.0 * w),
-        p2_bar=(-w1 * theta2_bar - theta_star * w2 * y2_bar
-                - theta_star**2 * dyL * dy2L / 8.0
-                + theta_star * DtL * DtDyL / (4.0 * w)),
-    )
+    return (w1 * y2_bar + theta_star * dyL * dyL / 8.0 - DtL * DtL / (8.0 * w),
+            (theta_star * DtL / (4.0 * w * w)) * (Dt2L - DtL * DtL),
+            p2_bar - theta_star * dyL * DtL / (4.0 * w),
+            (-w1 * theta2_bar - theta_star * w2 * y2_bar
+             - theta_star**2 * dyL * dy2L / 8.0
+             + theta_star * DtL * DtDyL / (4.0 * w)))
 
 
 def averaged_rhs(corr: AveragedCorrection, base: HomogenizedState,
                  fm: FrequencyModel, theta_star: float) -> AveragedCorrection:
     """Time derivative of the averaged second-order corrections."""
     w, w1, w2, _ = fm.derivs(base.y0)
-    return _averaged_core(theta_star, w, w1, w2, base.p0, corr.theta2_bar,
-                          corr.y2_bar, corr.p2_bar)
+    return AveragedCorrection(*_averaged_core(theta_star, w, w1, w2, base.p0,
+                                              corr.theta2_bar, corr.y2_bar, corr.p2_bar))
 
 
 def averaged_action_identity(base: HomogenizedState, corr: AveragedCorrection,
@@ -154,17 +153,16 @@ def initial_corrections(params: SystemParams, fm: FrequencyModel) -> AveragedCor
 
 
 def expansion_field(params: SystemParams, fm: FrequencyModel):
-    """Joint vector field for [phi0, y0, p0, phi2_bar, theta2_bar,
-    y2_bar, p2_bar]: the homogenized flow drives the averaged layer."""
+    """Joint vector field, tuple to tuple, for (phi0, y0, p0, phi2_bar,
+    theta2_bar, y2_bar, p2_bar): the homogenized flow drives the averaged layer."""
     theta_star = derived_constants(params, fm).theta_star
     derivs = fm.scalar_derivs()
 
     def f(t, x):
         _, y0, p0, _, th2b, y2b, p2b = x
         w, w1, w2, _ = derivs(y0)
-        d = _averaged_core(theta_star, w, w1, w2, p0, th2b, y2b, p2b)
-        return np.array([w, p0, -theta_star * w1,
-                         d.phi2_bar, d.theta2_bar, d.y2_bar, d.p2_bar])
+        return (w, p0, -theta_star * w1,
+                *_averaged_core(theta_star, w, w1, w2, p0, th2b, y2b, p2b))
 
     return f
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .integrate import Trajectory, integrate_controlled
 from .model import FrequencyModel, SystemParams, derived_constants
 
@@ -31,14 +29,14 @@ class HomogenizedState:
 
 
 def homogenized_field(fm: FrequencyModel, theta_star: float):
-    """Vector field f(t, x) with x = [phi0, y0, p0]; theta0 enters as the
-    constant theta_star."""
+    """Vector field f(t, x) with x = (phi0, y0, p0), returning a tuple of
+    floats; theta0 enters as the constant theta_star."""
     derivs = fm.scalar_derivs()
 
     def f(t, x):
         _, y0, p0 = x
         w, w1, _, _ = derivs(y0)
-        return np.array([w, p0, -theta_star * w1])
+        return w, p0, -theta_star * w1
 
     return f
 
@@ -53,7 +51,7 @@ def solve_homogenized(params: SystemParams, fm: FrequencyModel,
     downstream finite differencing.
     """
     dc = derived_constants(params, fm)
-    x0 = np.array([0.0, params.y_star, params.p_star])
+    x0 = (0.0, params.y_star, params.p_star)
     traj = integrate_controlled(homogenized_field(fm, dc.theta_star), x0,
                                 params.horizon_T, rtol, atol, max_step=max_step)
     traj.meta["components"] = ("phi0", "y0", "p0")

@@ -105,51 +105,68 @@ def integrate_controlled(rhs, x0, horizon_T: float, rtol: float, atol: float,
     """Dormand-Prince 5(4) with a PI step-size controller.
 
     First-same-as-last: the recorded derivative at each node is the actual
-    right-hand side there.  Aborts with NumericalError on step underflow
-    or non-finite states.
+    right-hand side there.  rhs(t, x) gets a tuple of floats and returns
+    as many.  Stage sums and the error estimate are unrolled per component
+    in the vector form's order x + h*((0.0 + a_i0 k_0) + a_i1 k_1 + ...),
+    zero terms included, so the states are bitwise those of ndarray
+    arithmetic (builtin sum() compensates float sums from Python 3.12 on).
+    Aborts with NumericalError on step underflow or non-finite states.
     """
     if not (rtol > 0.0 and atol > 0.0):
         raise ValueError("tolerances must be positive")
     if not horizon_T > 0.0:
         raise ValueError("horizon_T must be positive")
-    x = np.asarray(x0, dtype=float).copy()
-    d = x.size
+    x = tuple(np.asarray(x0, dtype=float).tolist())
     t = 0.0
-    f = np.asarray(rhs(t, x), float)
+    f = rhs(t, x)
+    if len(f) != len(x):
+        raise ValueError(f"rhs returned {len(f)} components for a {len(x)}-component state")
     h = min(max_step, horizon_T / 100.0)
-    times = [0.0]
-    states = [x.copy()]
-    derivs = [f.copy()]
+    times, states, derivs = [0.0], [x], [f]
     err_old = 1e-4
-    n_accept = 0
-    n_reject = 0
-    k = np.empty((7, d))
+    n_accept = n_reject = 0
     min_h = 1e-14 * max(1.0, horizon_T)
+    (_, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
+     (a50, a51, a52, a53, a54), (a60, a61, a62, a63, a64, a65)) = _A
+    e0, e1, e2, e3, e4, e5, e6 = _E
     for _ in range(max_steps):
         if t >= horizon_T:
             break
         h = min(h, horizon_T - t)
         if h < min_h:
             raise NumericalError(f"step size underflow at t={t!r}")
-        k[0] = f
-        for i in range(1, 7):
-            xi = x + h * sum((_A[i][j] * k[j] for j in range(i)), np.zeros(d))
-            k[i] = rhs(t + _C[i] * h, xi)
-        x_new = xi  # stage 7 uses the 5th-order weights: FSAL
-        err_vec = h * sum((_E[j] * k[j] for j in range(7)), np.zeros(d))
-        sc = atol + rtol * np.maximum(np.abs(x), np.abs(x_new))
-        err = float(np.sqrt(np.mean((err_vec / sc) ** 2)))
-        if not math.isfinite(err) or not np.all(np.isfinite(x_new)):
+        k0 = f
+        k1 = rhs(t + _C[1] * h, tuple([v + h * (0.0 + a10 * p) for v, p in zip(x, k0)]))
+        k2 = rhs(t + _C[2] * h, tuple([v + h * ((0.0 + a20 * p) + a21 * q)
+                                       for v, p, q in zip(x, k0, k1)]))
+        k3 = rhs(t + _C[3] * h, tuple([v + h * (((0.0 + a30 * p) + a31 * q) + a32 * r)
+                                       for v, p, q, r in zip(x, k0, k1, k2)]))
+        k4 = rhs(t + _C[4] * h, tuple([
+            v + h * ((((0.0 + a40 * p) + a41 * q) + a42 * r) + a43 * s)
+            for v, p, q, r, s in zip(x, k0, k1, k2, k3)]))
+        k5 = rhs(t + _C[5] * h, tuple([
+            v + h * (((((0.0 + a50 * p) + a51 * q) + a52 * r) + a53 * s) + a54 * u)
+            for v, p, q, r, s, u in zip(x, k0, k1, k2, k3, k4)]))
+        x_new = tuple([  # stage 7 uses the 5th-order weights: FSAL
+            v + h * ((((((0.0 + a60 * p) + a61 * q) + a62 * r) + a63 * s) + a64 * u) + a65 * w)
+            for v, p, q, r, s, u, w in zip(x, k0, k1, k2, k3, k4, k5)])
+        k6 = rhs(t + _C[6] * h, x_new)
+        ratios = [  # error / (atol + rtol * max(|x|, |x_new|)) per component
+            h * (((((((0.0 + e0 * p) + e1 * q) + e2 * r) + e3 * s) + e4 * u) + e5 * w) + e6 * z)
+            / (atol + rtol * max(abs(v), abs(vn)))
+            for v, vn, p, q, r, s, u, w, z in zip(x, x_new, k0, k1, k2, k3, k4, k5, k6)]
+        err = float(np.sqrt(np.mean(np.square(ratios))))
+        if not math.isfinite(err) or not all(map(math.isfinite, x_new)):
             n_reject += 1
             h *= 0.2
             continue
         if err <= 1.0:
             t = t + h
             x = x_new
-            f = k[6].copy()
+            f = k6
             times.append(t)
-            states.append(x.copy())
-            derivs.append(f.copy())
+            states.append(x)
+            derivs.append(f)
             n_accept += 1
             fac = 0.9 * (err ** -0.14) * (err_old ** 0.08) if err > 0.0 else 5.0
             h = min(h * min(5.0, max(0.2, fac)), max_step)
@@ -159,7 +176,7 @@ def integrate_controlled(rhs, x0, horizon_T: float, rtol: float, atol: float,
             h = h * min(1.0, max(0.2, 0.9 * (err ** -0.14)))
     else:
         raise NumericalError("step budget exhausted")
-    return Trajectory(np.array(times), np.array(states), np.array(derivs),
+    return Trajectory(np.array(times), np.array(states, float), np.array(derivs, float),
                       {"method": "dopri54", "rtol": rtol, "atol": atol,
                        "n_accept": n_accept, "n_reject": n_reject})
 
@@ -180,13 +197,13 @@ def dense_eval(traj: Trajectory, t: float) -> np.ndarray:
     """Cubic Hermite interpolation of the trajectory at one time.
 
     Exact at nodes (tau = 0 and tau = 1 reproduce the stored states
-    bitwise).  Times outside [t_0, t_end] by more than a 1e-9 relative
-    slack are rejected.
+    bitwise).  NaN and times outside [t_0, t_end] by more than a 1e-9
+    relative slack are rejected.
     """
     times = traj.times
     t_end = times[-1]
     slack = 1e-9 * max(1.0, abs(t_end))
-    if t < times[0] - slack or t > t_end + slack:
+    if not times[0] - slack <= t <= t_end + slack:
         raise ValueError(f"time {t!r} outside trajectory range")
     t = min(max(t, times[0]), t_end)
     i = int(np.searchsorted(times, t, side="right")) - 1
@@ -198,16 +215,16 @@ def dense_eval(traj: Trajectory, t: float) -> np.ndarray:
 def sample(traj: Trajectory, grid, component: int | None = None) -> np.ndarray:
     """Vectorized dense evaluation on a sorted grid.
 
-    Returns (len(grid), d), or only column `component` as (len(grid),)
-    when one is given; that column is bitwise equal to the same column of
-    the full evaluation, since the Hermite arithmetic runs in the same
-    order on the same operands.
+    Returns (len(grid), d), or only column `component` as (len(grid),),
+    bitwise that column of the full evaluation: the Hermite arithmetic
+    runs in the same order on the same operands.  NaN and points outside
+    the range (beyond dense_eval's slack) raise ValueError.
     """
     times = traj.times
     grid = np.asarray(grid, float)
     t_end = times[-1]
     slack = 1e-9 * max(1.0, abs(t_end))
-    if grid.size and (grid.min() < times[0] - slack or grid.max() > t_end + slack):
+    if grid.size and not (times[0] - slack <= grid.min() and grid.max() <= t_end + slack):
         raise ValueError("grid extends outside the trajectory range")
     g = np.clip(grid, times[0], t_end)
     idx = np.clip(np.searchsorted(times, g, side="right") - 1, 0, len(times) - 2)
@@ -266,14 +283,14 @@ def invert_monotone(traj: Trajectory, targets, component: int = 0) -> np.ndarray
     sample itself (rounding near a node can carry the cubic across the
     node's value), one farther out by monotonicity; so the times are
     bitwise those of calling sample at every halving, and concatenated
-    targets give the concatenated answers.  Raises ValueError when the
-    node values are not strictly increasing or a target lies outside them.
+    targets give the concatenated answers.  Raises ValueError for node
+    values not strictly increasing and for NaN or out-of-range targets.
     """
     targets = np.atleast_1d(np.asarray(targets, float))
     vals = traj.states[:, component]
     if not np.all(np.diff(vals) > 0.0):
         raise ValueError("component is not strictly increasing at the nodes")
-    if np.any(targets < vals[0] - 1e-9) or np.any(targets > vals[-1] + 1e-9):
+    if not np.all((vals[0] - 1e-9 <= targets) & (targets <= vals[-1] + 1e-9)):
         raise ValueError("target outside the component's range")
     blocks = np.array_split(targets.ravel(), targets.size // _BLOCK + 1)
     return np.concatenate([_bisect(traj, b, component) for b in blocks]).reshape(targets.shape)

@@ -175,17 +175,12 @@ def validate_config(cfg: RunConfig) -> None:
 def write_csv(path: Path, header: list[str], columns: list) -> None:
     """Write columns (same length) as CSV.  Each column holds only str,
     written as is, or only numbers, written as 17-significant-digit floats."""
-    cells = []
-    for col in columns:
-        a = np.asarray(col)
-        cells.append(a.tolist() if a.dtype.kind == "U" else
-                     [f"{x:.17g}" for x in a.astype(float).tolist()])
-    rows = [",".join(header), *map(",".join, zip(*cells))]
+    arrays = [np.asarray(col) for col in columns]
+    row = ",".join("%s" if a.dtype.kind == "U" else "%.17g" for a in arrays)
+    cells = [a.tolist() if a.dtype.kind == "U" else a.astype(float).tolist()
+             for a in arrays]
+    rows = [",".join(header), *(row % r for r in zip(*cells))]
     path.write_text("\n".join(rows) + "\n")
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def write_manifest(out: Path, command: str, cfg: RunConfig, files: list[Path],
@@ -197,7 +192,8 @@ def write_manifest(out: Path, command: str, cfg: RunConfig, files: list[Path],
         "version": __version__,
         "wall_seconds": round(wall_seconds, 3),
         "config": cfg.echo(),
-        "files": {f.name: {"bytes": f.stat().st_size, "sha256": _sha256(f)}
+        "files": {f.name: {"bytes": f.stat().st_size,
+                           "sha256": hashlib.sha256(f.read_bytes()).hexdigest()}
                   for f in files},
     }
     if runs is not None:
@@ -326,6 +322,14 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
 ROUNDING_LEVEL = 1e-12
 
 
+def _rounding_gate(name: str, raw: float, ok: bool, detail: str) -> Gate:
+    """A gate, passed outright when the unscaled residual it judges, raw, is
+    at rounding level: a trend or an order of rounding noise means nothing."""
+    if raw <= ROUNDING_LEVEL:
+        return Gate(name, True, f"residual at rounding level ({raw:.1e})")
+    return Gate(name, ok, detail)
+
+
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     """Convergence orders of the reconstruction across epsilons."""
     t0 = time.perf_counter()
@@ -336,17 +340,12 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
                                    cfg.max_slow_step, cfg.grid_points,
                                    cfg.reference_factor)
     eps = np.array(rep.epsilons)
-    rows_eps, rows_var, rows_sup, rows_norm = [], [], [], []
-    for fam in ("leading", "first", "second"):
-        for var, sups in sorted(rep.families[fam].items()):
-            for i, e in enumerate(eps):
-                rows_eps.append(e)
-                rows_var.append(f"{var}_{fam}")
-                rows_sup.append(sups[i])
-                rows_norm.append(rep.normalized[fam][var][i])
+    rows = [(e, f"{var}_{fam}", sups[i], rep.normalized[fam][var][i])
+            for fam in ("leading", "first", "second")
+            for var, sups in sorted(rep.families[fam].items())
+            for i, e in enumerate(eps)]
     p1 = out / "residuals.csv"
-    write_csv(p1, ["epsilon", "variable", "sup_norm", "normalized_norm"],
-              [rows_eps, rows_var, rows_sup, rows_norm])
+    write_csv(p1, ["epsilon", "variable", "sup_norm", "normalized_norm"], list(zip(*rows)))
 
     can_fit = len(eps) >= 3
     gated = [("leading", "y"), ("leading", "p"), ("leading", "phi"), ("first", "theta")]
@@ -356,22 +355,18 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
             for fam, var in gated + second if can_fit and raw[fam, var] > ROUNDING_LEVEL}
     order_rows = [(f"{var}_{fam}", *fit) for (fam, var), fit in fits.items()]
 
-    def gate(name, key, ok, detail):
-        """A gate, passed outright when the residual is at rounding level."""
-        if raw[key] <= ROUNDING_LEVEL:
-            return Gate(name, True, f"residual at rounding level ({raw[key]:.1e})")
-        return Gate(name, ok, detail)
-
     gates = []
     for fam, var in gated if can_fit else ():
         order, r2 = fits.get((fam, var), (math.nan, math.nan))
-        gates.append(gate(f"order {var}_{fam} >= 1.9, R^2 >= 0.98", (fam, var),
-                          order >= 1.9 and r2 >= 0.98, f"order={order:.3f} R^2={r2:.5f}"))
+        gates.append(_rounding_gate(f"order {var}_{fam} >= 1.9, R^2 >= 0.98",
+                                    raw[fam, var], order >= 1.9 and r2 >= 0.98,
+                                    f"order={order:.3f} R^2={r2:.5f}"))
     for key in second if len(eps) >= 2 else ():
         vals = rep.normalized["second"][key[1]]
-        gates.append(gate(f"normalized second-order residual of {key[1]} strictly decreasing",
-                          key, bool(np.all(np.diff(vals) < 0)),
-                          " -> ".join(f"{v:.3e}" for v in vals)))
+        gates.append(_rounding_gate(
+            f"normalized second-order residual of {key[1]} strictly decreasing",
+            raw[key], bool(np.all(np.diff(vals) < 0)),
+            " -> ".join(f"{v:.3e}" for v in vals)))
     drift_ok = bool(np.all(rep.energy_drift <= 1e-8))
     gates.append(Gate("energy drift <= 1e-8 at every epsilon", drift_ok,
                       " ".join(f"{v:.2e}" for v in rep.energy_drift)))
@@ -484,9 +479,9 @@ def cmd_thermo(cfg: RunConfig, out: Path) -> int:
                      f"sup|theta_eps-theta*|/eps {np.max(theta_gap)/eps:.3e}")
     if len(cfg.epsilons) >= 2:
         gaps = [r.gap_max for r in equip]
-        gates.append(Gate("windowed equipartition gap decreasing across epsilons",
-                          bool(np.all(np.diff(gaps) < 0)),
-                          " -> ".join(f"{g:.3e}" for g in gaps)))
+        gates.append(_rounding_gate("windowed equipartition gap decreasing across epsilons",
+                                    max(gaps), bool(np.all(np.diff(gaps) < 0)),
+                                    " -> ".join(f"{g:.3e}" for g in gaps)))
     if len(cfg.epsilons) >= 3:
         xi_order, _ = averaging.estimate_order(cfg.epsilons,
                                                [r.xi_sup for r in equip])
@@ -561,27 +556,18 @@ def cmd_twoscale(cfg: RunConfig, out: Path) -> int:
     params = cfg.params()
     table = two_scale_error_table(cfg, fm, params)
     eps_list = list(table)
-    rows_eps, rows_var, rows_err = [], [], []
-    for eps in eps_list:
-        for var in TWO_SCALE_VARIABLES:
-            rows_eps.append(eps)
-            rows_var.append(var)
-            rows_err.append(table[eps][var])
+    rows = [(eps, var, table[eps][var]) for eps in eps_list for var in TWO_SCALE_VARIABLES]
     p1 = out / "twoscale.csv"
-    write_csv(p1, ["epsilon", "variable", "sup_error"],
-              [rows_eps, rows_var, rows_err])
+    write_csv(p1, ["epsilon", "variable", "sup_error"], list(zip(*rows)))
     report = []
     if len(eps_list) >= 2:
         for var in TWO_SCALE_VARIABLES:
             seq = [table[e][var] for e in eps_list]
             # theta1 is rescaled by 1/eps, the others by 1/eps^2
             raw = max(v * e ** (1 if var == "theta1" else 2) for e, v in zip(eps_list, seq))
-            name = f"unfolding error of {var} strictly decreasing"
-            if raw <= ROUNDING_LEVEL:
-                report.append(Gate(name, True, f"residual at rounding level ({raw:.1e})"))
-            else:
-                report.append(Gate(name, bool(np.all(np.diff(seq) < 0)),
-                                   " -> ".join(f"{v:.3e}" for v in seq)))
+            report.append(_rounding_gate(f"unfolding error of {var} strictly decreasing",
+                                         raw, bool(np.all(np.diff(seq) < 0)),
+                                         " -> ".join(f"{v:.3e}" for v in seq)))
     else:
         report.append("[INFO] single epsilon: table emitted, no trend gate")
     runs = [{"epsilon": e, "richardson_error": table[e]["richardson_error"]}

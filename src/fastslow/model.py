@@ -43,18 +43,25 @@ def _sine(c, y, sin, cos):
     return c[0] + b * s, b * co, -b * s, -b * co
 
 
+def _harmonics(c):
+    """_fourier's coefficients: a0, then (k, a_k, b_k, k^2, k^3) per harmonic,
+    with the integer factors converted to float (exactly) once."""
+    return c[0], tuple((float(k), c[2 * k - 1], c[2 * k], float(k * k), float(k**3))
+                       for k in range(1, len(c) // 2 + 1))
+
+
 def _fourier(c, y, sin, cos):
+    a0, harmonics = c
     # y**0 is 1.0, or ones shaped like y, for every y (inf and nan too)
-    w = c[0] * y**0
+    w = a0 * y**0
     w1 = w2 = w3 = 0.0 * y
-    for j in range(1, len(c), 2):
-        k = (j + 1) // 2
+    for k, a, b, k2, k3 in harmonics:
         ck = cos(k * y)
         sk = sin(k * y)
-        w = w + c[j] * ck + c[j + 1] * sk
-        w1 = w1 + k * (-c[j] * sk + c[j + 1] * ck)
-        w2 = w2 - k * k * (c[j] * ck + c[j + 1] * sk)
-        w3 = w3 + k**3 * (c[j] * sk - c[j + 1] * ck)
+        w = w + a * ck + b * sk
+        w1 = w1 + k * (-a * sk + b * ck)
+        w2 = w2 - k2 * (a * ck + b * sk)
+        w3 = w3 + k3 * (a * sk - b * ck)
     return w, w1, w2, w3
 
 
@@ -97,7 +104,7 @@ class FrequencyModel:
 
     def _evaluator(self, sin, cos, every):
         routine = _ROUTINES[self.preset]
-        c = self.coefficients
+        c = _harmonics(self.coefficients) if routine is _fourier else self.coefficients
         floor = self.omega_lower_bound * (1.0 - _BOUND_SLACK)
 
         def derivs(y):

@@ -9,8 +9,8 @@ from fastslow.homogenized import homogenized_field
 
 
 def test_rhs_at_start(fm):
-    d = homogenized_field(fm, 0.25)(0.0, np.array([0.0, 0.0, 1.0]))
-    assert d.tolist() == [2.0, 1.0, -0.25]  # [omega, p0, -theta* omega']
+    d = homogenized_field(fm, 0.25)(0.0, (0.0, 0.0, 1.0))
+    assert d == (2.0, 1.0, -0.25)  # (omega, p0, -theta* omega')
 
 
 def test_constant_frequency_gives_free_motion(params):

@@ -298,3 +298,115 @@ def test_tuple_rk4_matches_ndarray_rk4():
     with pytest.raises(fs.NumericalError, match=r"non-finite state at t=0\.5"):
         fs.integrate_fixed(lambda t, x: tuple(v * v for v in x),
                            np.array([2.0, 0.0, 0.0, 0.0]), 1.0, 1e-3)
+
+
+def _dopri_ndarray(rhs, x0, horizon_T, rtol, atol, max_step=math.inf,
+                   max_steps=10_000_000):
+    # Dormand-Prince in ndarray vector form: the oracle integrate_controlled
+    # must match bitwise
+    A, C, E = fs.integrate._A, fs.integrate._C, fs.integrate._E
+    x = np.asarray(x0, dtype=float).copy()
+    d = x.size
+    t = 0.0
+    f = np.asarray(rhs(t, x), float)
+    h = min(max_step, horizon_T / 100.0)
+    times, states, derivs = [0.0], [x.copy()], [f.copy()]
+    err_old = 1e-4
+    n_accept = n_reject = 0
+    k = np.empty((7, d))
+    min_h = 1e-14 * max(1.0, horizon_T)
+    for _ in range(max_steps):
+        if t >= horizon_T:
+            break
+        h = min(h, horizon_T - t)
+        if h < min_h:
+            raise fs.NumericalError(f"step size underflow at t={t!r}")
+        k[0] = f
+        for i in range(1, 7):
+            xi = x + h * sum((A[i][j] * k[j] for j in range(i)), np.zeros(d))
+            k[i] = rhs(t + C[i] * h, xi)
+        x_new = xi
+        err_vec = h * sum((E[j] * k[j] for j in range(7)), np.zeros(d))
+        sc = atol + rtol * np.maximum(np.abs(x), np.abs(x_new))
+        err = float(np.sqrt(np.mean((err_vec / sc) ** 2)))
+        if not math.isfinite(err) or not np.all(np.isfinite(x_new)):
+            n_reject += 1
+            h *= 0.2
+            continue
+        if err <= 1.0:
+            t = t + h
+            x = x_new
+            f = k[6].copy()
+            times.append(t)
+            states.append(x.copy())
+            derivs.append(f.copy())
+            n_accept += 1
+            fac = 0.9 * (err ** -0.14) * (err_old ** 0.08) if err > 0.0 else 5.0
+            h = min(h * min(5.0, max(0.2, fac)), max_step)
+            err_old = max(err, 1e-10)
+        else:
+            n_reject += 1
+            h = h * min(1.0, max(0.2, 0.9 * (err ** -0.14)))
+    else:
+        raise fs.NumericalError("step budget exhausted")
+    return fs.Trajectory(np.array(times), np.array(states), np.array(derivs),
+                         {"method": "dopri54", "rtol": rtol, "atol": atol,
+                          "n_accept": n_accept, "n_reject": n_reject})
+
+
+def _assert_same_run(traj, oracle):
+    assert np.array_equal(traj.times, oracle.times)
+    assert np.array_equal(traj.states, oracle.states)
+    assert np.array_equal(traj.derivs, oracle.derivs)
+    # the slow solves add their component names and theta_star
+    assert {k: traj.meta[k] for k in oracle.meta} == oracle.meta
+
+
+@pytest.mark.parametrize("preset, coefficients, p_star, u_star", [
+    ("sine", (2.0, 1.0), 1.0, 1.0),
+    ("fourier", (3.0, 0.5, 0.5, 0.3, -0.4), -0.7, 1.5),
+])
+def test_tuple_dopri_matches_ndarray_dopri_on_the_slow_fields(
+        preset, coefficients, p_star, u_star):
+    fm = fs.make_frequency(preset, coefficients)
+    params = fs.SystemParams(y_star=0.0, p_star=p_star, u_star=u_star, horizon_T=1.0)
+    exp = fs.solve_expansion(params, fm)
+    hom = fs.solve_homogenized(params, fm)
+    for traj, field in ((exp, fs.expansion.expansion_field(params, fm)),
+                        (hom, fs.homogenized.homogenized_field(fm, hom.meta["theta_star"]))):
+        _assert_same_run(traj, _dopri_ndarray(field, traj.states[0], 1.0, 1e-12, 1e-12,
+                                              max_step=0.002))
+
+
+def test_tuple_dopri_matches_ndarray_dopri_through_rejections(fm):
+    field = fs.action_angle_field(0.01, fm)
+    x0 = np.array([0.0, 0.25, 0.0, 1.0])
+    traj = fs.integrate_controlled(field, x0, 1.0, rtol=1e-10, atol=1e-10)
+    assert traj.meta["n_reject"] > 0
+    _assert_same_run(traj, _dopri_ndarray(field, x0, 1.0, 1e-10, 1e-10))
+
+
+@pytest.mark.parametrize("d", [1, 10])
+def test_tuple_dopri_matches_ndarray_dopri_in_any_dimension(d):
+    # d = 10 takes numpy's pairwise sum in the error norm
+    def rates(t, x):
+        return tuple(-(i + 1) * v for i, v in enumerate(x))
+    x0 = np.linspace(1.0, -1.0, d)
+    traj = fs.integrate_controlled(rates, x0, 1.0, 1e-8, 1e-8, max_step=0.05)
+    assert traj.states.shape == (traj.times.size, d)
+    _assert_same_run(traj, _dopri_ndarray(rates, x0, 1.0, 1e-8, 1e-8, max_step=0.05))
+    with pytest.raises(ValueError, match="2 components for a 1-component state"):
+        fs.integrate_controlled(lambda t, x: (1.0, 2.0), np.ones(1), 1.0, 1e-8, 1e-8)
+
+
+def test_nan_times_and_targets_are_outside_the_range():
+    traj = fs.integrate_fixed(lambda t, x: (2.0, 0.0, 0.0, 0.0), ZERO, 1.0, 0.1)
+    with pytest.raises(ValueError, match="outside"):
+        fs.invert_monotone(traj, [math.nan, 0.5])
+    for grid in ([0.5, math.nan], [math.nan]):
+        with pytest.raises(ValueError, match="outside"):
+            fs.sample(traj, grid)
+        with pytest.raises(ValueError, match="outside"):
+            fs.sample(traj, grid, component=0)
+    with pytest.raises(ValueError, match="outside"):
+        fs.dense_eval(traj, math.nan)

@@ -256,6 +256,16 @@ def test_thermo_command_structure(tmp_path):
     assert all(0.0 < r["theta_min"] < 1.0 for r in runs)
 
 
+def test_thermo_passes_equipartition_gaps_at_rounding_level(tmp_path):
+    # a constant frequency leaves only rounding noise in the windowed gaps,
+    # which need not fall from one epsilon to the next
+    out = tmp_path / "c"
+    assert fs.main(["thermo", "--preset", "constant", "--epsilon", "0.04,0.02",
+                    "--out", str(out)]) == 0
+    assert ("[PASS] windowed equipartition gap decreasing across epsilons: residual at "
+            "rounding level") in (out / "thermo_summary.txt").read_text()
+
+
 @pytest.mark.parametrize("command, epsilon", [("twoscale", "0.5"), ("thermo", "0.9")])
 def test_epsilon_too_large_for_the_phase_range_exits_2(tmp_path, capsys,
                                                        command, epsilon):

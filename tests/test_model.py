@@ -125,6 +125,54 @@ def test_preset_routines_keep_the_four_method_arithmetic(preset, coeffs):
     assert all(_same_bits(g, w) for g, w in zip(fmx.derivs(ys), want, strict=True))
 
 
+def _fourier_integer_factors(c, y, sin, cos):
+    """The Fourier routine as it was before its harmonics were prepared: it
+    indexes the raw coefficients and multiplies by the integers k, k*k and
+    k**3."""
+    w = c[0] * y**0
+    w1 = w2 = w3 = 0.0 * y
+    for j in range(1, len(c), 2):
+        k = (j + 1) // 2
+        ck = cos(k * y)
+        sk = sin(k * y)
+        w = w + c[j] * ck + c[j + 1] * sk
+        w1 = w1 + k * (-c[j] * sk + c[j + 1] * ck)
+        w2 = w2 - k * k * (c[j] * ck + c[j + 1] * sk)
+        w3 = w3 + k**3 * (c[j] * sk - c[j + 1] * ck)
+    return w, w1, w2, w3
+
+
+@pytest.mark.parametrize("coeffs", [
+    (2.0,),
+    (2.0, 0.0, -0.0),
+    (2.0, 0.25, 0.25),
+    (3.0, 0.5, 0.5, 0.3, -0.4),
+    (9.0, 0.1, -0.2, 0.3, -0.4, 0.5, 0.6, -0.7, 0.8),
+])
+def test_prepared_fourier_harmonics_keep_the_integer_factor_bits(coeffs):
+    def same(got, want):
+        # bytes, so that nan matches nan and the sign of zero counts
+        return all(type(g) is type(w) and np.asarray(g).tobytes() == np.asarray(w).tobytes()
+                   for g, w in zip(got, want, strict=True))
+
+    prepared = fs.model._harmonics(coeffs)
+    ys = [-11.5, -math.pi, -0.3, -0.0, 0.0, 0.7, 3.0, 9.25, 1e300, math.nan,
+          math.inf, -math.inf]
+    for y in ys:
+        try:
+            want = _fourier_integer_factors(coeffs, y, math.sin, math.cos)
+        except ValueError:  # math.sin(inf)
+            with pytest.raises(ValueError):
+                fs.model._fourier(prepared, y, math.sin, math.cos)
+            continue
+        assert same(fs.model._fourier(prepared, y, math.sin, math.cos), want), y
+    arr = np.array(ys)
+    with np.errstate(invalid="ignore"):
+        want = _fourier_integer_factors(coeffs, arr, np.sin, np.cos)
+        got = fs.model._fourier(prepared, arr, np.sin, np.cos)
+    assert same(got, want)
+
+
 def test_frequency_below_its_floor_raises():
     # a claimed floor of 1.5, which 2 + sin(y) breaks at y = -pi/2 (omega = 1)
     bad = fs.FrequencyModel("sine", (2.0, 1.0), 1.5, 3.0)
