@@ -29,7 +29,7 @@ print(f"integrated {traj.times.size} steps, "
 
 grid = np.linspace(0.0, 1.0, 2001)
 xs = fs.sample(traj, grid)
-E = fs.energy_action_angle_arrays(xs[:, 0], xs[:, 1], xs[:, 2], xs[:, 3], eps, fm)
+E = fs.energy_action_angle(fs.ActionAngleState(*xs.T), eps, fm)
 
 print(f"energy drift        sup|E - 1|        = {np.max(np.abs(E - 1.0)):.3e}")
 print(f"action wander       sup|theta-theta*| = {np.max(np.abs(xs[:, 1] - dc.theta_star)):.3e}"

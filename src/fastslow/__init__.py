@@ -35,12 +35,10 @@ from .dynamics import (
     action_angle_rhs_composed,
     cartesian_field,
     energy_action_angle,
-    energy_action_angle_arrays,
     energy_cartesian,
     from_action_angle,
     oscillator_energy_gap_arrays,
     to_action_angle,
-    to_action_angle_arrays,
 )
 from .expansion import (
     AveragedCorrection,
@@ -60,7 +58,6 @@ from .homogenized import HomogenizedState, solve_homogenized
 from .integrate import (
     NumericalError,
     Trajectory,
-    dense_eval,
     integrate_controlled,
     integrate_fixed,
     invert_monotone,
@@ -78,7 +75,7 @@ from .model import (
     log_derivatives,
     make_frequency,
 )
-from .phase import reduce_phase, reduced_sincos, reduced_sincos_array
+from .phase import reduced_sincos
 from .thermo import (
     AveragedEnergyBundle,
     EnergyExpansion,
@@ -107,8 +104,8 @@ __all__ = [
     "action_angle_field", "action_angle_rhs", "action_angle_rhs_composed",
     "averaged_energy_bundle", "averaged_rhs",
     "cartesian_field", "check_first_law", "correctors",
-    "dense_eval", "derived_constants", "energy_action_angle",
-    "energy_action_angle_arrays", "energy_cartesian", "energy_expansion",
+    "derived_constants", "energy_action_angle",
+    "energy_cartesian", "energy_expansion",
     "equipartition_check", "estimate_order", "eval_expansion",
     "expand_thermo", "fd4_derivative", "finite_difference_report",
     "floor_frac", "from_action_angle", "hertz_temperature_oracle",
@@ -116,9 +113,9 @@ __all__ = [
     "integrate_fixed", "invert_monotone", "load_config", "log_derivatives",
     "main", "make_frequency", "nonlinear_two_scale_error",
     "oscillator_energy_gap_arrays", "parse_config_text",
-    "phase_space_volume", "reconstruct", "reduce_phase", "reduced_sincos",
-    "reduced_sincos_array", "reference_run", "reference_solution",
+    "phase_space_volume", "reconstruct", "reduced_sincos",
+    "reference_run", "reference_solution",
     "residual_norms", "sample", "solve_expansion", "solve_homogenized",
-    "to_action_angle", "to_action_angle_arrays", "two_scale_limits",
+    "to_action_angle", "two_scale_limits",
     "windowed_average",
 ]

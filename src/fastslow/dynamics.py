@@ -15,30 +15,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FrequencyModel
-from .phase import reduced_sincos, reduced_sincos_array, reducer
+from .phase import reduced_sincos, reducer
 
 
 @dataclass(frozen=True)
 class CartesianState:
-    y: float
-    eta: float
-    z: float
-    zeta: float
+    """Cartesian state; fields may hold floats or equal-length arrays."""
+
+    y: object
+    eta: object
+    z: object
+    zeta: object
 
 
 @dataclass(frozen=True)
 class ActionAngleState:
-    phi: float
-    theta: float
-    y: float
-    p: float
-    degenerate: bool = False
+    """Action-angle state; fields may hold floats or equal-length arrays."""
+
+    phi: object
+    theta: object
+    y: object
+    p: object
+    degenerate: object = False
 
 
 def _check(epsilon: float, theta: float = 0.0) -> None:
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
-    if theta < 0.0:
+    if np.any(np.less(theta, 0.0)):
         raise ValueError("theta must be nonnegative")
 
 
@@ -75,14 +79,18 @@ def to_action_angle(s: CartesianState, epsilon: float, fm: FrequencyModel) -> Ac
     the principal oscillator angle; the slow momentum removes the
     oscillatory shear from eta exactly (no trig evaluations needed).
     At theta = 0 the angle is undefined: phi is set to 0 and the state
-    is flagged degenerate.
+    is flagged degenerate.  Array fields give principal angles; samples that
+    resolve the fast oscillation unwrap them as eps*np.unwrap(phi/eps).
     """
     _check(epsilon)
     w, w1, _, _ = fm.derivs(s.y)
     wz = w * s.z / epsilon
     theta = (s.zeta * s.zeta + wz * wz) / (2.0 * w)
     degenerate = theta == 0.0
-    phi = 0.0 if degenerate else epsilon * math.atan2(wz, s.zeta)
+    if isinstance(theta, np.ndarray):
+        phi = np.where(degenerate, 0.0, epsilon * np.arctan2(wz, s.zeta))
+    else:
+        phi = 0.0 if degenerate else epsilon * math.atan2(wz, s.zeta)
     # exact: sin(2 phi/eps) = z*zeta/(eps*theta), so the shear term
     # eps*(theta w'/2w)*sin(...) collapses to w'*z*zeta/(2w)
     p = s.eta - w1 * s.z * s.zeta / (2.0 * w)
@@ -108,13 +116,12 @@ def energy_cartesian(s: CartesianState, epsilon: float, fm: FrequencyModel) -> f
     return 0.5 * s.eta**2 + 0.5 * s.zeta**2 + 0.5 * (w * s.z / epsilon) ** 2
 
 
-def energy_action_angle(s: ActionAngleState, epsilon: float, fm: FrequencyModel) -> float:
+def energy_action_angle(s: ActionAngleState, epsilon: float, fm: FrequencyModel):
     _check(epsilon, s.theta)
     w, w1, _, _ = fm.derivs(s.y)
     s2, _ = reduced_sincos(s.phi, epsilon, 2)
-    r = w1 / w
-    shear = epsilon * (0.5 * s.theta * r) * s2
-    return 0.5 * s.p**2 + s.p * shear + 0.5 * shear * shear + s.theta * w
+    shear = epsilon * (0.5 * s.theta * w1 / w) * s2
+    return 0.5 * s.p * s.p + s.p * shear + 0.5 * shear * shear + s.theta * w
 
 
 def action_angle_field(epsilon: float, fm: FrequencyModel):
@@ -167,37 +174,6 @@ def cartesian_field(epsilon: float, fm: FrequencyModel):
     return f
 
 
-def to_action_angle_arrays(Y, ETA, Z, ZETA, epsilon: float, fm: FrequencyModel):
-    """Vectorized chart change for sampled cartesian trajectories.
-
-    Returns (phi_unwrapped, theta, y, p, degenerate_mask).  The angle is
-    recovered per-sample in its principal branch and then unwrapped, so
-    the sampling must resolve the fast oscillation (per-sample phase
-    advance below pi).
-    """
-    _check(epsilon)
-    Y = np.asarray(Y, float)
-    w, w1, _, _ = fm.derivs(Y)
-    wz = w * np.asarray(Z, float) / epsilon
-    theta = (np.asarray(ZETA, float) ** 2 + wz**2) / (2.0 * w)
-    degenerate = theta == 0.0
-    alpha = np.arctan2(wz, ZETA)
-    phi = epsilon * np.unwrap(alpha)
-    p = np.asarray(ETA, float) - w1 * np.asarray(Z, float) * np.asarray(ZETA, float) / (2.0 * w)
-    return phi, theta, Y, p, degenerate
-
-
-def energy_action_angle_arrays(PHI, THETA, Y, P, epsilon: float, fm: FrequencyModel):
-    """Vectorized total energy along sampled action-angle trajectories."""
-    _check(epsilon)
-    Y = np.asarray(Y, float)
-    w, w1, _, _ = fm.derivs(Y)
-    s2, _ = reduced_sincos_array(np.asarray(PHI, float), epsilon, 2)
-    shear = epsilon * (0.5 * np.asarray(THETA, float) * w1 / w) * s2
-    P = np.asarray(P, float)
-    return 0.5 * P * P + P * shear + 0.5 * shear * shear + np.asarray(THETA, float) * w
-
-
 def oscillator_energy_gap_arrays(PHI, THETA, Y, epsilon: float, fm: FrequencyModel):
     """Kinetic minus potential oscillator energy, theta*omega*cos(2 phi/eps).
 
@@ -207,5 +183,5 @@ def oscillator_energy_gap_arrays(PHI, THETA, Y, epsilon: float, fm: FrequencyMod
     order.
     """
     w = fm.derivs(np.asarray(Y, float))[0]
-    _, c2 = reduced_sincos_array(np.asarray(PHI, float), epsilon, 2)
+    _, c2 = reduced_sincos(np.asarray(PHI, float), epsilon, 2)
     return np.asarray(THETA, float) * w * c2

@@ -16,13 +16,13 @@ from functools import partial
 
 import numpy as np
 
-from .dynamics import action_angle_field, energy_action_angle_arrays
+from .dynamics import ActionAngleState, action_angle_field, energy_action_angle
 from .homogenized import HomogenizedState
 from .integrate import (Trajectory, integrate_controlled, reference_solution,
                         sample)
 from .model import (DerivedConstants, FrequencyModel, SystemParams,
                     derived_constants)
-from .phase import reduced_sincos_array
+from .phase import reduced_sincos
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def correctors(base: HomogenizedState, phi2_bar, epsilon: float,
     part multiplies cos(2 phi0/eps)).
     """
     w, w1, w2, _ = fm.derivs(base.y0)
-    s2, c2 = reduced_sincos_array(base.phi0, epsilon, 2)
+    s2, c2 = reduced_sincos(base.phi0, epsilon, 2)
     return _corrector_core(theta_star, w, w1, w2, base.p0, s2, c2, phi2_bar)
 
 
@@ -256,7 +256,7 @@ def _norms_for_epsilon(params: SystemParams, fm: FrequencyModel,
     phi_hat, theta_hat, y_hat, p_hat = reconstruct(epsilon, base, corr, cv,
                                                    dc.theta_star)
     sup = lambda a: float(np.max(np.abs(a)))
-    energy = energy_action_angle_arrays(phi_e, theta_e, y_e, p_e, epsilon, fm)
+    energy = energy_action_angle(ActionAngleState(*xs.T), epsilon, fm)
     return {
         "leading": {"phi": sup(phi_e - base.phi0),
                     "theta": sup(theta_e - dc.theta_star),

@@ -182,8 +182,8 @@ def integrate_controlled(rhs, x0, horizon_T: float, rtol: float, atol: float,
 
 
 def _hermite(tau, h, x, f, i):
-    # the one operation order of dense_eval, sample and invert_monotone; x[i],
-    # f[i], x[i + 1], f[i + 1] are gathered one at a time to bound memory
+    # the one operation order of sample and invert_monotone; x[i], f[i],
+    # x[i + 1], f[i + 1] are gathered one at a time to bound memory
     tau2 = tau * tau
     tau3 = tau2 * tau
     h00 = 2.0 * tau3 - 3.0 * tau2 + 1.0
@@ -193,32 +193,12 @@ def _hermite(tau, h, x, f, i):
     return h00 * x[i] + h10 * h * f[i] + h01 * x[i + 1] + h11 * h * f[i + 1]
 
 
-def dense_eval(traj: Trajectory, t: float) -> np.ndarray:
-    """Cubic Hermite interpolation of the trajectory at one time.
-
-    Exact at nodes (tau = 0 and tau = 1 reproduce the stored states
-    bitwise).  NaN and times outside [t_0, t_end] by more than a 1e-9
-    relative slack are rejected.
-    """
-    times = traj.times
-    t_end = times[-1]
-    slack = 1e-9 * max(1.0, abs(t_end))
-    if not times[0] - slack <= t <= t_end + slack:
-        raise ValueError(f"time {t!r} outside trajectory range")
-    t = min(max(t, times[0]), t_end)
-    i = int(np.searchsorted(times, t, side="right")) - 1
-    i = min(max(i, 0), len(times) - 2)
-    h = times[i + 1] - times[i]
-    return _hermite((t - times[i]) / h, h, traj.states, traj.derivs, i)
-
-
 def sample(traj: Trajectory, grid, component: int | None = None) -> np.ndarray:
-    """Vectorized dense evaluation on a sorted grid.
-
-    Returns (len(grid), d), or only column `component` as (len(grid),),
-    bitwise that column of the full evaluation: the Hermite arithmetic
-    runs in the same order on the same operands.  NaN and points outside
-    the range (beyond dense_eval's slack) raise ValueError.
+    """Cubic Hermite dense output, (len(grid), d); sample(traj, [t])[0] is
+    the state at t, and a node's time gives its stored state bitwise.  With
+    `component`, only that column as (len(grid),), bitwise the same values.
+    Times within 1e-9 relative slack of [t_0, t_end] are clamped onto it;
+    NaN and times farther out raise ValueError.
     """
     times = traj.times
     grid = np.asarray(grid, float)

@@ -144,7 +144,10 @@ def load_config(path: str | Path) -> RunConfig:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    return parse_config_text(p.read_text())
+    try:
+        return parse_config_text(p.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config file {p} is not UTF-8 text: {e}") from e
 
 
 def validate_config(cfg: RunConfig) -> None:
@@ -275,8 +278,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
             dynamics.action_angle_field(eps, fm),
             np.array([0.0, dc.theta_star, cfg.y_star, cfg.p_star]), cfg.horizon_T, h)
         xs = integrate.sample(traj, grid)
-        E = dynamics.energy_action_angle_arrays(xs[:, 0], xs[:, 1], xs[:, 2],
-                                                xs[:, 3], eps, fm)
+        E = dynamics.energy_action_angle(dynamics.ActionAngleState(*xs.T), eps, fm)
         w = fm.derivs(xs[:, 2])[0]
         e_perp = xs[:, 1] * w
         p1 = out / f"traj_eps{eps:g}.csv"
@@ -696,7 +698,7 @@ def main(argv=None) -> int:
         validate_config(cfg)
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-    except ConfigError as e:
+    except (ConfigError, OSError) as e:  # OSError: unreadable config, or out unusable
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
 

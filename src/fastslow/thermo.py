@@ -23,7 +23,7 @@ from .expansion import AveragedCorrection, CorrectorValues
 from .homogenized import HomogenizedState
 from .integrate import Trajectory, sample
 from .model import DerivedConstants, FrequencyModel
-from .phase import reduced_sincos_array
+from .phase import reduced_sincos
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def energy_expansion(base: HomogenizedState, corr: AveragedCorrection,
     the momentum shear) so their cancellation is a real check.
     """
     w, w1, _, _ = fm.derivs(base.y0)
-    s2, c2 = reduced_sincos_array(base.phi0, epsilon, 2)
+    s2, c2 = reduced_sincos(base.phi0, epsilon, 2)
     dyL = w1 / w
     DtL = base.p0 * dyL
     e1_perp = w * cv.theta1
@@ -306,7 +306,7 @@ def equipartition_check(traj: Trajectory, epsilon: float, fm: FrequencyModel,
     windows = windowed_average(gap_signal, centers, epsilon, traj, m=m)
     grid = np.linspace(0.0, T, grid_points)
     xs = sample(traj, grid)
-    s2, _ = reduced_sincos_array(xs[:, 0], epsilon, 2)
+    s2, _ = reduced_sincos(xs[:, 0], epsilon, 2)
     xi = epsilon * xs[:, 1] * s2
     gap_values = np.array([wa.value for wa in windows])
     return EquipartitionReport(epsilon=epsilon, centers=centers,

@@ -62,7 +62,7 @@ def test_windowed_average_cancels_oscillation(osc_ref, fm):
 
     def s2_signal(ts):
         xs = fs.sample(ref, ts)
-        s2, _ = fs.reduced_sincos_array(xs[:, 0], eps, 2)
+        s2, _ = fs.reduced_sincos(xs[:, 0], eps, 2)
         return s2
 
     wa, = fs.windowed_average(s2_signal, [0.5], eps, ref)
@@ -70,7 +70,7 @@ def test_windowed_average_cancels_oscillation(osc_ref, fm):
 
     def sq_signal(ts):
         xs = fs.sample(ref, ts)
-        s1, _ = fs.reduced_sincos_array(xs[:, 0], eps, 1)
+        s1, _ = fs.reduced_sincos(xs[:, 0], eps, 1)
         return s1**2
 
     wa2, = fs.windowed_average(sq_signal, [0.5], eps, ref)
@@ -122,7 +122,7 @@ def test_windowed_average_over_centers_matches_one_center_at_a_time(osc_ref, m):
 
     def s2_signal(ts):
         xs = fs.sample(ref, ts)
-        s2, _ = fs.reduced_sincos_array(xs[:, 0], eps, 2)
+        s2, _ = fs.reduced_sincos(xs[:, 0], eps, 2)
         return xs[:, 1] * s2 + ts**2
 
     # windows slid at 0 and at T, interior ones, and a repeated center

@@ -105,20 +105,28 @@ def test_array_transform_matches_scalar(fm):
     Z = rng.uniform(-0.05, 0.05, n)
     ZETA = rng.uniform(-1, 1, n)
     eps = 0.02
-    PHI, THETA, YY, P, degen = fs.to_action_angle_arrays(Y, ETA, Z, ZETA, eps, fm)
-    assert not degen.any()
+    aa_arr = fs.to_action_angle(fs.CartesianState(Y, ETA, Z, ZETA), eps, fm)
+    PHI, THETA, YY, P = aa_arr.phi, aa_arr.theta, aa_arr.y, aa_arr.p
+    assert not aa_arr.degenerate.any()
     for i in range(n):
         aa = fs.to_action_angle(
             fs.CartesianState(float(Y[i]), float(ETA[i]), float(Z[i]), float(ZETA[i])),
             eps, fm)
         assert abs(THETA[i] - aa.theta) <= 1e-15
         assert abs(P[i] - aa.p) <= 1e-15
-        # array path unwraps the angle; compare modulo 2*pi*eps
+        # compare modulo 2*pi*eps: near the branch cut either side may round across
         d = (PHI[i] - aa.phi) / (2 * math.pi * eps)
         assert abs(d - round(d)) <= 1e-9
-    E = fs.energy_action_angle_arrays(PHI, THETA, YY, P, eps, fm)
+    E = fs.energy_action_angle(fs.ActionAngleState(PHI, THETA, YY, P), eps, fm)
     s0 = fs.ActionAngleState(float(PHI[0]), float(THETA[0]), float(YY[0]), float(P[0]))
     assert abs(E[0] - fs.energy_action_angle(s0, eps, fm)) <= 1e-14
+    # a degenerate element (z = zeta = 0) has phi = 0 in both paths
+    Z[3] = ZETA[3] = 0.0
+    aa_arr = fs.to_action_angle(fs.CartesianState(Y, ETA, Z, ZETA), eps, fm)
+    aa = fs.to_action_angle(fs.CartesianState(float(Y[3]), float(ETA[3]), 0.0, 0.0), eps, fm)
+    assert aa.degenerate and aa.phi == 0.0
+    assert aa_arr.phi[3] == 0.0 and aa_arr.theta[3] == 0.0
+    assert np.flatnonzero(aa_arr.degenerate).tolist() == [3]
 
 
 def test_field_closures_match_structured_rhs(fm):

@@ -118,6 +118,24 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+def test_config_file_not_utf8_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "bad.txt"
+    cfgfile.write_bytes(b"\xff\xfe\x00bad")
+    rc = fs.main(["check", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "configuration error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_out_naming_a_file_exits_2(tmp_path, capsys, below):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker / "sub" if below else blocker
+    assert fs.main(["check", "--out", str(out)]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_bad_epsilon_flag_exits_2(tmp_path):
     assert fs.main(["check", "--epsilon", "abc", "--out", str(tmp_path)]) == 2
     assert fs.main(["check", "--epsilon", "", "--out", str(tmp_path)]) == 2

@@ -71,7 +71,7 @@ def test_vector_path_vs_mpmath():
     worst = 0.0
     for eps in (1e-1, 1e-5, 1e-8):
         phi = rng.uniform(-10, 10, 200)
-        s, c = fs.reduced_sincos_array(phi, eps)
+        s, c = fs.reduced_sincos(phi, eps)
         for i in range(phi.size):
             sm, cm = oracle_sincos(float(phi[i]), eps)
             worst = max(worst, abs(s[i] - sm), abs(c[i] - cm))
@@ -82,7 +82,7 @@ def test_vector_agrees_with_scalar():
     rng = np.random.default_rng(11)
     for eps in (0.04, 0.005, 1e-6):
         phi = rng.uniform(-20, 20, 300)
-        s, c = fs.reduced_sincos_array(phi, eps)
+        s, c = fs.reduced_sincos(phi, eps)
         for i in range(phi.size):
             ss, cc = fs.reduced_sincos(float(phi[i]), eps)
             assert s[i] == ss
@@ -97,8 +97,8 @@ def test_scalar_and_array_reduced_phases_are_bitwise_equal(k, log2_quotient):
     eps = k * 1.5 / (2 * math.pi * 2.0**log2_quotient)
     r = phase.reducer(eps, np.rint, np.all)(phi * k)
     for i in range(phi.size):
-        assert r[i] == fs.reduce_phase(float(phi[i]), eps, k)
-    s, c = fs.reduced_sincos_array(phi, eps, k)
+        assert r[i] == phase.reducer(eps)(k * float(phi[i]))
+    s, c = fs.reduced_sincos(phi, eps, k)
     assert np.array_equal(s, np.sin(r)) and np.array_equal(c, np.cos(r))
 
 
@@ -119,7 +119,7 @@ def test_small_quotient_shortcut_matches_chunked_path():
 def test_reduced_value_lies_in_principal_interval():
     rng = np.random.default_rng(12)
     for _ in range(500):
-        r = fs.reduce_phase(float(rng.uniform(-100, 100)), 0.01)
+        r = phase.reducer(0.01)(2 * float(rng.uniform(-100, 100)))
         assert abs(r) <= math.pi + 1e-9
 
 
@@ -136,4 +136,4 @@ def test_k_equals_four_double_angle():
 
 def test_epsilon_must_be_positive():
     with pytest.raises((ValueError, ZeroDivisionError)):
-        fs.reduce_phase(1.0, 0.0)
+        fs.reduced_sincos(1.0, 0.0)
