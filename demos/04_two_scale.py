@@ -23,13 +23,16 @@ def surface(t, s_arr):
     return (np.sin(t) + 0.3 * np.sin(2 * math.pi * s_arr),)
 
 
+def v(eps, times):
+    return (np.sin(times) + 0.3 * np.sin(2 * math.pi * times / eps),)
+
+
+# one call unfolds the whole ladder: the phase is inverted once for all
+ladder = (0.04, 0.02, 0.01)
 print("synthetic unfolding of v = sin(t) + 0.3 sin(2 pi t/eps)")
 prev = None
-for eps in (0.04, 0.02, 0.01):
-    def v(times, _eps=eps):
-        return (np.sin(times) + 0.3 * np.sin(2 * math.pi * times / _eps),)
-
-    (err,), info = fs.nonlinear_two_scale_error(v, surface, clock, eps)
+for eps, ((err,), info) in zip(ladder, fs.nonlinear_two_scale_error(v, surface, clock,
+                                                                    ladder)):
     note = "" if prev is None else f"   ratio {prev / err:5.2f}"
     print(f"  eps {eps:5.3f}: sup gap {err:.3e} over {info['cells']} cells{note}")
     prev = err
@@ -55,16 +58,18 @@ def limit(t, s_arr):
 
 
 print()
+def u(eps, times):
+    # called once per epsilon, so each reference run is made, used and freed
+    # before the next
+    ref = fs.reference_run(params, fm, eps, reference_factor=80)
+    xs = fs.sample(ref, times)
+    return ((xs[:, 1] - dc.theta_star) / eps,)
+
+
 print("unfolding error of (theta - theta*)/eps against the corrector surface")
 prev = None
-for eps in (0.04, 0.02, 0.01):
-    ref = fs.reference_run(params, fm, eps, reference_factor=80)
-
-    def u(times, _eps=eps, _ref=ref):
-        xs = fs.sample(_ref, times)
-        return ((xs[:, 1] - dc.theta_star) / _eps,)
-
-    (err,), info = fs.nonlinear_two_scale_error(u, limit, etraj, eps)
+for eps, ((err,), info) in zip(ladder, fs.nonlinear_two_scale_error(u, limit, etraj,
+                                                                    ladder)):
     note = "" if prev is None else f"   ratio {prev / err:5.2f}"
     print(f"  eps {eps:5.3f}: sup error {err:.3e} over {info['cells']} cells{note}")
     prev = err

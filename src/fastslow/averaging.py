@@ -33,61 +33,76 @@ def floor_frac(x):
     return n, np.where(r >= 1.0, np.nextafter(1.0, 0.0), r)
 
 
-def nonlinear_two_scale_error(u, limit, phase_traj: Trajectory, epsilon: float):
-    """Sup distances between unfolded signals and their two-scale limits.
+_S_POINTS = 256  # fast points s per cell
 
-    u: vectorized callable of time returning a sequence of k signals
-    (the finite-epsilon remainders), each an array over the times.
+
+def nonlinear_two_scale_error(u, limit, phase_traj: Trajectory, epsilons):
+    """Sup distances between unfolded signals and their two-scale limits,
+    at each epsilon of a ladder.
+
+    u: vectorized callable (epsilon, t) returning a sequence of k signals
+    (the finite-epsilon remainders), each an array over the times; it is
+    called once per epsilon, in order, once every epsilon fits the range.
     limit: vectorized callable (t, s) returning the k matching limit
     surfaces, 1-periodic in s, in the same order.
     phase_traj: trajectory whose component 0 is the limit phase phi0;
     the signals are resampled at the times where phi0 passes pi*r, which
     is the slow-time change of variables that makes the fast variable
-    exactly epsilon-periodic in r.  Fine and slow r-points are inverted
-    in one call, so the phase is inverted once however many signals.
+    exactly epsilon-periodic in r.  phi0 does not depend on epsilon, so
+    the r-points of the whole ladder are inverted in one call, each
+    distinct one once (on a dyadic ladder all lie in the finest grid).
 
     The unfolding is evaluated at 256 points s per cell, on a uniform
     fine r-grid of spacing epsilon/256, so every lookup lands on a
     precomputed sample; the sup runs over 512 interior slow points (three
     cells clear of the end).
-    Returns ([sup_error per signal], info dict).
+    Returns one ([sup_error per signal], info dict) per epsilon.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    phi_T = float(phase_traj.states[-1, 0])
-    r_max = phi_T / math.pi
-    n_cells = int(math.floor(r_max / epsilon))
-    if n_cells < 4:
-        raise PhaseRangeError("epsilon too large: fewer than four fast cells in range")
-    r_points, s_points = 512, 256
-    k_max = s_points * n_cells
-    r_fine = epsilon * np.arange(k_max + 1) / s_points
-    r_lo, r_hi = 0.0, (n_cells - 3) * epsilon
-    r_grid = np.linspace(r_lo, r_hi, r_points)
-    t_all = invert_monotone(phase_traj, np.pi * np.concatenate([r_fine, r_grid]),
-                            component=0)
-    t_fine, t_slow = t_all[:r_fine.size], t_all[r_fine.size:]
+    r_max = float(phase_traj.states[-1, 0]) / math.pi
+    ladder = []  # (epsilon, cells, slow r-grid); fine r-grids are eps*k/256
+    for epsilon in epsilons:
+        if not epsilon > 0:
+            raise ValueError("epsilon must be positive")
+        n_cells = int(math.floor(r_max / epsilon))
+        if n_cells < 4:
+            raise PhaseRangeError(f"epsilon {epsilon:g}: epsilon too large: "
+                                  "fewer than four fast cells in range")
+        ladder.append((epsilon, n_cells, np.linspace(0.0, (n_cells - 3) * epsilon, 512)))
+    # the distinct phases pi*r of the ladder, then the times phi0 passes them
+    t_distinct, which = np.unique(np.pi * np.concatenate([
+        r for epsilon, n_cells, r_grid in ladder
+        for r in (epsilon * np.arange(_S_POINTS * n_cells + 1) / _S_POINTS, r_grid)]),
+        return_inverse=True)
+    t_distinct = invert_monotone(phase_traj, t_distinct, component=0)
+    ends = np.cumsum([_S_POINTS * n_cells + 1 + r_grid.size for _, n_cells, r_grid in ladder])
+    return [(_unfolding_errors(u, limit, epsilon, r_grid, t_distinct[idx]),
+             {"r_max": r_max, "cells": n_cells, "r_window": (0.0, float(r_grid[-1])),
+              "s_points": _S_POINTS})
+            for (epsilon, n_cells, r_grid), idx in zip(ladder, np.split(which, ends[:-1]))]
 
+
+def _unfolding_errors(u, limit, epsilon, r_grid, t_all):
+    # one epsilon (t_all: times of its fine r-grid, then of r_grid); its arrays
+    # are freed before u is called again, the signals' temporaries before the
+    # limit surfaces are built, and the unfolded surfaces are made one at a time
+    t_fine, t_slow = t_all[:-r_grid.size], t_all[-r_grid.size:]
+    signals = [np.asarray(v, float) for v in u(epsilon, t_fine)]
     n, rho = floor_frac(r_grid / epsilon)
     n = n.astype(int)
-    j = np.arange(s_points)
-    s_grid = j / s_points
-    base = n[:, None] * s_points + j[None, :]
-    # the signals' temporaries are freed before the k limit surfaces are
-    # built, and the unfolded surfaces are made one at a time
-    signals = [np.asarray(v, float) for v in u(t_fine)]
+    j = np.arange(_S_POINTS)
+    s_grid = j / _S_POINTS
+    base = n[:, None] * _S_POINTS + j[None, :]
     limits = limit(t_slow[:, None], s_grid[None, :])
     errs = []
     for v_fine, lim in zip(signals, limits, strict=True):
         blend = ((1.0 - rho)[:, None] * v_fine[base]
-                 + rho[:, None] * v_fine[base + s_points])
-        cell_jump = v_fine[(n + 1) * s_points] - v_fine[n * s_points]
-        next_jump = v_fine[(n + 2) * s_points] - v_fine[(n + 1) * s_points]
+                 + rho[:, None] * v_fine[base + _S_POINTS])
+        cell_jump = v_fine[(n + 1) * _S_POINTS] - v_fine[n * _S_POINTS]
+        next_jump = v_fine[(n + 2) * _S_POINTS] - v_fine[(n + 1) * _S_POINTS]
         jump = (1.0 - rho) * cell_jump + rho * next_jump
         unfolded = blend - s_grid[None, :] * jump[:, None]
         errs.append(float(np.max(np.abs(unfolded - np.asarray(lim, float)))))
-    return errs, {"r_max": r_max, "cells": n_cells,
-                  "r_window": (r_lo, r_hi), "s_points": s_points}
+    return errs
 
 
 @dataclass(frozen=True)
@@ -123,7 +138,8 @@ def windowed_average(signal, centers, epsilon: float, phase_traj: Trajectory,
     phi_lo_all = float(phase_traj.states[0, 0])
     phi_hi_all = float(phase_traj.states[-1, 0])
     if 2 * half > phi_hi_all - phi_lo_all:
-        raise PhaseRangeError("window wider than the available phase range")
+        raise PhaseRangeError(f"epsilon {epsilon:g}: window wider than the "
+                              "available phase range")
     slid_left = phi - half < phi_lo_all
     slid_right = phi + half > phi_hi_all
     lo = np.where(slid_left, phi_lo_all,

@@ -186,9 +186,9 @@ def _hermite(tau, h, x, f, i):
     # x[i + 1], f[i + 1] are gathered one at a time to bound memory
     tau2 = tau * tau
     tau3 = tau2 * tau
-    h00 = 2.0 * tau3 - 3.0 * tau2 + 1.0
+    h01 = 3.0 * tau2 - 2.0 * tau3  # is -2 tau3 + 3 tau2 bitwise; rounding is
+    h00 = 1.0 - h01                # symmetric, so this is 2 tau3 - 3 tau2 + 1
     h10 = tau3 - 2.0 * tau2 + tau
-    h01 = -2.0 * tau3 + 3.0 * tau2
     h11 = tau3 - tau2
     return h00 * x[i] + h10 * h * f[i] + h01 * x[i + 1] + h11 * h * f[i + 1]
 
@@ -262,8 +262,8 @@ def invert_monotone(traj: Trajectory, targets, component: int = 0) -> np.ndarray
     evaluated with sample's arithmetic, one in a neighbouring segment by
     sample itself (rounding near a node can carry the cubic across the
     node's value), one farther out by monotonicity; so the times are
-    bitwise those of calling sample at every halving, and concatenated
-    targets give the concatenated answers.  Raises ValueError for node
+    bitwise those of calling sample at every halving, and each target's
+    time does not depend on the other targets.  Raises ValueError for node
     values not strictly increasing and for NaN or out-of-range targets.
     """
     targets = np.atleast_1d(np.asarray(targets, float))
@@ -290,13 +290,21 @@ def _bisect(traj: Trajectory, targets: np.ndarray, component: int) -> np.ndarray
     x01, f01 = np.stack([vals[i], vals[i + 1]]), np.stack([f[i], f[i + 1]])
     lo = np.full(targets.shape, times[0])
     hi = np.full(targets.shape, times[-1])
+    # once every bracket lies in its own segment, so does every later
+    # midpoint (at mid = end the cubic gives the node value, as sample does)
+    inside = False
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        take_hi = (mid < start) | ((mid < end)
-                                   & (_hermite((mid - t0) / h, h, x01, f01, 0) < targets))
-        nb = ((below <= mid) & (mid < start)) | ((end <= mid) & (mid < above))
-        if nb.any():
-            take_hi[nb] = sample(traj, mid[nb], component=component) < targets[nb]
-        lo = np.where(take_hi, mid, lo)
-        hi = np.where(take_hi, hi, mid)
+        take_hi = _hermite((mid - t0) / h, h, x01, f01, 0) < targets
+        if not inside:
+            take_hi = (mid < start) | ((mid < end) & take_hi)
+            nb = ((below <= mid) & (mid < start)) | ((end <= mid) & (mid < above))
+            if nb.any():
+                take_hi[nb] = sample(traj, mid[nb], component=component) < targets[nb]
+        new_lo = np.where(take_hi, mid, lo)
+        new_hi = np.where(take_hi, hi, mid)
+        if inside and np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break  # no bound moved, so no later pass moves one
+        lo, hi = new_lo, new_hi
+        inside = inside or bool(np.all(start <= lo) and np.all(hi <= end))
     return 0.5 * (lo + hi)

@@ -18,8 +18,7 @@ import json
 import math
 import sys
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -33,26 +32,32 @@ class ConfigError(ValueError):
     """Bad configuration file or option."""
 
 
+def _key(key: str, default):
+    """A RunConfig field, set by the config line `key = value`."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Complete, validated description of a run."""
 
-    frequency_preset: str = "sine"
-    frequency_coefficients: tuple = model.DEFAULT_COEFFICIENTS["sine"]
-    y_star: float = 0.0
-    p_star: float = 1.0
-    u_star: float = 1.0
-    horizon_T: float = 1.0
-    epsilons: tuple = (0.04, 0.02, 0.01, 0.005)
-    step_factor: float = 40.0
-    reference_factor: float = 80.0
-    rtol: float = 1e-12
-    atol: float = 1e-12
-    max_slow_step: float = 0.002
-    grid_points: int = 2001
-    out_dir: str = "runs"
-    window_periods: int = 8
-    flip_theta1_sign: bool = False
+    frequency_preset: str = _key("frequency.preset", "sine")
+    frequency_coefficients: tuple = _key("frequency.coefficients",
+                                         model.DEFAULT_COEFFICIENTS["sine"])
+    y_star: float = _key("initial.y_star", 0.0)
+    p_star: float = _key("initial.p_star", 1.0)
+    u_star: float = _key("initial.u_star", 1.0)
+    horizon_T: float = _key("run.horizon_T", 1.0)
+    epsilons: tuple = _key("run.epsilons", (0.04, 0.02, 0.01, 0.005))
+    step_factor: float = _key("integrate.step_factor", 40.0)
+    reference_factor: float = _key("integrate.reference_factor", 80.0)
+    rtol: float = _key("integrate.rtol", 1e-12)
+    atol: float = _key("integrate.atol", 1e-12)
+    max_slow_step: float = _key("integrate.max_slow_step", 0.002)
+    grid_points: int = _key("output.grid_points", 2001)
+    out_dir: str = _key("output.dir", "runs")
+    window_periods: int = _key("averaging.window_periods", 8)
+    flip_theta1_sign: bool = _key("debug.flip_theta1_sign", False)
 
     def frequency(self) -> model.FrequencyModel:
         try:
@@ -75,24 +80,10 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
-_KEY_FIELDS = {
-    "frequency.preset": ("frequency_preset", str),
-    "frequency.coefficients": ("frequency_coefficients", "floats"),
-    "initial.y_star": ("y_star", float),
-    "initial.p_star": ("p_star", float),
-    "initial.u_star": ("u_star", float),
-    "run.horizon_T": ("horizon_T", float),
-    "run.epsilons": ("epsilons", "floats"),
-    "integrate.step_factor": ("step_factor", float),
-    "integrate.reference_factor": ("reference_factor", float),
-    "integrate.rtol": ("rtol", float),
-    "integrate.atol": ("atol", float),
-    "integrate.max_slow_step": ("max_slow_step", float),
-    "output.grid_points": ("grid_points", int),
-    "output.dir": ("out_dir", str),
-    "averaging.window_periods": ("window_periods", int),
-    "debug.flip_theta1_sign": ("flip_theta1_sign", "bool"),
-}
+# config key -> (field name, value kind), the kind read from the annotation
+_KEY_FIELDS = {f.metadata["key"]: (f.name, {"str": str, "float": float, "int": int,
+                                            "tuple": "floats", "bool": "bool"}[f.type])
+               for f in fields(RunConfig)}
 
 
 def _echo_value(value, kind) -> str:
@@ -242,16 +233,6 @@ def _finish(command: str, cfg: RunConfig, out: Path, t0: float, files: list,
     if lines:
         print("\n".join(lines))
     return 0 if all(r.ok for r in report if isinstance(r, Gate)) else 1
-
-
-@contextmanager
-def _epsilon_fits(epsilon: float):
-    """Report an epsilon too large for the run's phase range as bad
-    configuration (exit 2), not as a traceback."""
-    try:
-        yield
-    except averaging.PhaseRangeError as e:
-        raise ConfigError(f"run.epsilons: epsilon {epsilon:g}: {e}") from e
 
 
 def _step_fits(cfg: RunConfig, fm, factor_key: str) -> None:
@@ -429,26 +410,21 @@ def cmd_thermo(cfg: RunConfig, out: Path) -> int:
               [grid, th.T0, th.F0, th.S0, th.S2_doublebar, ex.E2_perp_bar,
                ex.E2_par_bar, second.residuals])
 
-    gates = [
-        Gate("leading-order energy balance <= 1e-8",
-             lead.max_residual <= 1e-8, f"{lead.max_residual:.3e}"),
-        Gate("second-order energy balance <= 1e-6",
-             second.max_residual <= 1e-6, f"{second.max_residual:.3e}"),
-        Gate("averaged second-order energy vanishes <= 1e-8",
-             e2_bar_sup <= 1e-8, f"{e2_bar_sup:.3e}"),
-        Gate("averaged action identity <= 1e-8",
-             identity_sup <= 1e-8, f"{identity_sup:.3e}"),
-        Gate("closed-form doubly averaged entropy matches trajectory <= 1e-8",
-             closed_form_gap <= 1e-8, f"{closed_form_gap:.3e}"),
-        Gate("Hamilton-form residuals <= 1e-7",
-             max(hamilton_y, hamilton_p) <= 1e-7,
-             f"{hamilton_y:.3e} {hamilton_p:.3e}"),
-    ]
-
     t_check = thermo.hertz_temperature_oracle(0.5 * params.u_star**2, params.y_star, fm)
-    gates.append(Gate("period-average temperature equals oscillator energy <= 1e-10",
-                      abs(t_check - 0.5 * params.u_star**2) <= 1e-10,
-                      f"{abs(t_check - 0.5 * params.u_star**2):.3e}"))
+    # (name, tolerance as printed, the values it bounds)
+    gates = [Gate(f"{name} <= {tol}", max(values) <= float(tol),
+                  " ".join(f"{v:.3e}" for v in values))
+             for name, tol, *values in (
+                 ("leading-order energy balance", "1e-8", lead.max_residual),
+                 ("second-order energy balance", "1e-6", second.max_residual),
+                 ("averaged second-order energy vanishes", "1e-8", e2_bar_sup),
+                 ("averaged action identity", "1e-8", identity_sup),
+                 ("closed-form doubly averaged entropy matches trajectory", "1e-8",
+                  closed_form_gap),
+                 ("Hamilton-form residuals", "1e-7", hamilton_y, hamilton_p),
+                 ("period-average temperature equals oscillator energy", "1e-10",
+                  abs(t_check - 0.5 * params.u_star**2)),
+             )]
     rng = np.random.default_rng(20260819)
     vol_worst = 0.0
     for _ in range(10):
@@ -465,9 +441,8 @@ def cmd_thermo(cfg: RunConfig, out: Path) -> int:
     runs = []
     for eps in cfg.epsilons:
         ref = expansion.reference_run(params, fm, eps, cfg.reference_factor)
-        with _epsilon_fits(eps):
-            rep = thermo.equipartition_check(ref, eps, fm, m=cfg.window_periods,
-                                             grid_points=cfg.grid_points)
+        rep = thermo.equipartition_check(ref, eps, fm, m=cfg.window_periods,
+                                         grid_points=cfg.grid_points)
         equip.append(rep)
         xs = integrate.sample(ref, grid)
         runs.append({"epsilon": eps,
@@ -504,13 +479,12 @@ TWO_SCALE_VARIABLES = ("theta1", "phi2", "y2", "p2", "theta2")
 def two_scale_error_table(cfg: RunConfig, fm, params) -> dict:
     """Unfolding errors of the five rescaled remainders, per epsilon.
 
-    All five are unfolded in one call per epsilon, so the phase is
-    inverted and the expansion evaluated once for them.
+    All five are unfolded in one call for the whole ladder, so the phase
+    is inverted once; the reference runs are made one epsilon at a time.
     Returns {epsilon: {variable: sup_error, "richardson_error": tag of
     the reference run}}.
     """
-    dc = model.derived_constants(params, fm)
-    theta_star = dc.theta_star
+    theta_star = model.derived_constants(params, fm).theta_star
     etraj = expansion.solve_expansion(params, fm, cfg.rtol, cfg.atol,
                                       cfg.max_slow_step)
 
@@ -528,26 +502,25 @@ def two_scale_error_table(cfg: RunConfig, fm, params) -> dict:
                 corr.p2_bar[:, None] + cv.p2,
                 corr.theta2_bar[:, None] + cv.theta2)
 
-    out = {}
-    for eps in cfg.epsilons:
+    richardson = []
+
+    def u(eps, ts):
         ref = expansion.reference_run(params, fm, eps, cfg.reference_factor)
+        richardson.append(float(ref.meta["richardson_error"]))
+        xs = integrate.sample(ref, ts)
+        del ref  # freed before the expansion is evaluated, for a lower peak
+        base, corr = expansion.eval_expansion(etraj, ts)
+        cv = expansion.correctors(base, corr.phi2_bar, eps, fm, theta_star)
+        theta1 = (xs[:, 1] - theta_star) / eps
+        return (theta1,
+                (xs[:, 0] - base.phi0) / eps**2,
+                (xs[:, 2] - base.y0) / eps**2,
+                (xs[:, 3] - base.p0) / eps**2,
+                (theta1 - cv.theta1) / eps)
 
-        def u(ts):
-            xs = integrate.sample(ref, ts)
-            base, corr = expansion.eval_expansion(etraj, ts)
-            cv = expansion.correctors(base, corr.phi2_bar, eps, fm, theta_star)
-            theta1 = (xs[:, 1] - theta_star) / eps
-            return (theta1,
-                    (xs[:, 0] - base.phi0) / eps**2,
-                    (xs[:, 2] - base.y0) / eps**2,
-                    (xs[:, 3] - base.p0) / eps**2,
-                    (theta1 - cv.theta1) / eps)
-
-        with _epsilon_fits(eps):
-            errs, _ = averaging.nonlinear_two_scale_error(u, limit, etraj, eps)
-        out[eps] = dict(zip(TWO_SCALE_VARIABLES, errs, strict=True),
-                        richardson_error=float(ref.meta["richardson_error"]))
-    return out
+    table = averaging.nonlinear_two_scale_error(u, limit, etraj, cfg.epsilons)
+    return {eps: dict(zip(TWO_SCALE_VARIABLES, errs, strict=True), richardson_error=r)
+            for eps, (errs, _), r in zip(cfg.epsilons, table, richardson, strict=True)}
 
 
 def cmd_twoscale(cfg: RunConfig, out: Path) -> int:
@@ -706,6 +679,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg, out)
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
+        return 2
+    except averaging.PhaseRangeError as e:  # it names the epsilon
+        print(f"configuration error: run.epsilons: {e}", file=sys.stderr)
         return 2
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)

@@ -139,9 +139,9 @@ def test_nonlinear_unfolding_error_of_exact_limit(params, fm, dc):
     htraj = fs.solve_homogenized(params, fm)
     eps = 0.02
 
-    def u(ts):
+    def u(epsilon, ts):
         xs = fs.sample(htraj, ts)
-        s2 = np.sin(2.0 * xs[:, 0] / eps)
+        s2 = np.sin(2.0 * xs[:, 0] / epsilon)
         return (xs[:, 1] + 0.1 * s2,)
 
     def limit(t, s):
@@ -150,16 +150,23 @@ def test_nonlinear_unfolding_error_of_exact_limit(params, fm, dc):
         return (xs[:, 1][:, None]
                 + 0.1 * np.sin(2 * np.pi * np.asarray(s).ravel())[None, :],)
 
-    (err,), info = fs.nonlinear_two_scale_error(u, limit, htraj, eps)
+    [((err,), info)] = fs.nonlinear_two_scale_error(u, limit, htraj, [eps])
     assert err <= 5e-4
     assert info["cells"] >= 4
 
 
 def test_nonlinear_unfolding_needs_enough_cells(params, fm):
     htraj = fs.solve_homogenized(params, fm)
-    with pytest.raises(ValueError):
-        fs.nonlinear_two_scale_error(lambda ts: (np.zeros(len(ts)),),
-                                     lambda t, s: (0.0 * t * s,), htraj, 0.5)
+    calls = []
+
+    def u(epsilon, ts):
+        calls.append(epsilon)
+        return (np.zeros(len(ts)),)
+
+    # every epsilon is checked before the first signal is made
+    with pytest.raises(fs.averaging.PhaseRangeError, match="^epsilon 0.5: "):
+        fs.nonlinear_two_scale_error(u, lambda t, s: (0.0 * t * s,), htraj, [0.04, 0.5])
+    assert calls == []
 
 
 def test_unfolding_five_signals_at_once_matches_one_at_a_time(params, fm):
@@ -167,7 +174,7 @@ def test_unfolding_five_signals_at_once_matches_one_at_a_time(params, fm):
     eps = 0.02
     amps = (0.1, -0.3, 0.05, 0.7, 0.2)
 
-    def signals(ts):
+    def signals(epsilon, ts):
         xs = fs.sample(htraj, ts)
         fast = np.sin(2.0 * xs[:, 0] / eps)
         return [xs[:, k % 2 + 1] + a * fast for k, a in enumerate(amps)]
@@ -179,12 +186,12 @@ def test_unfolding_five_signals_at_once_matches_one_at_a_time(params, fm):
         return [xs[:, k % 2 + 1][:, None] + (1.0 + 0.01 * k) * a * fast
                 for k, a in enumerate(amps)]
 
-    errs, info = fs.nonlinear_two_scale_error(signals, surfaces, htraj, eps)
+    [(errs, info)] = fs.nonlinear_two_scale_error(signals, surfaces, htraj, [eps])
     assert len(errs) == len(amps)
     for k in range(len(amps)):
-        (one,), one_info = fs.nonlinear_two_scale_error(
-            lambda ts, k=k: signals(ts)[k:k + 1],
-            lambda t, s, k=k: surfaces(t, s)[k:k + 1], htraj, eps)
+        [((one,), one_info)] = fs.nonlinear_two_scale_error(
+            lambda epsilon, ts, k=k: signals(epsilon, ts)[k:k + 1],
+            lambda t, s, k=k: surfaces(t, s)[k:k + 1], htraj, [eps])
         assert one == errs[k]
         assert one_info == info
     assert len(set(errs)) == len(amps)
@@ -193,8 +200,8 @@ def test_unfolding_five_signals_at_once_matches_one_at_a_time(params, fm):
 def test_unfolding_rejects_mismatched_signal_and_limit_counts(params, fm):
     htraj = fs.solve_homogenized(params, fm)
     with pytest.raises(ValueError):
-        fs.nonlinear_two_scale_error(lambda ts: (ts, ts),
-                                     lambda t, s: (0.0 * t * s,), htraj, 0.02)
+        fs.nonlinear_two_scale_error(lambda epsilon, ts: (ts, ts),
+                                     lambda t, s: (0.0 * t * s,), htraj, [0.02])
 
 
 def test_estimate_order_recovers_exact_powers():

@@ -214,16 +214,41 @@ def _invert_full_width(traj, targets, component=0, iterations=60):
     return 0.5 * (lo + hi)
 
 
+def _assert_inverts_like_full_width_bisection(traj):
+    vals = traj.states[:, 0]
+    # every node value and its neighbours on both sides, both ends, targets
+    # inside the 1e-9 slack beyond them, and a spread: over 8193 targets
+    targets = np.concatenate([
+        vals, np.nextafter(vals, -np.inf), np.nextafter(vals, np.inf),
+        np.linspace(vals[0], vals[-1], max(1001, 8200 - 3 * vals.size)),
+        np.random.default_rng(7).uniform(vals[0], vals[-1], 500),
+        [vals[0] - 1e-9, vals[0] - 5e-10, vals[-1] + 5e-10, vals[-1] + 1e-9]])
+    targets = np.sort(targets[(targets >= vals[0] - 1e-9) & (targets <= vals[-1] + 1e-9)])
+    want = _invert_full_width(traj, targets)
+    assert np.array_equal(fs.invert_monotone(traj, targets), want)
+    # each target's time is its own: calls of one block and of two (8192
+    # targets per block at most) and shuffled targets give the same bits
+    for n in (1, 8191, 8192, 8193):
+        assert np.array_equal(fs.invert_monotone(traj, targets[-n:]), want[-n:])
+    shuffle = np.random.default_rng(8).permutation(targets.size)
+    assert np.array_equal(fs.invert_monotone(traj, targets[shuffle]), want[shuffle])
+
+
 def test_invert_monotone_matches_full_width_bisection(expansion_run):
-    traj = expansion_run[0]
-    phi_T = float(traj.states[-1, 0])
-    targets = np.concatenate([np.linspace(0.0, phi_T, 4001),
-                              np.random.default_rng(7).uniform(0.0, phi_T, 500)])
-    ts = fs.invert_monotone(traj, targets, component=0)
-    assert np.array_equal(ts, _invert_full_width(traj, targets))
-    # each target is bisected on its own: split calls give the same bits
-    halves = [fs.invert_monotone(traj, part) for part in np.split(targets, [1234])]
-    assert np.array_equal(np.concatenate(halves), ts)
+    _assert_inverts_like_full_width_bisection(expansion_run[0])
+
+
+def test_invert_monotone_matches_full_width_bisection_past_a_flat_node():
+    # the first cubic is flat at its end node t = 1 and falls far below the
+    # node's value at the first midpoint t = 1.5, in the next segment
+    traj = fs.Trajectory(np.array([0.0, 1.0, 3.0]), np.array([[0.0], [1.0], [3.0]]),
+                         np.array([[1.0], [1e-6], [1.0]]))
+    assert fs.sample(traj, [1.5])[0, 0] > 1.0
+    _assert_inverts_like_full_width_bisection(traj)
+    # targets of the first segment alone: no bracket is inside it before
+    # its upper end falls to the node
+    below = np.array([0.99, 0.999999, np.nextafter(1.0, 0.0)])
+    assert np.array_equal(fs.invert_monotone(traj, below), _invert_full_width(traj, below))
 
 
 @pytest.mark.parametrize("preset, coefficients, horizon_T", [
@@ -235,20 +260,7 @@ def test_invert_monotone_matches_sample_bisection_on_reference_runs(
         preset, coefficients, horizon_T):
     fm = fs.make_frequency(preset, coefficients)
     params = fs.SystemParams(y_star=0.0, p_star=1.0, u_star=1.0, horizon_T=horizon_T)
-    ref = fs.reference_run(params, fm, 0.01, 80.0)
-    vals = ref.states[:, 0]
-    # every node value and its neighbours on both sides, both ends, and
-    # targets inside the 1e-9 slack beyond them
-    targets = np.concatenate([
-        vals, np.nextafter(vals, -np.inf), np.nextafter(vals, np.inf),
-        np.linspace(vals[0], vals[-1], 1001),
-        [vals[0] - 1e-9, vals[0] - 5e-10, vals[-1] + 5e-10, vals[-1] + 1e-9]])
-    targets = targets[(targets >= vals[0] - 1e-9) & (targets <= vals[-1] + 1e-9)]
-    ts = fs.invert_monotone(ref, targets)
-    assert np.array_equal(ts, _invert_full_width(ref, targets))
-    # split calls give the answers of one call on the concatenated targets
-    parts = np.split(targets, [1, 777, 8192, 8193, 20000])
-    assert np.array_equal(np.concatenate([fs.invert_monotone(ref, p) for p in parts]), ts)
+    _assert_inverts_like_full_width_bisection(fs.reference_run(params, fm, 0.01, 80.0))
 
 
 def test_invert_monotone_rejects_a_column_that_turns_back():

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import fastslow as fs
-from fastslow.lab import RunConfig, parse_config_text, write_csv
+from fastslow.lab import (TWO_SCALE_VARIABLES, RunConfig, parse_config_text,
+                          two_scale_error_table, write_csv)
 
 
 def file_hashes(d, skip=("manifest.json",)):
@@ -136,7 +137,7 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys, below):
     assert blocker.read_text() == "not a directory\n"
 
 
-def test_bad_epsilon_flag_exits_2(tmp_path):
+def test_bad_epsilon_flag_exits_2(tmp_path, capsys):
     assert fs.main(["check", "--epsilon", "abc", "--out", str(tmp_path)]) == 2
     assert fs.main(["check", "--epsilon", "", "--out", str(tmp_path)]) == 2
     assert fs.main(["check", "--epsilon", "nan", "--out", str(tmp_path)]) == 2
@@ -144,6 +145,10 @@ def test_bad_epsilon_flag_exits_2(tmp_path):
     assert fs.main(["sweep", "--epsilon", "nan", "--out", str(tmp_path)]) == 2
     assert fs.main(["simulate", "--epsilon", "inf", "--out", str(tmp_path)]) == 2
     assert fs.main(["check", "--preset", "unknown", "--out", str(tmp_path)]) == 2
+    capsys.readouterr()
+    assert fs.main(["twoscale", "--epsilon", "0.04,0.5", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: epsilons must be strictly decreasing\n")
 
 
 def _write_csv_per_cell(path, header, columns):
@@ -248,6 +253,77 @@ def test_twoscale_single_epsilon_reports_only(tmp_path):
     assert 0.0 < runs[0]["richardson_error"] <= 1e-8
 
 
+def _two_scale_error_table_per_epsilon(cfg, fm, params):
+    """The per-epsilon loop that the ladder call replaced, each epsilon with
+    its own phase inversion, kept as the oracle of two_scale_error_table."""
+    theta_star = fs.derived_constants(params, fm).theta_star
+    etraj = fs.solve_expansion(params, fm, cfg.rtol, cfg.atol, cfg.max_slow_step)
+
+    def limit(t, s):
+        base, corr = fs.eval_expansion(etraj, t.ravel())
+        b = fs.HomogenizedState(base.phi0[:, None], base.y0[:, None],
+                                base.p0[:, None], base.theta0[:, None])
+        cv = fs.two_scale_limits(b, corr.phi2_bar[:, None], s.ravel()[None, :],
+                                 fm, theta_star)
+        return (cv.theta1, corr.phi2_bar[:, None] + cv.phi2, corr.y2_bar[:, None] + cv.y2,
+                corr.p2_bar[:, None] + cv.p2, corr.theta2_bar[:, None] + cv.theta2)
+
+    out = {}
+    for eps in cfg.epsilons:
+        ref = fs.expansion.reference_run(params, fm, eps, cfg.reference_factor)
+        n_cells = int(math.floor(float(etraj.states[-1, 0]) / math.pi / eps))
+        r_fine = eps * np.arange(256 * n_cells + 1) / 256
+        r_grid = np.linspace(0.0, (n_cells - 3) * eps, 512)
+        t_all = fs.invert_monotone(etraj, np.pi * np.concatenate([r_fine, r_grid]))
+        t_fine, t_slow = t_all[:r_fine.size], t_all[r_fine.size:]
+        xs = fs.sample(ref, t_fine)
+        base, corr = fs.eval_expansion(etraj, t_fine)
+        cv = fs.correctors(base, corr.phi2_bar, eps, fm, theta_star)
+        theta1 = (xs[:, 1] - theta_star) / eps
+        signals = (theta1, (xs[:, 0] - base.phi0) / eps**2, (xs[:, 2] - base.y0) / eps**2,
+                   (xs[:, 3] - base.p0) / eps**2, (theta1 - cv.theta1) / eps)
+        n, rho = fs.floor_frac(r_grid / eps)
+        n = n.astype(int)
+        j = np.arange(256)
+        s_grid = j / 256
+        cells = n[:, None] * 256 + j[None, :]
+        errs = []
+        for v, lim in zip(signals, limit(t_slow[:, None], s_grid[None, :])):
+            blend = (1.0 - rho)[:, None] * v[cells] + rho[:, None] * v[cells + 256]
+            jump = ((1.0 - rho) * (v[(n + 1) * 256] - v[n * 256])
+                    + rho * (v[(n + 2) * 256] - v[(n + 1) * 256]))
+            errs.append(float(np.max(np.abs(blend - s_grid[None, :] * jump[:, None] - lim))))
+        out[eps] = dict(zip(TWO_SCALE_VARIABLES, errs),
+                        richardson_error=float(ref.meta["richardson_error"]))
+    return out
+
+
+@pytest.mark.parametrize("preset, epsilons", [
+    ("sine", (0.04, 0.02, 0.01, 0.005)),
+    # no coarser fine grid lies in a finer one
+    ("fourier", (0.04, 0.03, 0.011)),
+])
+def test_two_scale_table_matches_per_epsilon_unfolding(monkeypatch, preset, epsilons):
+    cfg = RunConfig(frequency_preset=preset,
+                    frequency_coefficients=fs.model.DEFAULT_COEFFICIENTS[preset],
+                    epsilons=epsilons)
+    fm, params = cfg.frequency(), cfg.params()
+    runs, made = {}, []
+    real_run = fs.expansion.reference_run
+
+    def run_once(params_, fm_, eps, reference_factor):
+        made.append(eps)
+        if eps not in runs:
+            runs[eps] = real_run(params_, fm_, eps, reference_factor)
+        return runs[eps]
+
+    monkeypatch.setattr(fs.expansion, "reference_run", run_once)
+    table = two_scale_error_table(cfg, fm, params)
+    assert made == list(epsilons)
+    assert table == _two_scale_error_table_per_epsilon(cfg, fm, params)
+    assert list(table) == list(epsilons)
+
+
 def test_preset_and_epsilon_flags_land_in_manifest(tmp_path):
     out = tmp_path / "m"
     rc = fs.main(["simulate", "--preset", "constant", "--epsilon", "0.04",
@@ -284,14 +360,18 @@ def test_thermo_passes_equipartition_gaps_at_rounding_level(tmp_path):
             "rounding level") in (out / "thermo_summary.txt").read_text()
 
 
-@pytest.mark.parametrize("command, epsilon", [("twoscale", "0.5"), ("thermo", "0.9")])
+@pytest.mark.parametrize("command, epsilon", [("twoscale", "0.5"), ("thermo", "0.9"),
+                                              ("twoscale", "0.5,0.04"),
+                                              ("thermo", "0.5,0.04")])
 def test_epsilon_too_large_for_the_phase_range_exits_2(tmp_path, capsys,
                                                        command, epsilon):
     rc = fs.main([command, "--epsilon", epsilon, "--out", str(tmp_path)])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error")
-    assert "run.epsilons" in err
+    reason = {"twoscale": "epsilon too large: fewer than four fast cells in range",
+              "thermo": "window wider than the available phase range"}[command]
+    # the message names the epsilon that does not fit, the largest
+    assert capsys.readouterr().err == (
+        f"configuration error: run.epsilons: epsilon {epsilon.split(',')[0]}: {reason}\n")
 
 
 @pytest.mark.parametrize("command", ["sweep", "thermo", "twoscale"])
