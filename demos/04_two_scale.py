@@ -50,8 +50,7 @@ def limit(t, s_arr):
     tt = np.asarray(t).ravel()
     ss = np.asarray(s_arr).ravel()
     base, corr = fs.eval_expansion(etraj, tt)
-    b = fs.HomogenizedState(base.phi0[:, None], base.y0[:, None],
-                            base.p0[:, None], base.theta0[:, None])
+    b = fs.HomogenizedState(base.phi0[:, None], base.y0[:, None], base.p0[:, None])
     cv = fs.two_scale_limits(b, corr.phi2_bar[:, None], ss[None, :],
                              fm, dc.theta_star)
     return (cv.theta1,)

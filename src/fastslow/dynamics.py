@@ -98,13 +98,13 @@ def to_action_angle(s: CartesianState, epsilon: float, fm: FrequencyModel) -> Ac
 
 
 def from_action_angle(s: ActionAngleState, epsilon: float, fm: FrequencyModel) -> CartesianState:
-    """Exact chart change action-angle -> cartesian."""
+    """Exact chart change action-angle -> cartesian, for float or array fields."""
     _check(epsilon, s.theta)
     w, w1, _, _ = fm.derivs(s.y)
     s1, c1 = reduced_sincos(s.phi, epsilon, 1)
-    amp = math.sqrt(2.0 * s.theta / w)
+    amp = np.sqrt(2.0 * s.theta / w)
     z = epsilon * amp * s1
-    zeta = math.sqrt(2.0 * s.theta * w) * c1
+    zeta = np.sqrt(2.0 * s.theta * w) * c1
     s2 = 2.0 * s1 * c1
     eta = s.p + epsilon * (0.5 * s.theta * w1 / w) * s2
     return CartesianState(s.y, eta, z, zeta)

@@ -10,9 +10,7 @@ variables start correcting at second order.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -20,8 +18,7 @@ from .dynamics import ActionAngleState, action_angle_field, energy_action_angle
 from .homogenized import HomogenizedState
 from .integrate import (Trajectory, integrate_controlled, reference_solution,
                         sample)
-from .model import (DerivedConstants, FrequencyModel, SystemParams,
-                    derived_constants)
+from .model import FrequencyModel, SystemParams, derived_constants
 from .phase import reduced_sincos
 
 
@@ -171,16 +168,11 @@ def solve_expansion(params: SystemParams, fm: FrequencyModel,
                     rtol: float = 1e-12, atol: float = 1e-12,
                     max_step: float = 0.002) -> Trajectory:
     """Integrate homogenized + averaged layers jointly over [0, horizon_T]."""
-    dc = derived_constants(params, fm)
     init = initial_corrections(params, fm)
     x0 = np.array([0.0, params.y_star, params.p_star, init.phi2_bar,
                    init.theta2_bar, init.y2_bar, init.p2_bar])
-    traj = integrate_controlled(expansion_field(params, fm), x0,
+    return integrate_controlled(expansion_field(params, fm), x0,
                                 params.horizon_T, rtol, atol, max_step=max_step)
-    traj.meta["components"] = ("phi0", "y0", "p0", "phi2_bar", "theta2_bar",
-                               "y2_bar", "p2_bar")
-    traj.meta["theta_star"] = dc.theta_star
-    return traj
 
 
 def eval_expansion(traj: Trajectory, grid):
@@ -189,9 +181,7 @@ def eval_expansion(traj: Trajectory, grid):
     Returns (HomogenizedState, AveragedCorrection) holding arrays.
     """
     xs = sample(traj, grid)
-    theta_star = traj.meta["theta_star"]
-    base = HomogenizedState(phi0=xs[:, 0], y0=xs[:, 1], p0=xs[:, 2],
-                            theta0=np.full(xs.shape[0], theta_star))
+    base = HomogenizedState(phi0=xs[:, 0], y0=xs[:, 1], p0=xs[:, 2])
     corr = AveragedCorrection(phi2_bar=xs[:, 3], theta2_bar=xs[:, 4],
                               y2_bar=xs[:, 5], p2_bar=xs[:, 6])
     return base, corr
@@ -243,72 +233,50 @@ def reference_run(params: SystemParams, fm: FrequencyModel, epsilon: float,
                               fm.fast_step(epsilon, reference_factor), error_cap=1e-8)
 
 
-def _norms_for_epsilon(params: SystemParams, fm: FrequencyModel,
-                       dc: DerivedConstants, grid: np.ndarray,
-                       base: HomogenizedState, corr: AveragedCorrection,
-                       reference_factor: float, epsilon: float):
-    """Reference run at one epsilon and its distances to the reconstruction
-    (base, corr) sampled on grid."""
-    ref = reference_run(params, fm, epsilon, reference_factor)
-    xs = sample(ref, grid)
-    phi_e, theta_e, y_e, p_e = xs[:, 0], xs[:, 1], xs[:, 2], xs[:, 3]
-    cv = correctors(base, corr.phi2_bar, epsilon, fm, dc.theta_star)
-    phi_hat, theta_hat, y_hat, p_hat = reconstruct(epsilon, base, corr, cv,
-                                                   dc.theta_star)
-    sup = lambda a: float(np.max(np.abs(a)))
-    energy = energy_action_angle(ActionAngleState(*xs.T), epsilon, fm)
-    return {
-        "leading": {"phi": sup(phi_e - base.phi0),
-                    "theta": sup(theta_e - dc.theta_star),
-                    "y": sup(y_e - base.y0),
-                    "p": sup(p_e - base.p0)},
-        "first": {"theta": sup(theta_e - dc.theta_star - epsilon * cv.theta1)},
-        "second": {"phi": sup(phi_e - phi_hat),
-                   "theta": sup(theta_e - theta_hat),
-                   "y": sup(y_e - y_hat),
-                   "p": sup(p_e - p_hat)},
-        "energy_drift": sup(energy - dc.e_star),
-        "reference_error": ref.meta["richardson_error"],
-        "theta_min": float(np.min(theta_e)),
-    }
-
-
 def residual_norms(params: SystemParams, fm: FrequencyModel, epsilon_list,
                    rtol: float = 1e-12, atol: float = 1e-12,
                    max_step: float = 0.002, grid_points: int = 2001,
-                   reference_factor: float = 80.0,
-                   workers: int | None = None) -> ResidualReport:
+                   reference_factor: float = 80.0) -> ResidualReport:
     """Measure reconstruction quality across epsilons.
 
     The epsilon-independent expansion is solved and sampled once; each
-    epsilon then gets an independent step-halved reference run compared
-    on the common output grid.  The per-epsilon jobs can fan out over
-    processes (workers > 1, or the FASTSLOW_WORKERS environment variable).
-    Results are bitwise independent of the worker count.
+    epsilon then gets a step-halved reference run compared on the common
+    output grid.
     """
     eps = tuple(float(e) for e in epsilon_list)
     if any(e <= 0 for e in eps):
         raise ValueError("epsilons must be positive")
-    if workers is None:
-        try:
-            workers = max(1, int(os.environ.get("FASTSLOW_WORKERS", "1")))
-        except ValueError:
-            workers = 1
+    dc = derived_constants(params, fm)
     grid = np.linspace(0.0, params.horizon_T, grid_points)
     base, corr = eval_expansion(solve_expansion(params, fm, rtol, atol, max_step),
                                 grid)
-    job = partial(_norms_for_epsilon, params, fm, derived_constants(params, fm),
-                  grid, base, corr, reference_factor)
-    if workers > 1 and len(eps) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, eps))
-    else:
-        results = list(map(job, eps))
+    sup = lambda a: float(np.max(np.abs(a)))
     families: dict = {"leading": {}, "first": {}, "second": {}}
-    for fam in families:
-        for var in results[0][fam]:
-            families[fam][var] = np.array([r[fam][var] for r in results])
+    drift, ref_errors, theta_min = [], [], []
+    for epsilon in eps:
+        ref = reference_run(params, fm, epsilon, reference_factor)
+        xs = sample(ref, grid)
+        phi_e, theta_e, y_e, p_e = xs[:, 0], xs[:, 1], xs[:, 2], xs[:, 3]
+        cv = correctors(base, corr.phi2_bar, epsilon, fm, dc.theta_star)
+        phi_hat, theta_hat, y_hat, p_hat = reconstruct(epsilon, base, corr, cv,
+                                                       dc.theta_star)
+        for fam, var, residual in (
+                ("leading", "phi", phi_e - base.phi0),
+                ("leading", "theta", theta_e - dc.theta_star),
+                ("leading", "y", y_e - base.y0),
+                ("leading", "p", p_e - base.p0),
+                ("first", "theta", theta_e - dc.theta_star - epsilon * cv.theta1),
+                ("second", "phi", phi_e - phi_hat),
+                ("second", "theta", theta_e - theta_hat),
+                ("second", "y", y_e - y_hat),
+                ("second", "p", p_e - p_hat)):
+            families[fam].setdefault(var, []).append(sup(residual))
+        energy = energy_action_angle(ActionAngleState(*xs.T), epsilon, fm)
+        drift.append(sup(energy - dc.e_star))
+        ref_errors.append(ref.meta["richardson_error"])
+        theta_min.append(float(np.min(theta_e)))
+    families = {fam: {var: np.array(v) for var, v in d.items()}
+                for fam, d in families.items()}
     normalized = {
         fam: {var: vals / np.array(eps) ** (1 if (fam, var) == ("leading", "theta") else 2)
               for var, vals in d.items()}
@@ -318,7 +286,7 @@ def residual_norms(params: SystemParams, fm: FrequencyModel, epsilon_list,
         epsilons=eps,
         families=families,
         normalized=normalized,
-        energy_drift=np.array([r["energy_drift"] for r in results]),
-        reference_errors=np.array([r["reference_error"] for r in results]),
-        theta_min=np.array([r["theta_min"] for r in results]),
+        energy_drift=np.array(drift),
+        reference_errors=np.array(ref_errors),
+        theta_min=np.array(theta_min),
     )

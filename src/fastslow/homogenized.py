@@ -16,7 +16,7 @@ from .model import FrequencyModel, SystemParams, derived_constants
 
 @dataclass(frozen=True)
 class HomogenizedState:
-    """Limit state: phase phi0, action theta0 (constant), slow pair (y0, p0).
+    """Limit state: phase phi0 and slow pair (y0, p0), at action theta_star.
 
     Fields may hold floats or equal-length arrays; the formulas are
     arithmetic in the fields either way.
@@ -25,12 +25,11 @@ class HomogenizedState:
     phi0: object
     y0: object
     p0: object
-    theta0: object
 
 
 def homogenized_field(fm: FrequencyModel, theta_star: float):
     """Vector field f(t, x) with x = (phi0, y0, p0), returning a tuple of
-    floats; theta0 enters as the constant theta_star."""
+    floats; the action enters as the constant theta_star."""
     derivs = fm.scalar_derivs()
 
     def f(t, x):
@@ -46,15 +45,13 @@ def solve_homogenized(params: SystemParams, fm: FrequencyModel,
                       max_step: float = 0.002) -> Trajectory:
     """Integrate the limit system over [0, horizon_T].
 
-    States are [phi0, y0, p0]; meta records the component names and
-    theta_star.  The step cap keeps the dense output smooth enough for
-    downstream finite differencing.
+    States are [phi0, y0, p0] and meta records theta_star; the step cap
+    keeps the dense output smooth for downstream finite differencing.
     """
     dc = derived_constants(params, fm)
     x0 = (0.0, params.y_star, params.p_star)
     traj = integrate_controlled(homogenized_field(fm, dc.theta_star), x0,
                                 params.horizon_T, rtol, atol, max_step=max_step)
-    traj.meta["components"] = ("phi0", "y0", "p0")
     traj.meta["theta_star"] = dc.theta_star
     return traj
 

@@ -118,9 +118,8 @@ class FrequencyModel:
 
 @dataclass(frozen=True)
 class LogDerivatives:
-    """log omega and its first three y-derivatives at a point."""
+    """The first three y-derivatives of log omega at a point."""
 
-    L: float
     dyL: float
     dy2L: float
     dy3L: float
@@ -199,13 +198,12 @@ def make_frequency(preset: str, coefficients) -> FrequencyModel:
 
 
 def log_derivatives(fm: FrequencyModel, y) -> LogDerivatives:
-    """log omega and derivatives; the corrector formulas consume these."""
+    """y-derivatives of log omega, the chains finite_difference_report checks."""
     w, w1, w2, w3 = fm.derivs(y)
     r1 = w1 / w
     r2 = w2 / w
     r3 = w3 / w
     return LogDerivatives(
-        L=(np if isinstance(y, np.ndarray) else math).log(w),
         dyL=r1,
         dy2L=r2 - r1 * r1,
         dy3L=r3 - 3.0 * r1 * r2 + 2.0 * r1 * r1 * r1,

@@ -49,13 +49,14 @@ class ThermoExpansion:
 class EnergyExpansion:
     """Oscillator/slow energy split, order by order.
 
-    The first-order pieces cancel exactly (E1_perp_osc + E1_par_osc = 0);
-    the second-order averages E2_perp_bar + E2_par_bar vanish identically
+    Each second-order piece is its full coefficient minus its fast-phase
+    average.  The oscillatory pieces cancel at both orders
+    (E1_perp_osc + E1_par_osc = 0, E2_perp_osc + E2_par_osc = 0); the
+    second-order averages E2_perp_bar + E2_par_bar vanish identically
     because total energy is conserved and matched at t = 0.
     """
 
     E0_perp: object
-    E0_par: object
     E1_perp_osc: object
     E1_par_osc: object
     E2_perp_osc: object
@@ -93,9 +94,7 @@ class FirstLawReport:
 class EquipartitionReport:
     """Windowed kinetic-potential gaps and the virial-type sup norm."""
 
-    epsilon: float
     centers: np.ndarray
-    gap_values: np.ndarray
     gap_max: float
     xi_sup: float
     any_slid: bool
@@ -137,21 +136,20 @@ def energy_expansion(base: HomogenizedState, corr: AveragedCorrection,
     e1_perp = w * cv.theta1
     e1_par = (0.5 * theta_star * DtL) * s2
     e2_perp_osc = theta_star * w1 * cv.y2 + w * cv.theta2
-    e2_par_osc = (base.p0 * cv.p2
-                  + (theta_star**2 * dyL * dyL / 8.0) * (s2 * s2)
-                  + theta_star * DtL * (corr.phi2_bar + cv.phi2) * c2
-                  + 0.5 * cv.theta1 * DtL * s2)
+    e2_par = (base.p0 * (corr.p2_bar + cv.p2)
+              + (theta_star**2 * dyL * dyL / 8.0) * (s2 * s2)
+              + theta_star * DtL * (corr.phi2_bar + cv.phi2) * c2
+              + 0.5 * cv.theta1 * DtL * s2)
     e2_perp_bar = theta_star * w1 * corr.y2_bar + w * corr.theta2_bar
     e2_par_bar = (base.p0 * corr.p2_bar
                   + (theta_star * dyL / 4.0) ** 2
                   - theta_star * DtL * DtL / (4.0 * w))
     return EnergyExpansion(
         E0_perp=theta_star * w,
-        E0_par=0.5 * base.p0 * base.p0,
         E1_perp_osc=e1_perp,
         E1_par_osc=e1_par,
         E2_perp_osc=e2_perp_osc,
-        E2_par_osc=e2_par_osc,
+        E2_par_osc=e2_par - e2_par_bar,
         E2_perp_bar=e2_perp_bar,
         E2_par_bar=e2_par_bar,
         E2_bar=e2_perp_bar + e2_par_bar,
@@ -308,10 +306,8 @@ def equipartition_check(traj: Trajectory, epsilon: float, fm: FrequencyModel,
     xs = sample(traj, grid)
     s2, _ = reduced_sincos(xs[:, 0], epsilon, 2)
     xi = epsilon * xs[:, 1] * s2
-    gap_values = np.array([wa.value for wa in windows])
-    return EquipartitionReport(epsilon=epsilon, centers=centers,
-                               gap_values=gap_values,
-                               gap_max=float(np.max(np.abs(gap_values))),
+    gap_max = float(np.max(np.abs([wa.value for wa in windows])))
+    return EquipartitionReport(centers=centers, gap_max=gap_max,
                                xi_sup=float(np.max(np.abs(xi))),
                                any_slid=any(wa.slid_left or wa.slid_right
                                             for wa in windows))

@@ -47,7 +47,7 @@ def reusing(reference_runs, params, fm):
 @pytest.fixture(scope="module")
 def sweep_report(params, fm, reference_runs):
     with reusing(reference_runs, params, fm) as hits:
-        report = fs.residual_norms(params, fm, EPSILONS, workers=1)
+        report = fs.residual_norms(params, fm, EPSILONS)
     assert hits == list(EPSILONS)
     return report
 

@@ -120,6 +120,12 @@ def test_array_transform_matches_scalar(fm):
     E = fs.energy_action_angle(fs.ActionAngleState(PHI, THETA, YY, P), eps, fm)
     s0 = fs.ActionAngleState(float(PHI[0]), float(THETA[0]), float(YY[0]), float(P[0]))
     assert abs(E[0] - fs.energy_action_angle(s0, eps, fm)) <= 1e-14
+    # the inverse chart change takes the same arrays, element for element bitwise
+    C = fs.from_action_angle(fs.ActionAngleState(PHI, THETA, YY, P), eps, fm)
+    for i in range(n):
+        c = fs.from_action_angle(fs.ActionAngleState(float(PHI[i]), float(THETA[i]),
+                                                     float(YY[i]), float(P[i])), eps, fm)
+        assert (C.y[i], C.eta[i], C.z[i], C.zeta[i]) == (c.y, c.eta, c.z, c.zeta)
     # a degenerate element (z = zeta = 0) has phi = 0 in both paths
     Z[3] = ZETA[3] = 0.0
     aa_arr = fs.to_action_angle(fs.CartesianState(Y, ETA, Z, ZETA), eps, fm)

@@ -6,11 +6,7 @@ theta* = 1/4, omega = 2, omega' = 1, omega'' = 0 at the start.
 """
 
 import math
-import os
-import subprocess
-import sys
 from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +16,7 @@ import fastslow as fs
 
 
 def base_at_start():
-    return fs.HomogenizedState(phi0=0.0, y0=0.0, p0=1.0, theta0=0.25)
+    return fs.HomogenizedState(phi0=0.0, y0=0.0, p0=1.0)
 
 
 def test_corrector_values_at_start(dc, fm):
@@ -68,7 +64,7 @@ def test_p2_corrector_matches_frequency_ratio_derivative(fm, dc):
         return w1 / w**2
 
     fd = (ratio(y + h) - ratio(y - h)) / (2 * h)
-    b = fs.HomogenizedState(0.0, y, p0, dc.theta_star)
+    b = fs.HomogenizedState(0.0, y, p0)
     cv = fs.correctors(b, 0.0, 0.25, fm, dc.theta_star)
     assert abs(cv.p2 - dc.theta_star * p0 / 4 * fd) <= 1e-9
 
@@ -78,7 +74,7 @@ def test_correctors_vanish_at_quarter_period(expansion_run, fm, dc):
     traj, grid, base, corr = expansion_run
     i = 800
     eps = 4.0 * base.phi0[i] / math.pi
-    b = fs.HomogenizedState(base.phi0[i], base.y0[i], base.p0[i], base.theta0[i])
+    b = fs.HomogenizedState(base.phi0[i], base.y0[i], base.p0[i])
     cv = fs.correctors(b, corr.phi2_bar[i], float(eps), fm, dc.theta_star)
     assert abs(cv.y2) <= 1e-15
     assert abs(cv.p2) <= 1e-15
@@ -103,7 +99,7 @@ def test_constant_frequency_kills_expansion(params):
 
 def test_reconstruction_reproduces_initial_data(expansion_run, fm, dc):
     traj, grid, base, corr = expansion_run
-    b0 = fs.HomogenizedState(base.phi0[0], base.y0[0], base.p0[0], base.theta0[0])
+    b0 = fs.HomogenizedState(base.phi0[0], base.y0[0], base.p0[0])
     c0 = fs.AveragedCorrection(corr.phi2_bar[0], corr.theta2_bar[0],
                                corr.y2_bar[0], corr.p2_bar[0])
     for eps in (0.04, 0.005):
@@ -121,13 +117,13 @@ def test_two_scale_limits_match_correctors_at_zero_fast_phase(expansion_run, fm,
     i = 800
     s = np.arange(64) / 64
     b = fs.HomogenizedState(np.array([[base.phi0[i]]]), np.array([[base.y0[i]]]),
-                            np.array([[base.p0[i]]]), np.array([[base.theta0[i]]]))
+                            np.array([[base.p0[i]]]))
     lim = fs.two_scale_limits(b, np.array([[corr.phi2_bar[i]]]), s[None, :],
                               fm, dc.theta_star)
     assert lim.theta1.shape == (1, 64)
     # s = 0 agrees with correctors evaluated at a whole-period phase
     eps_whole = base.phi0[i] / math.pi
-    bb = fs.HomogenizedState(base.phi0[i], base.y0[i], base.p0[i], base.theta0[i])
+    bb = fs.HomogenizedState(base.phi0[i], base.y0[i], base.p0[i])
     cv = fs.correctors(bb, corr.phi2_bar[i], float(eps_whole), fm, dc.theta_star)
     for name in ("theta1", "phi2", "y2", "p2", "theta2"):
         assert abs(getattr(lim, name)[0, 0] - getattr(cv, name)) <= 1e-15
@@ -142,7 +138,7 @@ def test_two_scale_limits_match_correctors_at_zero_fast_phase(expansion_run, fm,
 def test_corrector_amplitudes_bounded(phi, y, p, eps, phi2_bar):
     fm = fs.make_frequency("sine", (2.0, 1.0))
     theta_star = 0.25
-    b = fs.HomogenizedState(phi, y, p, theta_star)
+    b = fs.HomogenizedState(phi, y, p)
     cv = fs.correctors(b, phi2_bar, eps, fm, theta_star)
     w, w1, w2, _ = fm.derivs(y)
     dtl = abs(p * w1 / w)
@@ -162,25 +158,6 @@ def test_residual_norms_shapes(params, fm):
     # theta residual normalizes by eps at leading order, eps^2 elsewhere
     lead = rep.families["leading"]["theta"]
     assert np.allclose(rep.normalized["leading"]["theta"], lead / np.array([0.04, 0.02]))
-
-
-def test_residual_norms_falls_back_to_one_worker(params, fm, monkeypatch):
-    monkeypatch.setenv("FASTSLOW_WORKERS", "two")
-    rep = fs.residual_norms(params, fm, (0.04,), grid_points=51)
-    assert rep.epsilons == (0.04,)
-    assert np.all(rep.theta_min > 0)
-
-
-def test_import_leaves_the_process_pool_unloaded():
-    # the pool is imported only when residual_norms fans out (workers > 1)
-    src = str(Path(fs.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = ("import sys, fastslow; print(sorted(m for m in sys.modules if m.split('.')[0]"
-            " in ('multiprocessing', 'concurrent')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
 
 
 def test_kernels_agree_on_scalars_and_length_one_arrays(expansion_run, fm, dc):

@@ -53,13 +53,12 @@ def test_invert_phase_round_trip(params, fm):
     assert abs(ts[0]) <= 1e-15  # bisection pins r=0 at the left endpoint
 
 
-def test_eval_homogenized_structure(params, fm, dc):
+def test_eval_homogenized_structure(params, fm):
     # the homogenized state comes out of the joint expansion solve
     traj = fs.solve_expansion(params, fm)
     grid = np.linspace(0.0, 1.0, 7)
     st, corr = fs.eval_expansion(traj, grid)
     assert st.phi0.shape == grid.shape
-    assert np.all(st.theta0 == dc.theta_star)
     xs = fs.sample(traj, grid)
     assert np.array_equal(st.y0, xs[:, 1])
     assert np.array_equal(st.p0, xs[:, 2])

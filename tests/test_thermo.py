@@ -11,7 +11,7 @@ import fastslow as fs
 
 def test_thermo_state_values(params, fm, dc):
     # bath state at t = 0: theta* = 1/4, omega = 2, omega' = 1
-    base = fs.HomogenizedState(phi0=0.0, y0=0.0, p0=1.0, theta0=dc.theta_star)
+    base = fs.HomogenizedState(phi0=0.0, y0=0.0, p0=1.0)
     corr = fs.initial_corrections(params, fm)
     cv = fs.correctors(base, corr.phi2_bar, 0.04, fm, dc.theta_star)
     th = fs.expand_thermo(base, corr, cv, dc.theta_star, fm)
@@ -35,8 +35,8 @@ def thermo_pieces(expansion_run, fm, dc):
 def test_expansion_leading_terms(thermo_pieces, fm, dc):
     grid, base, corr, cv, th, ex, bundle = thermo_pieces
     w, w1, _, _ = fm.derivs(base.y0)
-    assert np.array_equal(th.T0, base.theta0 * w)
-    assert np.array_equal(th.F0, base.theta0 * w1)
+    assert np.array_equal(th.T0, dc.theta_star * w)
+    assert np.array_equal(th.F0, dc.theta_star * w1)
     assert np.all(th.S0 == 0.0)
     assert th.T0[0] == 0.5 and th.F0[0] == 0.25
 
@@ -63,9 +63,12 @@ def test_closed_form_entropy_at_start(thermo_pieces, dc):
                          - dc.theta_star * bundle.S2_doublebar_closed)) <= 1e-8
 
 
-def test_first_order_energy_identity(thermo_pieces):
+@pytest.mark.parametrize("order", [1, 2])
+def test_first_order_energy_identity(thermo_pieces, order):
+    # the oscillatory oscillator and slow energies cancel at first and second order
     grid, base, corr, cv, th, ex, bundle = thermo_pieces
-    assert np.max(np.abs(ex.E1_perp_osc + ex.E1_par_osc)) <= 1e-13
+    perp, par = getattr(ex, f"E{order}_perp_osc"), getattr(ex, f"E{order}_par_osc")
+    assert np.max(np.abs(perp + par)) <= 1e-13
 
 
 def test_averaged_energy_bundle_consistency(thermo_pieces, fm, dc):
