@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import Trajectory, invert_monotone, sample
+from .integrate import _BLOCK, Trajectory, invert_monotone, sample
 
 
 class PhaseRangeError(ValueError):
@@ -83,26 +83,26 @@ def nonlinear_two_scale_error(u, limit, phase_traj: Trajectory, epsilons):
 
 def _unfolding_errors(u, limit, epsilon, r_grid, t_all):
     # one epsilon (t_all: times of its fine r-grid, then of r_grid); its arrays
-    # are freed before u is called again, the signals' temporaries before the
-    # limit surfaces are built, and the unfolded surfaces are made one at a time
+    # are freed before u is called again; the slow points are unfolded in
+    # blocks of _BLOCK points, limit surfaces included, and max is exact, so
+    # the running max per signal is the max over the whole surface
     t_fine, t_slow = t_all[:-r_grid.size], t_all[-r_grid.size:]
-    signals = [np.asarray(v, float) for v in u(epsilon, t_fine)]
+    cells = [np.asarray(v, float)[:-1].reshape(-1, _S_POINTS) for v in u(epsilon, t_fine)]
     n, rho = floor_frac(r_grid / epsilon)
     n = n.astype(int)
-    j = np.arange(_S_POINTS)
-    s_grid = j / _S_POINTS
-    base = n[:, None] * _S_POINTS + j[None, :]
-    limits = limit(t_slow[:, None], s_grid[None, :])
-    errs = []
-    for v_fine, lim in zip(signals, limits, strict=True):
-        blend = ((1.0 - rho)[:, None] * v_fine[base]
-                 + rho[:, None] * v_fine[base + _S_POINTS])
-        cell_jump = v_fine[(n + 1) * _S_POINTS] - v_fine[n * _S_POINTS]
-        next_jump = v_fine[(n + 2) * _S_POINTS] - v_fine[(n + 1) * _S_POINTS]
-        jump = (1.0 - rho) * cell_jump + rho * next_jump
-        unfolded = blend - s_grid[None, :] * jump[:, None]
-        errs.append(float(np.max(np.abs(unfolded - np.asarray(lim, float)))))
-    return errs
+    s_grid = np.arange(_S_POINTS) / _S_POINTS
+    errs = np.zeros(len(cells))
+    rows = _BLOCK // _S_POINTS
+    for k in range(0, r_grid.size, rows):
+        nk, rk = n[k:k + rows], rho[k:k + rows, None]
+        limits = limit(t_slow[k:k + rows, None], s_grid[None, :])
+        block = []
+        for v, lim in zip(cells, limits, strict=True):
+            blend = (1.0 - rk) * v[nk] + rk * v[nk + 1]
+            jump = (1.0 - rk) * (v[nk + 1, :1] - v[nk, :1]) + rk * (v[nk + 2, :1] - v[nk + 1, :1])
+            block.append(np.max(np.abs(blend - s_grid * jump - np.asarray(lim, float))))
+        errs = np.maximum(errs, block)
+    return errs.tolist()
 
 
 @dataclass(frozen=True)

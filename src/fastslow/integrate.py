@@ -16,7 +16,11 @@ import numpy as np
 
 
 class NumericalError(RuntimeError):
-    """Integration failed: non-finite state or step size underflow."""
+    """Integration failed: non-finite state, step size underflow, or a run
+    longer than the step budget."""
+
+
+_MAX_STEPS = 10_000_000  # step budget of one run
 
 
 @dataclass
@@ -48,7 +52,10 @@ def integrate_fixed(rhs, x0, horizon_T: float, h: float) -> Trajectory:
     if len(x) != 4:
         raise ValueError(f"integrate_fixed steps 4-component states, not {len(x)}")
     x0, x1, x2, x3 = x
-    n_steps = int(math.ceil(horizon_T / h - 1e-12))
+    steps = horizon_T / h - 1e-12
+    if steps > _MAX_STEPS:  # checked before the arrays are allocated
+        raise NumericalError(f"{steps:.3g} steps exceed the step budget of {_MAX_STEPS}")
+    n_steps = int(math.ceil(steps))
     times = np.empty(n_steps + 1)
     states = np.empty((n_steps + 1, 4))
     derivs = np.empty_like(states)
@@ -101,7 +108,7 @@ _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 4
 
 def integrate_controlled(rhs, x0, horizon_T: float, rtol: float, atol: float,
                          max_step: float = math.inf,
-                         max_steps: int = 10_000_000) -> Trajectory:
+                         max_steps: int = _MAX_STEPS) -> Trajectory:
     """Dormand-Prince 5(4) with a PI step-size controller.
 
     First-same-as-last: the recorded derivative at each node is the actual
@@ -247,8 +254,9 @@ def reference_solution(rhs, x0, horizon_T: float, base_h: float,
     return fine
 
 
-# most targets per bisection block: the temporaries of a pass (64 KiB each)
-# are then reused heap memory, not pages mapped afresh for every operation
+# most points per block of array work (bisection here, the unfolding and
+# remainders of twoscale): the temporaries of a pass (64 KiB each) are then
+# reused heap memory, not pages mapped afresh for every operation
 _BLOCK = 8192
 
 

@@ -509,16 +509,19 @@ def two_scale_error_table(cfg: RunConfig, fm, params) -> dict:
     def u(eps, ts):
         ref = expansion.reference_run(params, fm, eps, cfg.reference_factor)
         richardson.append(float(ref.meta["richardson_error"]))
-        xs = integrate.sample(ref, ts)
-        del ref  # freed before the expansion is evaluated, for a lower peak
-        base, corr = expansion.eval_expansion(etraj, ts)
-        cv = expansion.correctors(base, corr.phi2_bar, eps, fm, theta_star)
-        theta1 = (xs[:, 1] - theta_star) / eps
-        return (theta1,
-                (xs[:, 0] - base.phi0) / eps**2,
-                (xs[:, 2] - base.y0) / eps**2,
-                (xs[:, 3] - base.p0) / eps**2,
-                (theta1 - cv.theta1) / eps)
+        out = np.empty((len(TWO_SCALE_VARIABLES), ts.size))
+        for i in range(0, ts.size, integrate._BLOCK):  # bounded temporaries
+            blk = slice(i, i + integrate._BLOCK)
+            xs = integrate.sample(ref, ts[blk])
+            base, corr = expansion.eval_expansion(etraj, ts[blk])
+            cv = expansion.correctors(base, corr.phi2_bar, eps, fm, theta_star)
+            theta1 = (xs[:, 1] - theta_star) / eps
+            out[:, blk] = (theta1,
+                           (xs[:, 0] - base.phi0) / eps**2,
+                           (xs[:, 2] - base.y0) / eps**2,
+                           (xs[:, 3] - base.p0) / eps**2,
+                           (theta1 - cv.theta1) / eps)
+        return out
 
     table = averaging.nonlinear_two_scale_error(u, limit, etraj, cfg.epsilons)
     return {eps: dict(zip(TWO_SCALE_VARIABLES, errs, strict=True), richardson_error=r)

@@ -134,10 +134,8 @@ def test_windowed_average_over_centers_matches_one_center_at_a_time(osc_ref, m):
     assert not any(w.slid_left or w.slid_right for w in got[2:6])
 
 
-def test_nonlinear_unfolding_error_of_exact_limit(params, fm, dc):
-    # feed the unfolder a signal that IS its limit: error ~ interpolation only
-    htraj = fs.solve_homogenized(params, fm)
-    eps = 0.02
+def _exact_limit_pair(htraj):
+    # a signal that IS its limit, so the unfolding error is interpolation only
 
     def u(epsilon, ts):
         xs = fs.sample(htraj, ts)
@@ -150,9 +148,38 @@ def test_nonlinear_unfolding_error_of_exact_limit(params, fm, dc):
         return (xs[:, 1][:, None]
                 + 0.1 * np.sin(2 * np.pi * np.asarray(s).ravel())[None, :],)
 
-    [((err,), info)] = fs.nonlinear_two_scale_error(u, limit, htraj, [eps])
+    return u, limit
+
+
+def test_nonlinear_unfolding_error_of_exact_limit(params, fm):
+    htraj = fs.solve_homogenized(params, fm)
+    u, limit = _exact_limit_pair(htraj)
+    [((err,), info)] = fs.nonlinear_two_scale_error(u, limit, htraj, [0.02])
     assert err <= 5e-4
     assert info["cells"] >= 4
+
+
+@pytest.mark.parametrize("edge", ["first", "last"])
+def test_unfolding_sees_a_miss_at_the_first_and_last_slow_point(params, fm, edge):
+    # the slow points are unfolded in row blocks; a miss of 1.0 at one end
+    # of the slow grid only must reach the sup, so no block may be dropped
+    # or misaligned
+    htraj = fs.solve_homogenized(params, fm)
+    eps = 0.02
+    u, limit = _exact_limit_pair(htraj)
+    [(_, info)] = fs.nonlinear_two_scale_error(u, limit, htraj, [eps])
+    r_end = info["r_window"][1]
+    half_step = 0.5 * r_end / 511  # half the slow-point spacing
+    r_cut = half_step if edge == "first" else r_end - half_step
+    t_cut = float(fs.invert_monotone(htraj, [np.pi * r_cut])[0])
+
+    def missing_limit(t, s):
+        (surface,) = limit(t, s)
+        at_edge = (t < t_cut) if edge == "first" else (t > t_cut)
+        return (surface + np.where(at_edge, 1.0, 0.0),)
+
+    [((err,), _)] = fs.nonlinear_two_scale_error(u, missing_limit, htraj, [eps])
+    assert err >= 1.0 - 1e-3
 
 
 def test_nonlinear_unfolding_needs_enough_cells(params, fm):
