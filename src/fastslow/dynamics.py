@@ -4,7 +4,8 @@ Two charts for the same flow: cartesian (y, eta, z, zeta) with the stiff
 potential 0.5*omega(y)^2*z^2/eps^2, and action-angle (phi, theta, y, p)
 in which the oscillation enters only through the phase phi/epsilon and the
 action theta is adiabatically near-conserved.  The transforms are exact at
-finite epsilon, not asymptotic.
+finite epsilon, not asymptotic.  The chart changes and energies take one
+epsilon, or an epsilon array shaped like the state's fields.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ class ActionAngleState:
     degenerate: object = False
 
 
-def _check(epsilon: float, theta: float = 0.0) -> None:
-    if not epsilon > 0.0:
+def _check(epsilon, theta=0.0) -> None:
+    if not np.all(np.greater(epsilon, 0.0)):
         raise ValueError("epsilon must be positive")
     if np.any(np.less(theta, 0.0)):
         raise ValueError("theta must be nonnegative")
@@ -53,7 +54,7 @@ def action_angle_rhs(s: ActionAngleState, epsilon: float, fm: FrequencyModel) ->
     return ActionAngleState(*d)
 
 
-def action_angle_rhs_composed(s: ActionAngleState, epsilon: float,
+def action_angle_rhs_composed(s: ActionAngleState, epsilon,
                               fm: FrequencyModel) -> ActionAngleState:
     """Equations of motion assembled from total time derivatives of
     log omega along the flow; algebraically identical to
@@ -72,7 +73,7 @@ def action_angle_rhs_composed(s: ActionAngleState, epsilon: float,
     return ActionAngleState(phi_dot, theta_dot, y_dot, p_dot)
 
 
-def to_action_angle(s: CartesianState, epsilon: float, fm: FrequencyModel) -> ActionAngleState:
+def to_action_angle(s: CartesianState, epsilon, fm: FrequencyModel) -> ActionAngleState:
     """Exact chart change cartesian -> action-angle.
 
     theta = (zeta^2 + (omega z / eps)^2) / (2 omega); phi is epsilon times
@@ -87,17 +88,15 @@ def to_action_angle(s: CartesianState, epsilon: float, fm: FrequencyModel) -> Ac
     wz = w * s.z / epsilon
     theta = (s.zeta * s.zeta + wz * wz) / (2.0 * w)
     degenerate = theta == 0.0
-    if isinstance(theta, np.ndarray):
-        phi = np.where(degenerate, 0.0, epsilon * np.arctan2(wz, s.zeta))
-    else:
-        phi = 0.0 if degenerate else epsilon * math.atan2(wz, s.zeta)
+    # np.arctan2 for floats too, the bits of an array call; [()] unwraps a 0-d result
+    phi = np.where(degenerate, 0.0, epsilon * np.arctan2(wz, s.zeta))[()]
     # exact: sin(2 phi/eps) = z*zeta/(eps*theta), so the shear term
     # eps*(theta w'/2w)*sin(...) collapses to w'*z*zeta/(2w)
     p = s.eta - w1 * s.z * s.zeta / (2.0 * w)
     return ActionAngleState(phi, theta, s.y, p, degenerate)
 
 
-def from_action_angle(s: ActionAngleState, epsilon: float, fm: FrequencyModel) -> CartesianState:
+def from_action_angle(s: ActionAngleState, epsilon, fm: FrequencyModel) -> CartesianState:
     """Exact chart change action-angle -> cartesian, for float or array fields."""
     _check(epsilon, s.theta)
     w, w1, _, _ = fm.derivs(s.y)
@@ -110,13 +109,14 @@ def from_action_angle(s: ActionAngleState, epsilon: float, fm: FrequencyModel) -
     return CartesianState(s.y, eta, z, zeta)
 
 
-def energy_cartesian(s: CartesianState, epsilon: float, fm: FrequencyModel) -> float:
+def energy_cartesian(s: CartesianState, epsilon, fm: FrequencyModel):
     _check(epsilon)
-    w = fm.derivs(s.y)[0]
-    return 0.5 * s.eta**2 + 0.5 * s.zeta**2 + 0.5 * (w * s.z / epsilon) ** 2
+    wz = fm.derivs(s.y)[0] * s.z / epsilon
+    # squares as products: a float's ** 2 is libm's pow, which can differ in the last bit
+    return 0.5 * (s.eta * s.eta) + 0.5 * (s.zeta * s.zeta) + 0.5 * (wz * wz)
 
 
-def energy_action_angle(s: ActionAngleState, epsilon: float, fm: FrequencyModel):
+def energy_action_angle(s: ActionAngleState, epsilon, fm: FrequencyModel):
     _check(epsilon, s.theta)
     w, w1, _, _ = fm.derivs(s.y)
     s2, _ = reduced_sincos(s.phi, epsilon, 2)

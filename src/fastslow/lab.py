@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -162,6 +162,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("max_slow_step must be positive")
     if cfg.grid_points < 5:
         raise ConfigError("grid_points must be at least 5")
+    if cfg.grid_points > integrate._MAX_STEPS:
+        raise ConfigError(f"grid_points must be at most {integrate._MAX_STEPS}")
     if cfg.window_periods < 1:
         raise ConfigError("window_periods must be at least 1")
     cfg.frequency()
@@ -557,6 +559,17 @@ def cmd_twoscale(cfg: RunConfig, out: Path) -> int:
                    runs)
 
 
+def _identity_states(rng, theta_lo: float):
+    """1,000 random action-angle states and one epsilon each, drawn in one
+    call: the values of interleaved rng.uniform calls for phi, theta, y, p
+    and log10(epsilon), in that order."""
+    lo = np.array([-3.0, theta_lo, -5.0, -2.0, -3.0])
+    hi = np.array([3.0, 2.0, 5.0, 2.0, -1.0])
+    u = lo + (hi - lo) * rng.random((1000, 5))
+    # float_power is libm's pow, as Python's 10 ** x is; np.power may differ in the last bit
+    return dynamics.ActionAngleState(*u[:, :4].T), np.float_power(10.0, u[:, 4])
+
+
 def cmd_check(cfg: RunConfig, out: Path) -> int:
     """Analytic identity suite; debug.flip_theta1_sign must make it fail."""
     t0 = time.perf_counter()
@@ -586,36 +599,21 @@ def cmd_check(cfg: RunConfig, out: Path) -> int:
     checks.append(("averaged_energy_zero", float(np.max(np.abs(ex.E2_bar))), 1e-8))
 
     rng = np.random.default_rng(12345)
-    worst_eq = 0.0
-    for _ in range(1000):
-        s = dynamics.ActionAngleState(phi=float(rng.uniform(-3, 3)),
-                                      theta=float(rng.uniform(1e-3, 2.0)),
-                                      y=float(rng.uniform(-5, 5)),
-                                      p=float(rng.uniform(-2, 2)))
-        e = float(10 ** rng.uniform(-3, -1))
-        d1 = dynamics.action_angle_rhs(s, e, fm)
-        d2 = dynamics.action_angle_rhs_composed(s, e, fm)
-        worst_eq = max(worst_eq, abs(d1.phi - d2.phi), abs(d1.theta - d2.theta),
-                       abs(d1.y - d2.y), abs(d1.p - d2.p))
-    checks.append(("eom_form_equivalence", worst_eq, 1e-14))
+    s, e = _identity_states(rng, 1e-3)
+    # action_angle_rhs wraps the integrators' float field, so it runs per state
+    d1 = [astuple(dynamics.action_angle_rhs(dynamics.ActionAngleState(*x), e_x, fm))[:4]
+          for *x, e_x in np.c_[s.phi, s.theta, s.y, s.p, e].tolist()]
+    d2 = astuple(dynamics.action_angle_rhs_composed(s, e, fm))[:4]
+    checks.append(("eom_form_equivalence", float(np.max(np.abs(np.transpose(d1) - d2))), 1e-14))
 
-    worst_rt = 0.0
-    worst_en = 0.0
-    for _ in range(1000):
-        s = dynamics.ActionAngleState(phi=float(rng.uniform(-3, 3)),
-                                      theta=float(rng.uniform(1e-6, 2.0)),
-                                      y=float(rng.uniform(-5, 5)),
-                                      p=float(rng.uniform(-2, 2)))
-        e = float(10 ** rng.uniform(-3, -1))
-        c = dynamics.from_action_angle(s, e, fm)
-        s2 = dynamics.to_action_angle(c, e, fm)
-        c2 = dynamics.from_action_angle(s2, e, fm)
-        worst_rt = max(worst_rt, abs(c.y - c2.y), abs(c.eta - c2.eta),
-                       abs(c.z - c2.z), abs(c.zeta - c2.zeta))
-        ea = dynamics.energy_action_angle(s, e, fm)
-        ec = dynamics.energy_cartesian(c, e, fm)
-        worst_en = max(worst_en, abs(ea - ec) / max(1.0, abs(ea)))
+    s, e = _identity_states(rng, 1e-6)
+    c = dynamics.from_action_angle(s, e, fm)
+    c2 = dynamics.from_action_angle(dynamics.to_action_angle(c, e, fm), e, fm)
+    worst_rt = float(np.max(np.abs(np.subtract(astuple(c), astuple(c2)))))
     checks.append(("transform_round_trip", worst_rt, 1e-12))
+    ea = dynamics.energy_action_angle(s, e, fm)
+    ec = dynamics.energy_cartesian(c, e, fm)
+    worst_en = float(np.max(np.abs(ea - ec) / np.maximum(1.0, np.abs(ea))))
     checks.append(("energy_agreement", worst_en, 1e-13))
 
     fd = model.finite_difference_report(fm)
@@ -687,7 +685,7 @@ def main(argv=None) -> int:
     except averaging.PhaseRangeError as e:  # it names the epsilon
         print(f"configuration error: run.epsilons: {e}", file=sys.stderr)
         return 2
-    except NumericalError as e:
+    except (NumericalError, OverflowError) as e:  # OverflowError: float ** on huge data
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
 

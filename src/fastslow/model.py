@@ -118,7 +118,7 @@ class FrequencyModel:
 
 @dataclass(frozen=True)
 class LogDerivatives:
-    """The first three y-derivatives of log omega at a point."""
+    """The first three y-derivatives of log omega, shaped like y."""
 
     dyL: float
     dy2L: float
@@ -244,27 +244,14 @@ def finite_difference_report(fm: FrequencyModel) -> dict[str, float]:
     ys = np.random.default_rng(20260819).uniform(-10.0, 10.0, 100)
     h = 1e-5
 
-    def central(f, y):
-        return (f(y + h) - f(y - h)) / (2.0 * h)
+    def chains(y):
+        L = log_derivatives(fm, y)
+        return (*fm.derivs(y), L.dyL, L.dy2L, L.dy3L)
 
-    def nth(k):
-        return lambda y: fm.derivs(y)[k]
-
-    pairs = {
-        "domega": (nth(1), nth(0)),
-        "d2omega": (nth(2), nth(1)),
-        "d3omega": (nth(3), nth(2)),
-        "dy2L": (lambda y: log_derivatives(fm, y).dy2L,
-                 lambda y: log_derivatives(fm, y).dyL),
-        "dy3L": (lambda y: log_derivatives(fm, y).dy3L,
-                 lambda y: log_derivatives(fm, y).dy2L),
-    }
+    at, up, down = chains(ys), chains(ys + h), chains(ys - h)
     out = {}
-    for nm, (exact_f, lower_f) in pairs.items():
-        worst = 0.0
-        for y in ys:
-            ex = exact_f(float(y))
-            fd = central(lower_f, float(y))
-            worst = max(worst, abs(fd - ex) / max(1.0, abs(ex)))
-        out[nm] = worst
+    # each chain compares chains(y)[k] with the central difference of chains(y)[k - 1]
+    for nm, k in (("domega", 1), ("d2omega", 2), ("d3omega", 3), ("dy2L", 5), ("dy3L", 6)):
+        fd = (up[k - 1] - down[k - 1]) / (2.0 * h)
+        out[nm] = float(np.max(np.abs(fd - at[k]) / np.maximum(1.0, np.abs(at[k]))))
     return out

@@ -35,13 +35,15 @@ _Q_SHORT = 2.0**19
 def reducer(epsilon, rint=round, every=bool):
     """The map a -> a/epsilon reduced modulo 2*pi into roughly [-pi, pi].
 
-    The Dekker split of epsilon is done here, once.  The map takes a
-    float or an array; rint rounds half to even on it (round or np.rint)
-    and every(mask) says whether a comparison holds for all of it (bool or
-    np.all).  Quotients of 2^19 and more are split into 20-bit chunks
-    q2 + q1 + q0 (q2, q1 multiples of 2^40, 2^20), so each chunk*piece
-    product stays exact below 2^60; with zero high chunks the split path
-    subtracts 0.0, so both paths give the same bits.
+    The Dekker split of epsilon is done here, once.  epsilon may be a
+    float or an array shaped like a (one epsilon per element): the split
+    is elementwise.  The map takes a float or an array; rint rounds half
+    to even on it (round or np.rint) and every(mask) says whether a
+    comparison holds for all of it (bool or np.all).  Quotients of 2^19
+    and more are split into 20-bit chunks q2 + q1 + q0 (q2, q1 multiples
+    of 2^40, 2^20), so each chunk*piece product stays exact below 2^60;
+    with zero high chunks the split path subtracts 0.0, so both paths give
+    the same bits.
     """
     eh = _SPLIT * epsilon
     eh = eh - (eh - epsilon)
@@ -80,9 +82,10 @@ def reducer(epsilon, rint=round, every=bool):
     return reduce
 
 
-def reduced_sincos(phi, epsilon: float, k: int = 2):
+def reduced_sincos(phi, epsilon, k: int = 2):
     """sin and cos of k*phi/epsilon via accurate phase reduction: math for a
-    float phi, numpy for an ndarray, each reduced phase with the same bits."""
+    float phi, numpy for an ndarray, each reduced phase with the same bits.
+    With an array phi, epsilon may be an array of the same shape."""
     # k*phi is exact for k in {1, 2, 4}: power-of-two scaling
     if isinstance(phi, np.ndarray):
         r = reducer(epsilon, np.rint, np.all)(k * phi)

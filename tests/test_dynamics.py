@@ -1,11 +1,13 @@
 """Equations of motion and the coordinate transform between charts."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import fastslow as fs
+from fastslow.dynamics import _check
 
 
 def random_states(n, seed, theta_lo=1e-3):
@@ -184,3 +186,41 @@ def test_fused_field_is_bitwise_the_structured_formula(preset, coefficients):
             want = _aa_rhs_parent(*x, eps, fm)
             assert got == want
             assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
+
+
+def _kernels(s, eps, fm):
+    """Every kernel that takes one epsilon per element, on state s: each
+    entry is a tuple of the kernel's outputs."""
+    c = fs.from_action_angle(s, eps, fm)
+    return {
+        "from_action_angle": astuple(c),
+        "to_action_angle": astuple(fs.to_action_angle(c, eps, fm))[:4],
+        "energy_action_angle": (fs.energy_action_angle(s, eps, fm),),
+        "energy_cartesian": (fs.energy_cartesian(c, eps, fm),),
+        "action_angle_rhs_composed": astuple(fs.action_angle_rhs_composed(s, eps, fm))[:4],
+        "reduced_sincos": fs.reduced_sincos(s.phi, eps, 2),
+    }
+
+
+def test_one_epsilon_per_element_matches_float_calls(fm):
+    # 200 states, each with its own epsilon: one array call of each kernel
+    # gives, element for element, the bits of the per-state float calls
+    rng = np.random.default_rng(105)
+    n = 200
+    rows = np.c_[rng.uniform(-3, 3, n), rng.uniform(1e-6, 2.0, n), rng.uniform(-5, 5, n),
+                 rng.uniform(-2, 2, n), np.float_power(10.0, rng.uniform(-3, -1, n))]
+    got = _kernels(fs.ActionAngleState(*rows[:, :4].T), rows[:, 4], fm)
+    per_state = [_kernels(fs.ActionAngleState(*x), e, fm) for *x, e in rows.tolist()]
+    for name, arrays in got.items():
+        want = np.array([[float(v) for v in k[name]] for k in per_state]).T
+        assert np.array_equal(want, arrays), name
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.01])
+def test_epsilon_array_with_a_nonpositive_element_rejected(fm, bad):
+    eps = np.array([0.01, bad, 0.02])
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        _check(eps)
+    s = fs.ActionAngleState(np.zeros(3), np.full(3, 0.5), np.zeros(3), np.ones(3))
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        fs.from_action_angle(s, eps, fm)

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import fastslow as fs
+from fastslow import lab
 from fastslow.lab import (TWO_SCALE_VARIABLES, RunConfig, parse_config_text,
                           two_scale_error_table, write_csv)
+from fastslow.model import DEFAULT_COEFFICIENTS
 
 
 def file_hashes(d, skip=("manifest.json",)):
@@ -62,6 +64,7 @@ _REJECTED_WHEN_PARSED = [
     "integrate.max_slow_step = nan",
     "integrate.max_slow_step = -inf",
     "run.epsilons = 0.04\nrun.epsilons = 0.02",  # a repeated key
+    "output.grid_points = 1000000000000",  # beyond the step budget; 7.28 TiB of grid
 ]
 # (config, command, keys its error names): parsed fine, rejected by the command
 _REJECTED_BY_COMMAND = [
@@ -193,6 +196,68 @@ def test_check_command_passes_and_writes_report(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "check"
     assert set(manifest["files"]) == {"check.txt", "check.json"}
+
+
+def _identity_loops_per_state(fm):
+    """check's eom_form_equivalence, transform_round_trip and
+    energy_agreement as two loops of float calls computed them, and the
+    (phi, theta, y, p, epsilon) rows each loop drew."""
+    rng = np.random.default_rng(12345)
+    rows = ([], [])
+    worst_eq = 0.0
+    for _ in range(1000):
+        s = fs.ActionAngleState(phi=float(rng.uniform(-3, 3)),
+                                theta=float(rng.uniform(1e-3, 2.0)),
+                                y=float(rng.uniform(-5, 5)),
+                                p=float(rng.uniform(-2, 2)))
+        e = float(10 ** rng.uniform(-3, -1))
+        rows[0].append((s.phi, s.theta, s.y, s.p, e))
+        d1 = fs.action_angle_rhs(s, e, fm)
+        d2 = fs.action_angle_rhs_composed(s, e, fm)
+        worst_eq = max(worst_eq, abs(d1.phi - d2.phi), abs(d1.theta - d2.theta),
+                       abs(d1.y - d2.y), abs(d1.p - d2.p))
+    worst_rt = 0.0
+    worst_en = 0.0
+    for _ in range(1000):
+        s = fs.ActionAngleState(phi=float(rng.uniform(-3, 3)),
+                                theta=float(rng.uniform(1e-6, 2.0)),
+                                y=float(rng.uniform(-5, 5)),
+                                p=float(rng.uniform(-2, 2)))
+        e = float(10 ** rng.uniform(-3, -1))
+        rows[1].append((s.phi, s.theta, s.y, s.p, e))
+        c = fs.from_action_angle(s, e, fm)
+        s2 = fs.to_action_angle(c, e, fm)
+        c2 = fs.from_action_angle(s2, e, fm)
+        worst_rt = max(worst_rt, abs(c.y - c2.y), abs(c.eta - c2.eta),
+                       abs(c.z - c2.z), abs(c.zeta - c2.zeta))
+        ea = fs.energy_action_angle(s, e, fm)
+        ec = fs.energy_cartesian(c, e, fm)
+        worst_en = max(worst_en, abs(ea - ec) / max(1.0, abs(ea)))
+    return {"eom_form_equivalence": worst_eq, "transform_round_trip": worst_rt,
+            "energy_agreement": worst_en}, rows
+
+
+@pytest.mark.parametrize("flags, preset", [([], "sine"), (["--preset", "fourier"], "fourier")],
+                         ids=["default", "fourier"])
+def test_check_identities_equal_the_per_state_loops(tmp_path, monkeypatch, flags, preset):
+    # check draws each block of states in one call and runs the kernels on
+    # arrays; its states and its maxima must be those of the per-state float
+    # loops, bit for bit
+    draw = lab._identity_states
+    drawn = []
+
+    def recorded(rng, theta_lo):
+        s, e = draw(rng, theta_lo)
+        drawn.append(np.c_[s.phi, s.theta, s.y, s.p, e])
+        return s, e
+
+    monkeypatch.setattr(lab, "_identity_states", recorded)
+    assert fs.main(["check", "--out", str(tmp_path), *flags]) == 0
+    report = json.loads((tmp_path / "check.json").read_text())
+    want, rows = _identity_loops_per_state(fs.make_frequency(preset, DEFAULT_COEFFICIENTS[preset]))
+    assert len(drawn) == 2
+    assert all(np.array_equal(got, block) for got, block in zip(drawn, rows))
+    assert {name: report[name]["value"] for name in want} == want
 
 
 def test_sign_flip_control_fails_check(tmp_path):
@@ -409,6 +474,19 @@ def test_huge_step_factor_exhausts_the_step_budget(tmp_path, capsys, command, ke
     err = capsys.readouterr().err
     assert rc == 3
     assert err.startswith("numerical failure:") and "step budget" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check", "thermo"])
+@pytest.mark.parametrize("key", ["initial.u_star", "initial.p_star"])
+def test_overflowing_initial_data_exits_3(tmp_path, capsys, command, key):
+    # the square of 1e200 overflows a float in derived_constants
+    cfgfile = tmp_path / "huge.txt"
+    cfgfile.write_text(f"{key} = 1e200\n")
+    rc = fs.main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("numerical failure:")
     assert "Traceback" not in err
 
 

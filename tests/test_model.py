@@ -228,6 +228,44 @@ def test_finite_difference_consistency(fm):
     assert max(rep.values()) <= 1e-6
 
 
+def _finite_difference_report_per_point(fm):
+    """finite_difference_report as a loop of float calls computed it."""
+    ys = np.random.default_rng(20260819).uniform(-10.0, 10.0, 100)
+    h = 1e-5
+
+    def central(f, y):
+        return (f(y + h) - f(y - h)) / (2.0 * h)
+
+    def nth(k):
+        return lambda y: fm.derivs(y)[k]
+
+    pairs = {
+        "domega": (nth(1), nth(0)),
+        "d2omega": (nth(2), nth(1)),
+        "d3omega": (nth(3), nth(2)),
+        "dy2L": (lambda y: fs.log_derivatives(fm, y).dy2L,
+                 lambda y: fs.log_derivatives(fm, y).dyL),
+        "dy3L": (lambda y: fs.log_derivatives(fm, y).dy3L,
+                 lambda y: fs.log_derivatives(fm, y).dy2L),
+    }
+    out = {}
+    for nm, (exact_f, lower_f) in pairs.items():
+        worst = 0.0
+        for y in ys:
+            ex = exact_f(float(y))
+            fd = central(lower_f, float(y))
+            worst = max(worst, abs(fd - ex) / max(1.0, abs(ex)))
+        out[nm] = worst
+    return out
+
+
+@pytest.mark.parametrize("preset, coeffs", [
+    ("sine", (2.0, 1.0)), ("fourier", (3.0, 0.5, 0.5, 0.3, -0.4)), ("constant", (2.0,))])
+def test_finite_difference_report_equals_the_per_point_loop(preset, coeffs):
+    fmx = fs.make_frequency(preset, coeffs)
+    assert fs.finite_difference_report(fmx) == _finite_difference_report_per_point(fmx)
+
+
 def test_finite_difference_consistency_fourier():
     fmf = fs.make_frequency("fourier", (2.0, 0.25, 0.25))
     assert max(fs.finite_difference_report(fmf).values()) <= 1e-6
