@@ -8,8 +8,13 @@ fm = fs.make_frequency("sine", (2.0, 1.0))
 params = fs.SystemParams(y_star=0.0, p_star=1.0, u_star=1.0, horizon_T=1.0)
 epsilons = [0.04, 0.02, 0.01, 0.005]
 
+# the eps-independent expansion, solved once and sampled on the output grid
+grid = np.linspace(0.0, params.horizon_T, 2001)
+base, corr = fs.eval_expansion(fs.solve_expansion(params, fm), grid)
+
 # one reference run per epsilon, each tagged with its own step-halving error
-rep = fs.residual_norms(params, fm, epsilons)
+runs = ((eps, fs.reference_run(params, fm, eps, reference_factor=80)) for eps in epsilons)
+rep = fs.residual_norms(params, fm, grid, base, corr, runs)
 
 ##### residual ladder
 

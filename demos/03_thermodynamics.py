@@ -45,11 +45,9 @@ print(f"leading order:  max |dE0_perp - F0 dy0 - T0 dS0|        = "
 # at second order the balance needs the second-order force
 # F2 = omega' theta2_bar + theta* omega'' y2_bar acting through dy0;
 # without it the residual is the quasi-static defect, order 1e-2 here
-_, w1, w2, _ = fm.derivs(base.y0)
-force2 = w1 * corr.theta2_bar + dc.theta_star * w2 * corr.y2_bar
 second = fs.check_first_law(ex.E2_perp_bar, corr.y2_bar, th.S2_doublebar,
                             th.F0, th.T0, dt,
-                            second_order_work=(force2, base.y0))
+                            second_order_work=(th.F2_bar, base.y0))
 naive = fs.check_first_law(ex.E2_perp_bar, corr.y2_bar, th.S2_doublebar,
                            th.F0, th.T0, dt)
 print(f"second order:   max residual with F2 work term          = "

@@ -63,8 +63,6 @@ class ResidualReport:
     families: dict
     normalized: dict
     energy_drift: np.ndarray
-    reference_errors: np.ndarray
-    theta_min: np.ndarray
 
 
 def _corrector_core(theta_star, w, w1, w2, p0, s2, c2, phi2_bar):
@@ -233,28 +231,20 @@ def reference_run(params: SystemParams, fm: FrequencyModel, epsilon: float,
                               fm.fast_step(epsilon, reference_factor), error_cap=1e-8)
 
 
-def residual_norms(params: SystemParams, fm: FrequencyModel, epsilon_list,
-                   rtol: float = 1e-12, atol: float = 1e-12,
-                   max_step: float = 0.002, grid_points: int = 2001,
-                   reference_factor: float = 80.0) -> ResidualReport:
+def residual_norms(params: SystemParams, fm: FrequencyModel, grid,
+                   base: HomogenizedState, corr: AveragedCorrection,
+                   runs) -> ResidualReport:
     """Measure reconstruction quality across epsilons.
 
-    The epsilon-independent expansion is solved and sampled once; each
-    epsilon then gets a step-halved reference run compared on the common
-    output grid.
+    base and corr are the epsilon-independent expansion sampled on grid;
+    runs yields (epsilon, reference run) pairs, each compared with the
+    reconstruction on that grid.
     """
-    eps = tuple(float(e) for e in epsilon_list)
-    if any(e <= 0 for e in eps):
-        raise ValueError("epsilons must be positive")
     dc = derived_constants(params, fm)
-    grid = np.linspace(0.0, params.horizon_T, grid_points)
-    base, corr = eval_expansion(solve_expansion(params, fm, rtol, atol, max_step),
-                                grid)
     sup = lambda a: float(np.max(np.abs(a)))
     families: dict = {"leading": {}, "first": {}, "second": {}}
-    drift, ref_errors, theta_min = [], [], []
-    for epsilon in eps:
-        ref = reference_run(params, fm, epsilon, reference_factor)
+    eps, drift = [], []
+    for epsilon, ref in runs:
         xs = sample(ref, grid)
         phi_e, theta_e, y_e, p_e = xs[:, 0], xs[:, 1], xs[:, 2], xs[:, 3]
         cv = correctors(base, corr.phi2_bar, epsilon, fm, dc.theta_star)
@@ -273,8 +263,7 @@ def residual_norms(params: SystemParams, fm: FrequencyModel, epsilon_list,
             families[fam].setdefault(var, []).append(sup(residual))
         energy = energy_action_angle(ActionAngleState(*xs.T), epsilon, fm)
         drift.append(sup(energy - dc.e_star))
-        ref_errors.append(ref.meta["richardson_error"])
-        theta_min.append(float(np.min(theta_e)))
+        eps.append(epsilon)
     families = {fam: {var: np.array(v) for var, v in d.items()}
                 for fam, d in families.items()}
     normalized = {
@@ -282,11 +271,4 @@ def residual_norms(params: SystemParams, fm: FrequencyModel, epsilon_list,
               for var, vals in d.items()}
         for fam, d in families.items()
     }
-    return ResidualReport(
-        epsilons=eps,
-        families=families,
-        normalized=normalized,
-        energy_drift=np.array(drift),
-        reference_errors=np.array(ref_errors),
-        theta_min=np.array(theta_min),
-    )
+    return ResidualReport(tuple(eps), families, normalized, np.array(drift))

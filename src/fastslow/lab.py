@@ -128,6 +128,10 @@ def parse_config_text(text: str) -> RunConfig:
             values[name] = _parse_value(val, kind)
         except ValueError as e:
             raise ConfigError(f"line {lineno}: bad value for {key}: {e}") from e
+    # a preset without coefficients takes its own defaults, as --preset does
+    preset = values.get("frequency_preset", "sine")
+    values.setdefault("frequency_coefficients", model.DEFAULT_COEFFICIENTS.get(
+        model.PRESET_ALIASES.get(preset, preset), model.DEFAULT_COEFFICIENTS["sine"]))
     cfg = RunConfig(**values)
     validate_config(cfg)
     return cfg
@@ -317,15 +321,32 @@ def _rounding_gate(name: str, raw: float, ok: bool, detail: str) -> Gate:
     return Gate(name, ok, detail)
 
 
+def _reference_runs(cfg: RunConfig, fm, params, runs: list):
+    """Yield (epsilon, reference run) per epsilon of cfg, each made when asked
+    for, and append its manifest record to runs.  The generator drops each run
+    once resumed, so a run lives only while its consumer holds it."""
+    grid = _grid(cfg)
+    for eps in cfg.epsilons:
+        ref = expansion.reference_run(params, fm, eps, cfg.reference_factor)
+        runs.append({"epsilon": eps,
+                     "richardson_error": float(ref.meta["richardson_error"]),
+                     "theta_min": float(np.min(integrate.sample(ref, grid, component=1)))})
+        yield eps, ref
+        del ref
+
+
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     """Convergence orders of the reconstruction across epsilons."""
     t0 = time.perf_counter()
     fm = cfg.frequency()
     _step_fits(cfg, fm, "integrate.reference_factor")
     params = cfg.params()
-    rep = expansion.residual_norms(params, fm, cfg.epsilons, cfg.rtol, cfg.atol,
-                                   cfg.max_slow_step, cfg.grid_points,
-                                   cfg.reference_factor)
+    grid = _grid(cfg)
+    base, corr = expansion.eval_expansion(expansion.solve_expansion(
+        params, fm, cfg.rtol, cfg.atol, cfg.max_slow_step), grid)
+    runs = []
+    rep = expansion.residual_norms(params, fm, grid, base, corr,
+                                   _reference_runs(cfg, fm, params, runs))
     eps = np.array(rep.epsilons)
     rows = [(e, f"{var}_{fam}", sups[i], rep.normalized[fam][var][i])
             for fam in ("leading", "first", "second")
@@ -364,8 +385,6 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
 
     if not can_fit:
         gates.append("[INFO] fewer than three epsilons: order gates skipped")
-    runs = [{"epsilon": e, "richardson_error": float(r), "theta_min": float(m)}
-            for e, r, m in zip(rep.epsilons, rep.reference_errors, rep.theta_min)]
     summary = out / "summary.txt"
     return _finish("sweep", cfg, out, t0, [p1, p2, summary], gates, summary,
                    runs)
@@ -393,11 +412,9 @@ def cmd_thermo(cfg: RunConfig, out: Path) -> int:
     bundle = thermo.averaged_energy_bundle(base, corr, fm, dc.theta_star, dc)
 
     lead = thermo.check_first_law(ex.E0_perp, base.y0, th.S0, th.F0, th.T0, dt)
-    _, w1, w2, _ = fm.derivs(base.y0)
-    force2 = w1 * corr.theta2_bar + dc.theta_star * w2 * corr.y2_bar
     second = thermo.check_first_law(ex.E2_perp_bar, corr.y2_bar, th.S2_doublebar,
                                     th.F0, th.T0, dt,
-                                    second_order_work=(force2, base.y0))
+                                    second_order_work=(th.F2_bar, base.y0))
     literal = thermo.check_first_law(ex.E2_perp_bar, corr.y2_bar, th.S2_doublebar,
                                      th.F0, th.T0, dt)
     rhs = expansion.averaged_rhs(corr, base, fm, dc.theta_star)
@@ -440,18 +457,12 @@ def cmd_thermo(cfg: RunConfig, out: Path) -> int:
     gates.append(Gate("enclosed-area quadrature within 0.5% of closed form",
                       vol_worst <= 0.005, f"{vol_worst:.3e}"))
 
-    lines = []
-    equip = []
-    runs = []
-    for eps in cfg.epsilons:
-        ref = expansion.reference_run(params, fm, eps, cfg.reference_factor)
+    lines, equip, runs = [], [], []
+    for eps, ref in _reference_runs(cfg, fm, params, runs):
         rep = thermo.equipartition_check(ref, eps, fm, m=cfg.window_periods,
                                          grid_points=cfg.grid_points)
         equip.append(rep)
         xs = integrate.sample(ref, grid)
-        runs.append({"epsilon": eps,
-                     "richardson_error": float(ref.meta["richardson_error"]),
-                     "theta_min": float(np.min(xs[:, 1]))})
         t_gap = np.abs(xs[:, 1] * fm.derivs(xs[:, 2])[0] - th.T0)
         theta_gap = np.abs(xs[:, 1] - dc.theta_star)
         lines.append(f"[INFO] eps={eps:g}: equipartition gap {rep.gap_max:.3e}, "
@@ -480,14 +491,15 @@ def cmd_thermo(cfg: RunConfig, out: Path) -> int:
 TWO_SCALE_VARIABLES = ("theta1", "phi2", "y2", "p2", "theta2")
 
 
-def two_scale_error_table(cfg: RunConfig, fm, params) -> dict:
+def two_scale_error_table(cfg: RunConfig, fm, params, runs) -> dict:
     """Unfolding errors of the five rescaled remainders, per epsilon.
 
     All five are unfolded in one call for the whole ladder, so the phase
-    is inverted once; the reference runs are made one epsilon at a time.
-    Returns {epsilon: {variable: sup_error, "richardson_error": tag of
-    the reference run}}.
+    is inverted once; runs yields an (epsilon, reference run) pair per epsilon
+    of cfg, taken in order as each is unfolded.  Returns {epsilon: {variable:
+    sup_error}}.
     """
+    pairs = iter(runs)
     theta_star = model.derived_constants(params, fm).theta_star
     etraj = expansion.solve_expansion(params, fm, cfg.rtol, cfg.atol,
                                       cfg.max_slow_step)
@@ -506,11 +518,10 @@ def two_scale_error_table(cfg: RunConfig, fm, params) -> dict:
                 corr.p2_bar[:, None] + cv.p2,
                 corr.theta2_bar[:, None] + cv.theta2)
 
-    richardson = []
-
     def u(eps, ts):
-        ref = expansion.reference_run(params, fm, eps, cfg.reference_factor)
-        richardson.append(float(ref.meta["richardson_error"]))
+        run_eps, ref = next(pairs, (None, None))
+        if run_eps != eps:
+            raise ValueError(f"no reference run for epsilon {eps:g}")
         out = np.empty((len(TWO_SCALE_VARIABLES), ts.size))
         for i in range(0, ts.size, integrate._BLOCK):  # bounded temporaries
             blk = slice(i, i + integrate._BLOCK)
@@ -526,8 +537,8 @@ def two_scale_error_table(cfg: RunConfig, fm, params) -> dict:
         return out
 
     table = averaging.nonlinear_two_scale_error(u, limit, etraj, cfg.epsilons)
-    return {eps: dict(zip(TWO_SCALE_VARIABLES, errs, strict=True), richardson_error=r)
-            for eps, (errs, _), r in zip(cfg.epsilons, table, richardson, strict=True)}
+    return {eps: dict(zip(TWO_SCALE_VARIABLES, errs, strict=True))
+            for eps, (errs, _) in zip(cfg.epsilons, table, strict=True)}
 
 
 def cmd_twoscale(cfg: RunConfig, out: Path) -> int:
@@ -536,7 +547,8 @@ def cmd_twoscale(cfg: RunConfig, out: Path) -> int:
     fm = cfg.frequency()
     _step_fits(cfg, fm, "integrate.reference_factor")
     params = cfg.params()
-    table = two_scale_error_table(cfg, fm, params)
+    runs = []
+    table = two_scale_error_table(cfg, fm, params, _reference_runs(cfg, fm, params, runs))
     eps_list = list(table)
     rows = [(eps, var, table[eps][var]) for eps in eps_list for var in TWO_SCALE_VARIABLES]
     p1 = out / "twoscale.csv"
@@ -552,8 +564,6 @@ def cmd_twoscale(cfg: RunConfig, out: Path) -> int:
                                          " -> ".join(f"{v:.3e}" for v in seq)))
     else:
         report.append("[INFO] single epsilon: table emitted, no trend gate")
-    runs = [{"epsilon": e, "richardson_error": table[e]["richardson_error"]}
-            for e in eps_list]
     summary = out / "summary.txt"
     return _finish("twoscale", cfg, out, t0, [p1, summary], report, summary,
                    runs)

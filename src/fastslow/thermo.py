@@ -33,7 +33,8 @@ class ThermoExpansion:
     S1_osc is the first-order entropy coefficient (purely oscillatory);
     S2_full the full second-order coefficient; S2_bar its fast-phase
     average; S2_doublebar the part that survives both averaging and the
-    removal of the first-order self-interaction.
+    removal of the first-order self-interaction; F2_bar the averaged
+    second-order force, whose work closes the second-order energy balance.
     """
 
     T0: object
@@ -43,6 +44,7 @@ class ThermoExpansion:
     S2_full: object
     S2_bar: object
     S2_doublebar: object
+    F2_bar: object
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,7 @@ def expand_thermo(base: HomogenizedState, corr: AveragedCorrection,
                   cv: CorrectorValues, theta_star: float,
                   fm: FrequencyModel) -> ThermoExpansion:
     """Entropy/temperature/force coefficients along the reconstruction."""
-    w, w1, _, _ = fm.derivs(base.y0)
+    w, w1, w2, _ = fm.derivs(base.y0)
     dyL = w1 / w
     DtL = base.p0 * dyL
     s1 = cv.theta1 / theta_star
@@ -117,6 +119,7 @@ def expand_thermo(base: HomogenizedState, corr: AveragedCorrection,
         S2_full=(corr.theta2_bar + cv.theta2) / theta_star - 0.5 * s1 * s1,
         S2_bar=corr.theta2_bar / theta_star - (DtL / (4.0 * w)) ** 2,
         S2_doublebar=corr.theta2_bar / theta_star,
+        F2_bar=w1 * corr.theta2_bar + theta_star * w2 * corr.y2_bar,
     )
 
 

@@ -4,7 +4,6 @@ criterion, at its stated tolerance, on the standard desk-scale configuration
 0.005}).  Each test records a PASS/FAIL line that is echoed after the run.
 """
 
-import contextlib
 import math
 
 import numpy as np
@@ -27,29 +26,10 @@ def reference_runs(params, fm):
     return {eps: fs.reference_run(params, fm, eps, 80.0) for eps in EPSILONS}
 
 
-@contextlib.contextmanager
-def reusing(reference_runs, params, fm):
-    """Serve every reference_run call from the module's runs, so each
-    epsilon is integrated once here (same arguments, so the same bits);
-    yields the list of epsilons served."""
-    hits = []
-
-    def lookup(params_, fm_, eps, reference_factor):
-        assert (params_, fm_, reference_factor) == (params, fm, 80.0)
-        hits.append(eps)
-        return reference_runs[eps]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fs.expansion, "reference_run", lookup)
-        yield hits
-
-
 @pytest.fixture(scope="module")
-def sweep_report(params, fm, reference_runs):
-    with reusing(reference_runs, params, fm) as hits:
-        report = fs.residual_norms(params, fm, EPSILONS)
-    assert hits == list(EPSILONS)
-    return report
+def sweep_report(params, fm, expansion_run, reference_runs):
+    traj, grid, base, corr = expansion_run
+    return fs.residual_norms(params, fm, grid, base, corr, reference_runs.items())
 
 
 @pytest.fixture(scope="module")
@@ -70,10 +50,13 @@ def thermo_min_eps(expansion_run, corrector_sets, fm, dc):
     return th, ex, bundle
 
 
-def test_c01_energy_conservation(sweep_report, acceptance_lines):
+def test_c01_energy_conservation(sweep_report, reference_runs, expansion_run,
+                                 acceptance_lines):
+    grid = expansion_run[1]
     drift = sweep_report.energy_drift
-    ok = bool(np.all(drift <= 1e-8)) and bool(np.all(sweep_report.theta_min > 0))
-    ok = ok and bool(np.all(sweep_report.reference_errors <= 1e-8))
+    theta_min = [np.min(fs.sample(run, grid, component=1)) for run in reference_runs.values()]
+    ok = bool(np.all(drift <= 1e-8)) and bool(np.all(np.array(theta_min) > 0))
+    ok = ok and all(run.meta["richardson_error"] <= 1e-8 for run in reference_runs.values())
     record(acceptance_lines, 1, "energy-conservation", ok,
            "sup|E-1| = " + " ".join(f"{d:.2e}" for d in drift) + " (tol 1e-8)")
 
@@ -165,17 +148,15 @@ def test_c09_hamilton_form(expansion_run, thermo_min_eps, fm, dc,
            f"|dy2/dt - dE/dp| = {ry:.2e}, |dp2/dt + dE/dy| = {rp:.2e} (tol 1e-7)")
 
 
-def test_c10_first_law(expansion_run, thermo_min_eps, fm, dc, acceptance_lines):
+def test_c10_first_law(expansion_run, thermo_min_eps, acceptance_lines):
     traj, grid, base, corr = expansion_run
     th, ex, bundle = thermo_min_eps
     dt = grid[1] - grid[0]
     assert dt == 5e-4
     lead = fs.check_first_law(ex.E0_perp, base.y0, th.S0, th.F0, th.T0, dt)
-    _, w1, w2, _ = fm.derivs(base.y0)
-    force2 = w1 * corr.theta2_bar + dc.theta_star * w2 * corr.y2_bar
     second = fs.check_first_law(ex.E2_perp_bar, corr.y2_bar, th.S2_doublebar,
                                 th.F0, th.T0, dt,
-                                second_order_work=(force2, base.y0))
+                                second_order_work=(th.F2_bar, base.y0))
     ok = lead.max_residual <= 1e-8 and second.max_residual <= 1e-6
     record(acceptance_lines, 10, "first-law", ok,
            f"leading = {lead.max_residual:.2e} (tol 1e-8), "
@@ -216,9 +197,7 @@ def test_c12_equipartition(reference_runs, fm, acceptance_lines):
 
 def test_c13_two_scale_convergence(reference_runs, fm, params,
                                    acceptance_lines):
-    with reusing(reference_runs, params, fm) as hits:
-        table = two_scale_error_table(RunConfig(), fm, params)
-    assert hits == list(EPSILONS)
+    table = two_scale_error_table(RunConfig(), fm, params, reference_runs.items())
     ok = True
     details = []
     for var in ("theta1", "phi2", "y2", "p2", "theta2"):

@@ -149,12 +149,15 @@ def test_corrector_amplitudes_bounded(phi, y, p, eps, phi2_bar):
 
 
 def test_residual_norms_shapes(params, fm):
-    rep = fs.residual_norms(params, fm, (0.04, 0.02), grid_points=201)
+    grid = np.linspace(0.0, 1.0, 201)
+    base, corr = fs.eval_expansion(fs.solve_expansion(params, fm), grid)
+    runs = ((eps, fs.reference_run(params, fm, eps, 80.0)) for eps in (0.04, 0.02))
+    rep = fs.residual_norms(params, fm, grid, base, corr, runs)
     assert rep.epsilons == (0.04, 0.02)
     assert set(rep.families) == {"leading", "first", "second"}
     assert set(rep.families["second"]) == {"phi", "theta", "y", "p"}
     assert rep.energy_drift.shape == (2,)
-    assert np.all(rep.theta_min > 0)
+    assert np.all(rep.energy_drift <= 1e-8)
     # theta residual normalizes by eps at leading order, eps^2 elsewhere
     lead = rep.families["leading"]["theta"]
     assert np.allclose(rep.normalized["leading"]["theta"], lead / np.array([0.04, 0.02]))

@@ -1,9 +1,11 @@
 """Configuration parsing, file outputs, CLI exit codes, determinism."""
 
+import gc
 import hashlib
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -35,6 +37,20 @@ def test_echo_round_trip_preserves_derived_constants():
     a = fs.derived_constants(cfg.params(), fm)
     b = fs.derived_constants(again.params(), again.frequency())
     assert a == b  # bit-identical floats survive the text round trip
+
+
+@pytest.mark.parametrize("preset", ["constant", "fourier", "custom"])
+def test_preset_without_coefficients_takes_its_defaults(tmp_path, preset):
+    # the coefficients used to default to sine's two, which the constant and
+    # fourier presets reject, so the one-line config exited 2
+    config = tmp_path / "preset.txt"
+    config.write_text(f"frequency.preset = {preset}\n")
+    cfg = parse_config_text(config.read_text())
+    assert cfg.frequency_coefficients == DEFAULT_COEFFICIENTS[
+        fs.model.PRESET_ALIASES.get(preset, preset)]
+    assert parse_config_text(cfg.echo()) == cfg
+    assert fs.main(["thermo", "--config", str(config), "--out", str(tmp_path / "o"),
+                    "--epsilon", "0.04,0.02"]) == 0
 
 
 def test_comments_and_blank_lines_ignored():
@@ -310,14 +326,35 @@ def test_twoscale_single_epsilon_reports_only(tmp_path):
     assert len(rows) == 6  # five variables
     assert "no trend gate" in (out / "summary.txt").read_text()
     runs = json.loads((out / "manifest.json").read_text())["runs"]
-    assert [sorted(r) for r in runs] == [["epsilon", "richardson_error"]]
+    assert [sorted(r) for r in runs] == [["epsilon", "richardson_error", "theta_min"]]
     assert runs[0]["epsilon"] == 0.04
     assert 0.0 < runs[0]["richardson_error"] <= 1e-8
+    assert 0.0 < runs[0]["theta_min"] < 1.0
 
 
-def _two_scale_error_table_per_epsilon(cfg, fm, params):
+def test_twoscale_holds_one_reference_run_at_a_time(tmp_path, monkeypatch):
+    # every earlier run must be collected before the next one is made, so
+    # the ladder's memory holds a single run; reference_run makes each run
+    # with the reference_solution it finds in its module
+    made = []
+    solve = fs.expansion.reference_solution
+
+    def tracked(*args, **kwargs):
+        gc.collect()
+        assert [r() for r in made] == [None] * len(made)
+        run = solve(*args, **kwargs)
+        made.append(weakref.ref(run))
+        return run
+
+    monkeypatch.setattr(fs.expansion, "reference_solution", tracked)
+    assert fs.main(["twoscale", "--epsilon", "0.04,0.02,0.01", "--out", str(tmp_path)]) == 0
+    assert len(made) == 3
+
+
+def _two_scale_error_table_per_epsilon(cfg, fm, params, runs):
     """The per-epsilon loop that the ladder call replaced, each epsilon with
-    its own phase inversion, kept as the oracle of two_scale_error_table."""
+    its own phase inversion, kept as the oracle of two_scale_error_table;
+    runs maps each epsilon to its reference run."""
     theta_star = fs.derived_constants(params, fm).theta_star
     etraj = fs.solve_expansion(params, fm, cfg.rtol, cfg.atol, cfg.max_slow_step)
 
@@ -331,7 +368,7 @@ def _two_scale_error_table_per_epsilon(cfg, fm, params):
 
     out = {}
     for eps in cfg.epsilons:
-        ref = fs.expansion.reference_run(params, fm, eps, cfg.reference_factor)
+        ref = runs[eps]
         n_cells = int(math.floor(float(etraj.states[-1, 0]) / math.pi / eps))
         r_fine = eps * np.arange(256 * n_cells + 1) / 256
         r_grid = np.linspace(0.0, (n_cells - 3) * eps, 512)
@@ -354,8 +391,7 @@ def _two_scale_error_table_per_epsilon(cfg, fm, params):
             jump = ((1.0 - rho) * (v[(n + 1) * 256] - v[n * 256])
                     + rho * (v[(n + 2) * 256] - v[(n + 1) * 256]))
             errs.append(float(np.max(np.abs(blend - s_grid[None, :] * jump[:, None] - lim))))
-        out[eps] = dict(zip(TWO_SCALE_VARIABLES, errs),
-                        richardson_error=float(ref.meta["richardson_error"]))
+        out[eps] = dict(zip(TWO_SCALE_VARIABLES, errs))
     return out
 
 
@@ -364,38 +400,35 @@ def _two_scale_error_table_per_epsilon(cfg, fm, params):
     # no coarser fine grid lies in a finer one
     ("fourier", (0.04, 0.03, 0.011)),
 ])
-def test_two_scale_table_matches_per_epsilon_unfolding(monkeypatch, preset, epsilons):
+def test_two_scale_table_matches_per_epsilon_unfolding(preset, epsilons):
     cfg = RunConfig(frequency_preset=preset,
                     frequency_coefficients=fs.model.DEFAULT_COEFFICIENTS[preset],
                     epsilons=epsilons)
     fm, params = cfg.frequency(), cfg.params()
-    runs, made = {}, []
-    real_run = fs.expansion.reference_run
-
-    def run_once(params_, fm_, eps, reference_factor):
-        made.append(eps)
-        if eps not in runs:
-            runs[eps] = real_run(params_, fm_, eps, reference_factor)
-        return runs[eps]
-
-    monkeypatch.setattr(fs.expansion, "reference_run", run_once)
-    table = two_scale_error_table(cfg, fm, params)
-    assert made == list(epsilons)
-    assert table == _two_scale_error_table_per_epsilon(cfg, fm, params)
+    runs = {eps: fs.reference_run(params, fm, eps, cfg.reference_factor)
+            for eps in epsilons}
+    table = two_scale_error_table(cfg, fm, params, runs.items())
+    assert table == _two_scale_error_table_per_epsilon(cfg, fm, params, runs)
     assert list(table) == list(epsilons)
 
 
-def test_two_scale_table_traced_peak_is_bounded(monkeypatch):
+def test_two_scale_table_rejects_a_run_for_another_epsilon(params, fm):
+    cfg = RunConfig(epsilons=(0.04, 0.02))
+    ref = fs.reference_run(params, fm, 0.04, cfg.reference_factor)
+    with pytest.raises(ValueError, match="epsilon 0.02"):
+        two_scale_error_table(cfg, fm, params, [(0.04, ref), (0.01, ref)])
+
+
+def test_two_scale_table_traced_peak_is_bounded():
     # remainders and unfolding run in blocks of 8,192 points, so the peak no
     # longer holds the full-length temporaries or the 512 x 256 limit
     # surfaces (11.6 MiB before, 1.9 MiB after, on Linux x86-64)
     cfg = RunConfig(epsilons=(0.04,))
     fm, params = cfg.frequency(), cfg.params()
-    ref = fs.expansion.reference_run(params, fm, 0.04, cfg.reference_factor)
-    monkeypatch.setattr(fs.expansion, "reference_run", lambda *args: ref)
+    ref = fs.reference_run(params, fm, 0.04, cfg.reference_factor)
     tracemalloc.start()
     try:
-        two_scale_error_table(cfg, fm, params)
+        two_scale_error_table(cfg, fm, params, [(0.04, ref)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -95,16 +95,14 @@ def test_first_law_constant_frequency_is_exact(params):
     assert rep.max_residual == 0.0
 
 
-def test_first_law_along_expansion(thermo_pieces, fm, dc):
+def test_first_law_along_expansion(thermo_pieces):
     grid, base, corr, cv, th, ex, bundle = thermo_pieces
     dt = grid[1] - grid[0]
     lead = fs.check_first_law(ex.E0_perp, base.y0, th.S0, th.F0, th.T0, dt)
     assert lead.max_residual <= 1e-8
-    _, w1, w2, _ = fm.derivs(base.y0)
-    force2 = w1 * corr.theta2_bar + dc.theta_star * w2 * corr.y2_bar
     second = fs.check_first_law(ex.E2_perp_bar, corr.y2_bar, th.S2_doublebar,
                                 th.F0, th.T0, dt,
-                                second_order_work=(force2, base.y0))
+                                second_order_work=(th.F2_bar, base.y0))
     assert second.max_residual <= 1e-6
     # without the second-order force's work the balance misses at O(1)
     literal = fs.check_first_law(ex.E2_perp_bar, corr.y2_bar, th.S2_doublebar,
