@@ -16,8 +16,8 @@ import numpy as np
 
 from .dynamics import ActionAngleState, action_angle_field, energy_action_angle
 from .homogenized import HomogenizedState
-from .integrate import (Trajectory, integrate_controlled, reference_solution,
-                        sample)
+from .integrate import (SLOW_MAX_STEP, SLOW_TOL, Trajectory, integrate_controlled,
+                        reference_solution, sample)
 from .model import FrequencyModel, SystemParams, derived_constants
 from .phase import reduced_sincos
 
@@ -162,15 +162,13 @@ def expansion_field(params: SystemParams, fm: FrequencyModel):
     return f
 
 
-def solve_expansion(params: SystemParams, fm: FrequencyModel,
-                    rtol: float = 1e-12, atol: float = 1e-12,
-                    max_step: float = 0.002) -> Trajectory:
+def solve_expansion(params: SystemParams, fm: FrequencyModel) -> Trajectory:
     """Integrate homogenized + averaged layers jointly over [0, horizon_T]."""
     init = initial_corrections(params, fm)
     x0 = np.array([0.0, params.y_star, params.p_star, init.phi2_bar,
                    init.theta2_bar, init.y2_bar, init.p2_bar])
-    return integrate_controlled(expansion_field(params, fm), x0,
-                                params.horizon_T, rtol, atol, max_step=max_step)
+    return integrate_controlled(expansion_field(params, fm), x0, params.horizon_T,
+                                SLOW_TOL, SLOW_TOL, max_step=SLOW_MAX_STEP)
 
 
 def eval_expansion(traj: Trajectory, grid):
@@ -264,6 +262,7 @@ def residual_norms(params: SystemParams, fm: FrequencyModel, grid,
         energy = energy_action_angle(ActionAngleState(*xs.T), epsilon, fm)
         drift.append(sup(energy - dc.e_star))
         eps.append(epsilon)
+        del ref  # so the next run is made with this one already freed
     families = {fam: {var: np.array(v) for var, v in d.items()}
                 for fam, d in families.items()}
     normalized = {

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .integrate import Trajectory, integrate_controlled
+from .integrate import SLOW_MAX_STEP, SLOW_TOL, Trajectory, integrate_controlled
 from .model import FrequencyModel, SystemParams, derived_constants
 
 
@@ -40,9 +40,7 @@ def homogenized_field(fm: FrequencyModel, theta_star: float):
     return f
 
 
-def solve_homogenized(params: SystemParams, fm: FrequencyModel,
-                      rtol: float = 1e-12, atol: float = 1e-12,
-                      max_step: float = 0.002) -> Trajectory:
+def solve_homogenized(params: SystemParams, fm: FrequencyModel) -> Trajectory:
     """Integrate the limit system over [0, horizon_T].
 
     States are [phi0, y0, p0] and meta records theta_star; the step cap
@@ -50,8 +48,8 @@ def solve_homogenized(params: SystemParams, fm: FrequencyModel,
     """
     dc = derived_constants(params, fm)
     x0 = (0.0, params.y_star, params.p_star)
-    traj = integrate_controlled(homogenized_field(fm, dc.theta_star), x0,
-                                params.horizon_T, rtol, atol, max_step=max_step)
+    traj = integrate_controlled(homogenized_field(fm, dc.theta_star), x0, params.horizon_T,
+                                SLOW_TOL, SLOW_TOL, max_step=SLOW_MAX_STEP)
     traj.meta["theta_star"] = dc.theta_star
     return traj
 

@@ -21,6 +21,11 @@ class NumericalError(RuntimeError):
 
 
 _MAX_STEPS = 10_000_000  # step budget of one run
+# the lab's fixed numerics: tolerances and step cap of the slow (homogenized
+# and averaged) solves, and the points of every output grid over the horizon
+SLOW_TOL = 1e-12
+SLOW_MAX_STEP = 0.002
+GRID_POINTS = 2001
 
 
 @dataclass

@@ -16,8 +16,7 @@ import numpy as np
 
 _BOUND_SLACK = 1e-12
 
-# other names accepted for a preset, and each preset's default coefficients
-PRESET_ALIASES = {"custom-coefficients": "fourier", "custom": "fourier"}
+# each preset's default coefficients
 DEFAULT_COEFFICIENTS = {
     "sine": (2.0, 1.0),
     "constant": (2.0,),
@@ -169,22 +168,21 @@ def make_frequency(preset: str, coefficients) -> FrequencyModel:
               a0 + sum_k (a_k cos(k y) + b_k sin(k y)),
               requires a0 - sum_k (|a_k| + |b_k|) > 0.
     """
-    name = PRESET_ALIASES.get(preset, preset)
     coeffs = tuple(float(c) for c in coefficients)
-    if name == "constant":
+    if preset == "constant":
         if len(coeffs) != 1:
             raise ValueError("constant preset takes exactly one coefficient")
         if not coeffs[0] > 0:
             raise ValueError("constant frequency must be positive")
-        return FrequencyModel(name, coeffs, coeffs[0], coeffs[0])
-    if name == "sine":
+        return FrequencyModel(preset, coeffs, coeffs[0], coeffs[0])
+    if preset == "sine":
         if len(coeffs) != 2:
             raise ValueError("sine preset takes exactly two coefficients")
         lb = coeffs[0] - abs(coeffs[1])
         if not lb > 0:
             raise ValueError("sine preset needs a - |b| > 0 to keep the frequency positive")
-        return FrequencyModel(name, coeffs, lb, coeffs[0] + abs(coeffs[1]))
-    if name == "fourier":
+        return FrequencyModel(preset, coeffs, lb, coeffs[0] + abs(coeffs[1]))
+    if preset == "fourier":
         if len(coeffs) < 1 or len(coeffs) % 2 == 0:
             raise ValueError("fourier preset takes an odd number of coefficients: "
                              "a0, then (a_k, b_k) pairs")
@@ -193,7 +191,7 @@ def make_frequency(preset: str, coefficients) -> FrequencyModel:
         if not lb > 0:
             raise ValueError("fourier preset needs a0 - sum|a_k|+|b_k| > 0 "
                              "to keep the frequency positive")
-        return FrequencyModel(name, coeffs, lb, coeffs[0] + wiggle)
+        return FrequencyModel(preset, coeffs, lb, coeffs[0] + wiggle)
     raise ValueError(f"unknown frequency preset: {preset!r}")
 
 

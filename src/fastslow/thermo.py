@@ -21,7 +21,7 @@ from .averaging import windowed_average
 from .dynamics import oscillator_energy_gap_arrays
 from .expansion import AveragedCorrection, CorrectorValues
 from .homogenized import HomogenizedState
-from .integrate import Trajectory, sample
+from .integrate import GRID_POINTS, Trajectory, sample
 from .model import DerivedConstants, FrequencyModel
 from .phase import reduced_sincos
 
@@ -286,15 +286,16 @@ def phase_space_volume(E_perp: float, y: float, fm: FrequencyModel,
     return area
 
 
-def equipartition_check(traj: Trajectory, epsilon: float, fm: FrequencyModel,
-                        m: int = 8, grid_points: int = 2001) -> EquipartitionReport:
+def equipartition_check(traj: Trajectory, epsilon: float,
+                        fm: FrequencyModel) -> EquipartitionReport:
     """Windowed means of the kinetic-potential gap along a fast trajectory.
 
     traj holds action-angle states [phi, theta, y, p].  The gap
-    theta*omega*cos(2 phi/eps) is averaged over m whole fast periods of
+    theta*omega*cos(2 phi/eps) is averaged over 8 whole fast periods of
     the trajectory's own phase at nine centers evenly spaced over
     [0.3 T, 0.7 T]; each mean is second-order small.  Also reports the
-    sup of the virial-type product (d z/dt)*z = eps*theta*sin(2 phi/eps).
+    sup of the virial-type product (d z/dt)*z = eps*theta*sin(2 phi/eps)
+    on 2001 evenly spaced points of [0, T].
     """
     T = float(traj.times[-1])
     centers = T * np.linspace(0.3, 0.7, 9)
@@ -304,8 +305,8 @@ def equipartition_check(traj: Trajectory, epsilon: float, fm: FrequencyModel,
         return oscillator_energy_gap_arrays(xs[:, 0], xs[:, 1], xs[:, 2],
                                             epsilon, fm)
 
-    windows = windowed_average(gap_signal, centers, epsilon, traj, m=m)
-    grid = np.linspace(0.0, T, grid_points)
+    windows = windowed_average(gap_signal, centers, epsilon, traj)
+    grid = np.linspace(0.0, T, GRID_POINTS)
     xs = sample(traj, grid)
     s2, _ = reduced_sincos(xs[:, 0], epsilon, 2)
     xi = epsilon * xs[:, 1] * s2

@@ -39,15 +39,14 @@ def test_echo_round_trip_preserves_derived_constants():
     assert a == b  # bit-identical floats survive the text round trip
 
 
-@pytest.mark.parametrize("preset", ["constant", "fourier", "custom"])
+@pytest.mark.parametrize("preset", ["constant", "fourier"])
 def test_preset_without_coefficients_takes_its_defaults(tmp_path, preset):
     # the coefficients used to default to sine's two, which the constant and
     # fourier presets reject, so the one-line config exited 2
     config = tmp_path / "preset.txt"
     config.write_text(f"frequency.preset = {preset}\n")
     cfg = parse_config_text(config.read_text())
-    assert cfg.frequency_coefficients == DEFAULT_COEFFICIENTS[
-        fs.model.PRESET_ALIASES.get(preset, preset)]
+    assert cfg.frequency_coefficients == DEFAULT_COEFFICIENTS[preset]
     assert parse_config_text(cfg.echo()) == cfg
     assert fs.main(["thermo", "--config", str(config), "--out", str(tmp_path / "o"),
                     "--epsilon", "0.04,0.02"]) == 0
@@ -66,8 +65,6 @@ _REJECTED_WHEN_PARSED = [
     "run.epsilons = 0.01,0.02",       # increasing
     "run.epsilons = 0.02,-0.01",
     "run.horizon_T = -1",
-    "output.grid_points = 3",
-    "integrate.rtol = 0",
     "frequency.preset = sine\nfrequency.coefficients = 1,1",
     "debug.flip_theta1_sign = maybe",
     "just a line without equals",
@@ -77,10 +74,7 @@ _REJECTED_WHEN_PARSED = [
     "initial.u_star = inf",
     "initial.y_star = nan",
     "frequency.coefficients = 2,-inf",
-    "integrate.max_slow_step = nan",
-    "integrate.max_slow_step = -inf",
     "run.epsilons = 0.04\nrun.epsilons = 0.02",  # a repeated key
-    "output.grid_points = 1000000000000",  # beyond the step budget; 7.28 TiB of grid
 ]
 # (config, command, keys its error names): parsed fine, rejected by the command
 _REJECTED_BY_COMMAND = [
@@ -131,8 +125,31 @@ def test_zero_action_accepted_outside_thermo(tmp_path, command):
     assert rc == 0
 
 
-def test_max_slow_step_inf_means_no_cap():
-    assert parse_config_text("integrate.max_slow_step = inf").max_slow_step == math.inf
+# the five keys that fixed the slow solves, the output grid and the
+# equipartition window, each at the one value it ever took, and the two
+# aliases of fourier: each is unknown now, and its error names it
+_REMOVED_OPTIONS = {
+    "integrate.rtol": "integrate.rtol = 1e-12",
+    "integrate.atol": "integrate.atol = 1e-12",
+    "integrate.max_slow_step": "integrate.max_slow_step = 0.002",
+    "output.grid_points": "output.grid_points = 2001",
+    "averaging.window_periods": "averaging.window_periods = 8",
+    "custom": "frequency.preset = custom",
+    "custom-coefficients": None,  # given as --preset
+}
+
+
+@pytest.mark.parametrize("name", _REMOVED_OPTIONS)
+def test_removed_options_exit_2(tmp_path, capsys, name):
+    args = ["--preset", name]
+    if _REMOVED_OPTIONS[name] is not None:
+        config = tmp_path / "removed.txt"
+        config.write_text(_REMOVED_OPTIONS[name] + "\n")
+        args = ["--config", str(config)]
+    assert fs.main(["check", *args, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and repr(name) in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -286,6 +303,18 @@ def test_sign_flip_control_fails_check(tmp_path):
     assert not report["first_order_energy_identity"]["pass"]
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_check_fails_on_a_nan_identity(tmp_path):
+    # at epsilon = 1e-300 the phase reduction's split of epsilon overflows and
+    # the first-order identity is NaN, which a builtin max() over the
+    # epsilons used to drop, so check passed with value 0
+    assert fs.main(["check", "--epsilon", "1e-300", "--out", str(tmp_path)]) == 1
+    entry = json.loads((tmp_path / "check.json").read_text())["first_order_energy_identity"]
+    assert math.isnan(entry["value"]) and not entry["pass"]
+    assert ("[FAIL] first_order_energy_identity: value=nan"
+            in (tmp_path / "check.txt").read_text())
+
+
 def test_simulate_outputs_are_deterministic(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     assert fs.main(["simulate", "--out", str(d1), "--epsilon", "0.04"]) == 0
@@ -332,7 +361,8 @@ def test_twoscale_single_epsilon_reports_only(tmp_path):
     assert 0.0 < runs[0]["theta_min"] < 1.0
 
 
-def test_twoscale_holds_one_reference_run_at_a_time(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["sweep", "thermo", "twoscale"])
+def test_ladder_holds_one_reference_run_at_a_time(tmp_path, monkeypatch, command):
     # every earlier run must be collected before the next one is made, so
     # the ladder's memory holds a single run; reference_run makes each run
     # with the reference_solution it finds in its module
@@ -347,7 +377,7 @@ def test_twoscale_holds_one_reference_run_at_a_time(tmp_path, monkeypatch):
         return run
 
     monkeypatch.setattr(fs.expansion, "reference_solution", tracked)
-    assert fs.main(["twoscale", "--epsilon", "0.04,0.02,0.01", "--out", str(tmp_path)]) == 0
+    assert fs.main([command, "--epsilon", "0.04,0.02,0.01", "--out", str(tmp_path)]) == 0
     assert len(made) == 3
 
 
@@ -356,7 +386,7 @@ def _two_scale_error_table_per_epsilon(cfg, fm, params, runs):
     its own phase inversion, kept as the oracle of two_scale_error_table;
     runs maps each epsilon to its reference run."""
     theta_star = fs.derived_constants(params, fm).theta_star
-    etraj = fs.solve_expansion(params, fm, cfg.rtol, cfg.atol, cfg.max_slow_step)
+    etraj = fs.solve_expansion(params, fm)
 
     def limit(t, s):
         base, corr = fs.eval_expansion(etraj, t.ravel())

@@ -22,12 +22,6 @@ def test_fourier_preset_derivatives_at_origin():
     assert fmf.omega_upper_bound == 2.5
 
 
-def test_fourier_alias_names():
-    for alias in ("custom-coefficients", "custom"):
-        fma = fs.make_frequency(alias, (2.0, 0.25, 0.25))
-        assert fma.derivs(0.3) == fs.make_frequency("fourier", (2.0, 0.25, 0.25)).derivs(0.3)
-
-
 def test_constant_preset():
     fmc = fs.make_frequency("constant", (2.0,))
     y = np.linspace(-5, 5, 11)
