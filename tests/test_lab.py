@@ -75,6 +75,11 @@ _REJECTED_WHEN_PARSED = [
     "initial.y_star = nan",
     "frequency.coefficients = 2,-inf",
     "run.epsilons = 0.04\nrun.epsilons = 0.02",  # a repeated key
+    # keys that are gone: whatever value they carry, the key is unknown
+    "integrate.max_slow_step = nan",
+    "integrate.max_slow_step = -inf",
+    "output.grid_points = 3",
+    "output.grid_points = 1000000000000",
 ]
 # (config, command, keys its error names): parsed fine, rejected by the command
 _REJECTED_BY_COMMAND = [
