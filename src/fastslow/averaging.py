@@ -116,7 +116,15 @@ class WindowedAverage:
     slid_right: bool
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+# numpy's leggauss(10) written out: its bits follow the LAPACK, its import costs start-up
+_GL_NODES = np.array([-0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
+                      -0.4333953941292472, -0.14887433898163122, 0.14887433898163122,
+                      0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
+                      0.9739065285171717])
+_GL_WEIGHTS = np.array([0.06667134430868814, 0.1494513491505804, 0.219086362515982,
+                        0.2692667193099965, 0.2955242247147528, 0.2955242247147528,
+                        0.2692667193099965, 0.219086362515982, 0.1494513491505804,
+                        0.06667134430868814])
 
 
 def windowed_average(signal, centers, epsilon: float, phase_traj: Trajectory,

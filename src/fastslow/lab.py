@@ -602,10 +602,11 @@ def cmd_check(cfg: RunConfig, out: Path) -> int:
     fd = model.finite_difference_report(fm)
     checks.append(("derivative_consistency", max(fd.values()), 1e-6))
 
-    results = {name: {"value": value, "tolerance": tol, "pass": bool(value <= tol)}
+    results = {name: {"value": value if math.isfinite(value) else None,  # JSON has no NaN
+                      "tolerance": tol, "pass": bool(value <= tol)}
                for name, value, tol in checks}
     p2 = out / "check.json"
-    p2.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+    p2.write_text(json.dumps(results, indent=2, sort_keys=True, allow_nan=False) + "\n")
     gates = [Gate(name, value <= tol, f"value={value:.3e} tol={tol:.0e}")
              for name, value, tol in checks]
     summary = out / "check.txt"

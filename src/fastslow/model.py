@@ -24,44 +24,59 @@ DEFAULT_COEFFICIENTS = {
 }
 
 
-# One routine per preset: (coefficients, y, sin, cos) -> the 4-tuple
-# (omega, omega', omega'', omega''').  sin and cos are math's for a float
-# y and numpy's for an array y, and each value has the shape of y.
-
-def _constant(c, y, sin, cos):
-    if isinstance(y, np.ndarray):
-        zero = 0.0 * y
-        return np.full_like(zero, c[0]), zero, zero, zero
-    return c[0], 0.0, 0.0, 0.0
+# One routine factory per preset: (coefficients, floor, sin, cos, every) -> derivs(y),
+# (omega, omega', omega'', omega''') shaped like y, with math's sin and cos for a float y
+# and numpy's for an array; derivs raises ValueError unless every(omega >= floor).
+_FLOOR_ERROR = "frequency fell below its positive floor"
 
 
-def _sine(c, y, sin, cos):
-    s = sin(y)
-    co = cos(y)
-    b = c[1]
-    return c[0] + b * s, b * co, -b * s, -b * co
+def _constant(c, floor, sin, cos, every):
+    def derivs(y):
+        if isinstance(y, np.ndarray):
+            zero = 0.0 * y
+            d = np.full_like(zero, c[0]), zero, zero, zero
+        else:
+            d = c[0], 0.0, 0.0, 0.0
+        if not every(d[0] >= floor):
+            raise ValueError(_FLOOR_ERROR)
+        return d
+    return derivs
 
 
-def _harmonics(c):
-    """_fourier's coefficients: a0, then (k, a_k, b_k, k^2, k^3) per harmonic,
-    with the integer factors converted to float (exactly) once."""
-    return c[0], tuple((float(k), c[2 * k - 1], c[2 * k], float(k * k), float(k**3))
-                       for k in range(1, len(c) // 2 + 1))
+def _sine(c, floor, sin, cos, every):
+    a, b = c
+
+    def derivs(y):
+        s = sin(y)
+        co = cos(y)
+        w = a + b * s
+        if not every(w >= floor):
+            raise ValueError(_FLOOR_ERROR)
+        return w, b * co, -b * s, -b * co
+    return derivs
 
 
-def _fourier(c, y, sin, cos):
-    a0, harmonics = c
-    # y**0 is 1.0, or ones shaped like y, for every y (inf and nan too)
-    w = a0 * y**0
-    w1 = w2 = w3 = 0.0 * y
-    for k, a, b, k2, k3 in harmonics:
-        ck = cos(k * y)
-        sk = sin(k * y)
-        w = w + a * ck + b * sk
-        w1 = w1 + k * (-a * sk + b * ck)
-        w2 = w2 - k2 * (a * ck + b * sk)
-        w3 = w3 + k3 * (a * sk - b * ck)
-    return w, w1, w2, w3
+def _fourier(c, floor, sin, cos, every):
+    # (k, a_k, b_k, k^2, k^3) per harmonic, the integer factors converted to
+    # float (exactly) once
+    harmonics = tuple((float(k), c[2 * k - 1], c[2 * k], float(k * k), float(k**3))
+                      for k in range(1, len(c) // 2 + 1))
+
+    def derivs(y):
+        # y**0 is 1.0, or ones shaped like y, for every y (inf and nan too)
+        w = c[0] * y**0
+        w1 = w2 = w3 = 0.0 * y
+        for k, a, b, k2, k3 in harmonics:
+            ck = cos(k * y)
+            sk = sin(k * y)
+            w = w + a * ck + b * sk
+            w1 = w1 + k * (-a * sk + b * ck)
+            w2 = w2 - k2 * (a * ck + b * sk)
+            w3 = w3 + k3 * (a * sk - b * ck)
+        if not every(w >= floor):
+            raise ValueError(_FLOOR_ERROR)
+        return w, w1, w2, w3
+    return derivs
 
 
 _ROUTINES = {"constant": _constant, "sine": _sine, "fourier": _fourier}
@@ -102,17 +117,8 @@ class FrequencyModel:
         return self._evaluator(math.sin, math.cos, bool)
 
     def _evaluator(self, sin, cos, every):
-        routine = _ROUTINES[self.preset]
-        c = _harmonics(self.coefficients) if routine is _fourier else self.coefficients
         floor = self.omega_lower_bound * (1.0 - _BOUND_SLACK)
-
-        def derivs(y):
-            d = routine(c, y, sin, cos)
-            if not every(d[0] >= floor):
-                raise ValueError("frequency fell below its positive floor")
-            return d
-
-        return derivs
+        return _ROUTINES[self.preset](self.coefficients, floor, sin, cos, every)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ _INV_TWO_PI = 0.15915494309189535
 _SPLIT = 134217729.0
 # below this every 20-bit chunk of q but the lowest is zero
 _Q_SHORT = 2.0**19
+_ROUND = 1.5 * 2.0**52  # (x + _ROUND) - _ROUND rounds x half to even for |x| < 2^51
 
 
 def reducer(epsilon, rint=round, every=bool):
@@ -37,13 +38,13 @@ def reducer(epsilon, rint=round, every=bool):
 
     The Dekker split of epsilon is done here, once.  epsilon may be a
     float or an array shaped like a (one epsilon per element): the split
-    is elementwise.  The map takes a float or an array; rint rounds half
-    to even on it (round or np.rint) and every(mask) says whether a
-    comparison holds for all of it (bool or np.all).  Quotients of 2^19
-    and more are split into 20-bit chunks q2 + q1 + q0 (q2, q1 multiples
-    of 2^40, 2^20), so each chunk*piece product stays exact below 2^60;
-    with zero high chunks the split path subtracts 0.0, so both paths give
-    the same bits.
+    is elementwise.  The map takes a float or an array; every(mask) says
+    whether a comparison holds for all of it (bool or np.all).  Quotients
+    below 2^19 are rounded half to even in float arithmetic; larger ones,
+    NaN and inf by rint (round or np.rint), and split into 20-bit chunks
+    q2 + q1 + q0 (q2, q1 multiples of 2^40, 2^20), so each chunk*piece
+    product stays exact below 2^60; with zero high chunks the split path
+    subtracts 0.0, so both paths give the same bits.
     """
     eh = _SPLIT * epsilon
     eh = eh - (eh - epsilon)
@@ -60,11 +61,12 @@ def reducer(epsilon, rint=round, every=bool):
         pl = ((th * eh - p) + th * el + tl * eh) + tl * el
         t_lo = ((a - p) - pl) / epsilon
 
-        q = rint(t_hi * _INV_TWO_PI)
+        q = (t_hi * _INV_TWO_PI + _ROUND) - _ROUND
         if every(abs(q) < _Q_SHORT):
             r = t_hi - q * _TWO_PI_1
             r -= q * _TWO_PI_2
         else:
+            q = rint(t_hi * _INV_TWO_PI)
             q2 = rint(q * 2.0**-40) * 2.0**40
             q1 = rint((q - q2) * 2.0**-20) * 2.0**20
             q0 = (q - q2) - q1

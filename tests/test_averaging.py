@@ -89,7 +89,8 @@ def test_windowed_average_slides_at_edges(osc_ref):
 
 def _windowed_average_one(signal, t, epsilon, phase_traj, m=8):
     """The per-center routine that windowed_average replaced, kept as its oracle."""
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(10)
+    # the module's rule, so that only the loop is compared
+    gl_nodes, gl_weights = fs.averaging._GL_NODES, fs.averaging._GL_WEIGHTS
     phi = float(fs.sample(phase_traj, np.array([t]), component=0)[0])
     half = math.pi * m * epsilon / 2.0
     phi_lo_all = float(phase_traj.states[0, 0])
@@ -247,3 +248,16 @@ def test_estimate_order_validates():
         fs.estimate_order([0.1, 0.1, 0.02], [1.0, 0.5, 0.2])
     with pytest.raises(ValueError):
         fs.estimate_order([0.1, 0.05, 0.02], [1.0, 0.5])
+
+
+def test_gauss_legendre_literals_are_the_ten_point_rule():
+    nodes, weights = fs.averaging._GL_NODES, fs.averaging._GL_WEIGHTS
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(10)
+    # within 2 ulp of numpy's values, whose last bits depend on the LAPACK
+    for got, want in ((nodes, want_nodes), (weights, want_weights)):
+        assert got.shape == want.shape == (10,)
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+    assert np.array_equal(nodes, -nodes[::-1])
+    assert np.array_equal(weights, weights[::-1])
+    assert np.all(np.diff(nodes) > 0) and np.all(weights > 0)
+    assert abs(float(np.sum(weights)) - 2.0) <= 4e-16

@@ -312,10 +312,16 @@ def test_sign_flip_control_fails_check(tmp_path):
 def test_check_fails_on_a_nan_identity(tmp_path):
     # at epsilon = 1e-300 the phase reduction's split of epsilon overflows and
     # the first-order identity is NaN, which a builtin max() over the
-    # epsilons used to drop, so check passed with value 0
+    # epsilons used to drop, so check passed with value 0; check.json stays
+    # strict JSON, with null for the NaN
     assert fs.main(["check", "--epsilon", "1e-300", "--out", str(tmp_path)]) == 1
-    entry = json.loads((tmp_path / "check.json").read_text())["first_order_energy_identity"]
-    assert math.isnan(entry["value"]) and not entry["pass"]
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    report = json.loads((tmp_path / "check.json").read_text(), parse_constant=reject)
+    entry = report["first_order_energy_identity"]
+    assert entry["value"] is None and not entry["pass"]
     assert ("[FAIL] first_order_energy_identity: value=nan"
             in (tmp_path / "check.txt").read_text())
 

@@ -149,7 +149,9 @@ def test_prepared_fourier_harmonics_keep_the_integer_factor_bits(coeffs):
         return all(type(g) is type(w) and np.asarray(g).tobytes() == np.asarray(w).tobytes()
                    for g, w in zip(got, want, strict=True))
 
-    prepared = fs.model._harmonics(coeffs)
+    # a floor check that always passes, so that nan reaches the comparison
+    unchecked = lambda mask: True
+    scalar = fs.model._fourier(coeffs, -math.inf, math.sin, math.cos, unchecked)
     ys = [-11.5, -math.pi, -0.3, -0.0, 0.0, 0.7, 3.0, 9.25, 1e300, math.nan,
           math.inf, -math.inf]
     for y in ys:
@@ -157,14 +159,41 @@ def test_prepared_fourier_harmonics_keep_the_integer_factor_bits(coeffs):
             want = _fourier_integer_factors(coeffs, y, math.sin, math.cos)
         except ValueError:  # math.sin(inf)
             with pytest.raises(ValueError):
-                fs.model._fourier(prepared, y, math.sin, math.cos)
+                scalar(y)
             continue
-        assert same(fs.model._fourier(prepared, y, math.sin, math.cos), want), y
+        assert same(scalar(y), want), y
     arr = np.array(ys)
     with np.errstate(invalid="ignore"):
         want = _fourier_integer_factors(coeffs, arr, np.sin, np.cos)
-        got = fs.model._fourier(prepared, arr, np.sin, np.cos)
+        got = fs.model._fourier(coeffs, -math.inf, np.sin, np.cos, unchecked)(arr)
     assert same(got, want)
+
+
+@pytest.mark.parametrize("preset, coeffs", [
+    ("constant", (2.0,)), ("sine", (2.0, 1.0)), ("fourier", (3.0, 0.5, 0.5, 0.3, -0.4))])
+def test_scalar_and_array_derivs_agree_and_check_the_floor_alike(preset, coeffs):
+    fmx = fs.make_frequency(preset, coeffs)
+    ys = np.linspace(-7.0, 7.0, 57)
+    scalar = fmx.scalar_derivs()
+    columns = fmx.derivs(ys)
+    # equal values; the constant preset's zero derivatives are 0.0 * y for an
+    # array, so their sign follows y's
+    for i, y in enumerate(ys.tolist()):
+        assert [float(c[i]) for c in columns] == list(scalar(y))
+    # a claimed floor above omega at y = 0, and below it at some other y
+    w0 = fmx.derivs(0.0)[0]
+    bad = fs.FrequencyModel(preset, fmx.coefficients, w0 * (1.0 + 1e-9), fmx.omega_upper_bound)
+    messages = set()
+    for call in (lambda: bad.derivs(0.0), lambda: bad.scalar_derivs()(0.0),
+                 lambda: bad.derivs(ys), lambda: bad.derivs(np.array([0.0]))):
+        with pytest.raises(ValueError) as err:
+            call()
+        messages.add(str(err.value))
+    assert messages == {"frequency fell below its positive floor"}
+    if preset != "constant":
+        above = ys[columns[0] > w0 * (1.0 + 1e-6)]
+        assert above.size and np.all(bad.derivs(above)[0] == fmx.derivs(above)[0])
+        assert bad.derivs(float(above[0])) == fmx.derivs(float(above[0]))
 
 
 def test_frequency_below_its_floor_raises():
