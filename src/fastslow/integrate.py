@@ -39,6 +39,14 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
 
 
+def step_count(horizon_T: float, h: float) -> int:
+    """Steps of a fixed-step run over horizon_T; NumericalError beyond the step budget."""
+    steps = horizon_T / h - 1e-12 if h > 0.0 else math.inf
+    if steps > _MAX_STEPS:
+        raise NumericalError(f"{steps:.3g} steps exceed the step budget of {_MAX_STEPS}")
+    return int(math.ceil(steps))
+
+
 def integrate_fixed(rhs, x0, horizon_T: float, h: float) -> Trajectory:
     """Classical fourth-order Runge-Kutta with fixed step on 4-component
     states, the size of both charts of the lab.
@@ -58,10 +66,7 @@ def integrate_fixed(rhs, x0, horizon_T: float, h: float) -> Trajectory:
     if len(x) != 4:
         raise ValueError(f"integrate_fixed steps 4-component states, not {len(x)}")
     x0, x1, x2, x3 = x
-    steps = horizon_T / h - 1e-12
-    if steps > _MAX_STEPS:  # checked before the arrays are allocated
-        raise NumericalError(f"{steps:.3g} steps exceed the step budget of {_MAX_STEPS}")
-    n_steps = int(math.ceil(steps))
+    n_steps = step_count(horizon_T, h)  # checked before the arrays are allocated
     states = np.empty((n_steps + 1, 4))
     derivs = np.empty_like(states)
     put = struct.Struct("4d").pack_into  # a row at a byte offset; a third of row assignment's cost

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import averaging, dynamics, expansion, homogenized, integrate, model, thermo
+from . import averaging, dynamics, expansion, homogenized, integrate, model, phase, thermo
 from .integrate import NumericalError
 
 
@@ -156,15 +156,96 @@ def validate_config(cfg: RunConfig) -> None:
     cfg.params()
 
 
+def _split(v):
+    """v as hi + lo, each of at most 26 significant bits (Dekker 1971)."""
+    c = phase._SPLIT * v
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+# 10^j = _POW_HI + _POW_LO, j = 16 - X for each decimal exponent X in [-30, 16]
+_POW_HI = np.array([float(10**j) for j in range(47)])
+_POW_LO = np.array([float(10**j - int(h)) for j, h in enumerate(_POW_HI.tolist())])
+# the ASCII digits of 0..9999, four bytes read as one uint32
+_DIGITS4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1)
+_DIGITS4 = _DIGITS4.view(np.uint32).ravel()
+
+
+def _cell_layouts() -> np.ndarray:
+    """The 43 byte slots of a '%.17g' cell by (X + 30, n, sign bit), X the decimal
+    exponent and n the significant digits: sign, "0.000" of 1e-4 <= |v| < 1, 17 digits
+    each with a point slot after it, "e-dd".  A slot that shows a digit holds 255."""
+    X = np.arange(-30, 17)[:, None, None, None]
+    n = np.arange(18)[:, None, None]
+    i = np.arange(17)
+    fixed = X >= -4  # C's %g: fixed notation for -4 <= X < 17
+    cells = np.zeros((47, 18, 2, 43), np.uint8)
+    np.copyto(cells[..., :1], np.uint8(ord("-")), where=np.arange(2)[:, None] == 1)
+    np.copyto(cells[..., 1:6], np.frombuffer(b"0.000", np.uint8),
+              where=fixed & (X < 0) & (np.arange(5) < 1 - X))
+    np.copyto(cells[..., 6:39:2], np.uint8(255), where=(i < n) | fixed & (i <= X))
+    np.copyto(cells[..., 7:39:2], np.uint8(ord(".")),
+              where=(i[:16] == np.where(fixed, X, 0)) & (i[:16] + 1 < n))
+    exponents = b"".join(b"e-%02d" % -x for x in range(-30, -4))
+    cells[:26, ..., 39:] = np.frombuffer(exponents, np.uint8).reshape(26, 1, 1, 4)
+    return cells.reshape(-1, 43)
+
+
+_LAYOUTS = _cell_layouts()
+
+
+def _format_cells(x: np.ndarray) -> np.ndarray:
+    """'%.17g' % v for each v of the 1-d x, in rows of 43 slots (0 shows nothing).  For
+    0 and 1e-30 <= |v| < 1e17, with X a guess of the decimal exponent, |v| 10^(16 - X) is
+    p = |v| _POW_HI plus t, p's exact error plus |v| _POW_LO, within 1e-14; it rounds
+    half to even to 17 digits N.  Ties, near-ties, a wrong guess (N not in [10^16, 10^17))
+    and all other values go to Python's %."""
+    a = np.abs(x)
+    zero = x == 0.0
+    fast = (a >= 1e-30) & (a < 1e17)
+    a = np.where(fast, a, 1.0)  # no log10 of 0, and no NaN cast to int
+    X = np.floor(np.log10(a)).astype(np.int64)
+    j = np.clip(16 - X, 0, 46)
+    hi = _POW_HI.take(j)
+    (ah, al), (hh, hl) = _split(a), _split(hi)
+    p = a * hi
+    t = ((((ah * hh - p) + ah * hl) + al * hh) + al * hl) + a * _POW_LO.take(j)
+    frac = t - np.floor(t)
+    below = p.astype(np.int64) + np.floor(t).astype(np.int64)
+    N = below + (frac > 0.5)
+    fast &= (np.abs(frac - 0.5) > 1e-6) & (below >= 10**16) & (N < 10**17)
+    groups = np.stack([N // 10**16, N // 10**12 % 10**4, N // 10**8 % 10**4,
+                       N // 10**4 % 10**4, N % 10**4], axis=1)
+    digits = _DIGITS4.take(groups).view(np.uint8)[:, 3:]
+    n = 17 - np.argmax(digits[:, ::-1] != 48, axis=1)
+    cells = _LAYOUTS.take(((np.clip(X, -30, 16) + 30) * 18 + n) * 2 + np.signbit(x), axis=0)
+    cells[:, 6:39:2] &= digits
+    cells[zero, 6] = ord("0")  # zero took the digits of 1.0
+    slow = np.flatnonzero(~(fast | zero))
+    cells[slow] = np.array(["%.17g" % v for v in x[slow].tolist()], "S43").view((np.uint8, 43))
+    return cells
+
+
 def write_csv(path: Path, header: list[str], columns: list) -> None:
     """Write columns (same length) as CSV.  Each column holds only str,
-    written as is, or only numbers, written as 17-significant-digit floats."""
+    written as is, or only numbers, written as '%.17g' % float(v)."""
     arrays = [np.asarray(col) for col in columns]
-    row = ",".join("%s" if a.dtype.kind == "U" else "%.17g" for a in arrays)
-    cells = [a.tolist() if a.dtype.kind == "U" else a.astype(float).tolist()
-             for a in arrays]
-    rows = [",".join(header), *(row % r for r in zip(*cells))]
-    path.write_text("\n".join(rows) + "\n")
+    text = {i: np.array([c.encode() for c in a.tolist()], "S")
+            for i, a in enumerate(arrays) if a.dtype.kind == "U"}
+    numbers = [i for i in range(len(arrays)) if i not in text]
+    width = max([43] + [t.itemsize for t in text.values()]) + 1
+    step = max(1, 4096 // len(arrays))  # blocks of 4,096 cells: 32 KiB temporaries
+    with path.open("w") as f:  # as write_text opens it
+        f.write(",".join(header) + "\n")
+        for rows in (slice(r, r + step) for r in range(0, len(arrays[0]), step)):
+            block = np.array([arrays[i][rows] for i in numbers], float).T
+            cells = np.zeros((len(arrays[0][rows]), len(arrays), width), np.uint8)
+            cells[:, numbers, :43] = _format_cells(block.ravel()).reshape(*block.shape, 43)
+            for i, t in text.items():
+                cells[:, i, :t.itemsize] = t[rows].view((np.uint8, t.itemsize))
+            cells[:, :, -1] = ord(",")
+            cells[:, -1, -1] = ord("\n")
+            f.write(cells.tobytes().translate(None, b"\0").decode("utf-8"))
 
 
 def write_manifest(out: Path, command: str, cfg: RunConfig, files: list[Path],
@@ -226,12 +307,15 @@ def _finish(command: str, cfg: RunConfig, out: Path, t0: float, files: list,
 
 
 def _step_fits(cfg: RunConfig, fm, factor_key: str) -> None:
-    """A step longer than the horizon is bad configuration (exit 2)."""
+    """A step longer than the horizon is bad configuration (exit 2); a run past the
+    step budget at the smallest epsilon, a numerical failure (exit 3) before any solve."""
     factor = getattr(cfg, _KEY_FIELDS[factor_key][0])
     h = fm.fast_step(cfg.epsilons[0], factor)
     if h > cfg.horizon_T:
         raise ConfigError(f"{factor_key} = {factor:g} gives a step of {h:.3g} at epsilon "
                           f"{cfg.epsilons[0]:g}, longer than run.horizon_T = {cfg.horizon_T:g}")
+    fine = 0.5 if factor_key == "integrate.reference_factor" else 1.0  # half-step run
+    integrate.step_count(cfg.horizon_T, fine * fm.fast_step(cfg.epsilons[-1], factor))
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -20,6 +21,19 @@ from fastslow.model import DEFAULT_COEFFICIENTS
 def file_hashes(d, skip=("manifest.json",)):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(d.iterdir()) if p.name not in skip}
+
+
+def assert_canonical_csvs(out):
+    """Every numeric cell c of every CSV in out is '%.17g' % float(c): the
+    columns named "variable" hold names, every other column numbers."""
+    files = sorted(out.glob("*.csv"))
+    assert files
+    for path in files:
+        header, *rows = path.read_text().splitlines()
+        numeric = [i for i, name in enumerate(header.split(",")) if name != "variable"]
+        for row in rows:
+            cells = row.split(",")
+            assert all("%.17g" % float(cells[i]) == cells[i] for i in numeric), (path.name, row)
 
 
 def test_default_config_echo_round_trips():
@@ -197,6 +211,8 @@ def test_bad_epsilon_flag_exits_2(tmp_path, capsys):
 def _write_csv_per_cell(path, header, columns):
     """The per-cell writer that write_csv replaced, kept as its oracle."""
     def fmt(x):
+        if isinstance(x, float):
+            return f"{x:.17g}"
         if isinstance(x, str):
             return x
         if isinstance(x, (bool, np.bool_)):
@@ -204,12 +220,45 @@ def _write_csv_per_cell(path, header, columns):
         if isinstance(x, (int, np.integer)):
             return str(int(x))
         return f"{float(x):.17g}"
-    rows = [",".join(header)]
-    for i in range(len(columns[0])):
-        rows.append(",".join(fmt(col[i]) for col in columns))
+    rows = [",".join(header), *(",".join(map(fmt, row)) for row in zip(*columns))]
     path.write_text("\n".join(rows) + "\n")
 
 
+def _float_classes():
+    """About 10^6 floats, by class, of every kind that write_csv's numpy
+    kernel computes or hands to Python's %."""
+    rng = np.random.default_rng(20261019)
+
+    def sign(n):
+        return rng.choice([-1.0, 1.0], n)
+
+    powers = [np.array([float(f"1e{e}") for e in range(-40, 20)])]
+    for toward in (np.inf, 0.0):
+        w = powers[0]
+        for _ in range(4):
+            w = np.nextafter(w, toward)
+            powers.append(w)
+    # exact ties of the 17th digit: x = o 2^-(j + 1), o odd, has the decimal
+    # exponent 16 - j and x 10^j = o 5^j / 2, half an odd integer
+    ties = np.concatenate([
+        (2 * np.floor(rng.uniform(2e16 / 5**j, min(2e17 / 5**j, 2.0**53), 8334) / 2) + 1)
+        * 2.0 ** -(j + 1) for j in range(1, 25)])
+    return {
+        "normals scaled by 10^U(-35, 20)":
+            rng.standard_normal(400_000) * 10 ** rng.uniform(-35, 20, 400_000),
+        "binades 2^-120 to 2^60":
+            np.ldexp(sign(400_000) * rng.uniform(1, 2, 400_000), rng.integers(-120, 61, 400_000)),
+        "powers of ten 1e-40 to 1e19, +-4 ulps": np.concatenate(powers) * [[1.0], [-1.0]],
+        "17-digit ties": ties * sign(ties.size),
+        "30% exact zeros of both signs": rng.standard_normal(50_000) * (rng.random(50_000) > 0.3),
+        "specials": np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-310, 1e300,
+                              0.5 + 2**-18, 0.99999999999999999, 1e17, np.nextafter(1e17, 0),
+                              1e-30, np.nextafter(1e-30, 0), 2.2250738585072014e-308,
+                              1.7976931348623157e308, 1e-5, 1e-9, 1e-10, 1e16]),
+    }
+
+
+@pytest.mark.filterwarnings("error")
 def test_write_csv_matches_per_cell_writer(tmp_path):
     array = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e300, 0.1])
     columns = [array,
@@ -222,6 +271,13 @@ def test_write_csv_matches_per_cell_writer(tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     write_csv(tmp_path / "empty.csv", ["a", "b"], [[], []])
     assert (tmp_path / "empty.csv").read_text() == "a,b\n"
+    # the numpy kernel and its fallback to % on every class of float
+    for name, values in _float_classes().items():
+        write_csv(tmp_path / "new.csv", ["x"], [values.ravel()])
+        _write_csv_per_cell(tmp_path / "old.csv", ["x"], [values.ravel().tolist()])
+        new = (tmp_path / "new.csv").read_text().splitlines()
+        old = (tmp_path / "old.csv").read_text().splitlines()
+        assert new == old, (name, next((a, b) for a, b in zip(new, old) if a != b))
 
 
 def test_check_command_passes_and_writes_report(tmp_path, capsys):
@@ -336,6 +392,7 @@ def test_simulate_outputs_are_deterministic(tmp_path):
                      "homogenized.csv", "averaged.csv"}
     header = (d1 / "traj_eps0.04.csv").read_text().splitlines()[0]
     assert header == "t,phi,theta,y,p,E,E_perp,E_par"
+    assert_canonical_csvs(d1)
 
 
 def test_sweep_gates_and_run_records(tmp_path):
@@ -346,6 +403,7 @@ def test_sweep_gates_and_run_records(tmp_path):
     rows = (d1 / "residuals.csv").read_text().splitlines()
     assert rows[0] == "epsilon,variable,sup_norm,normalized_norm"
     assert len(rows) == 1 + 3 * 9  # 3 epsilons x (4 leading + 1 first + 4 second)
+    assert_canonical_csvs(d1)
     runs = json.loads((d1 / "manifest.json").read_text())["runs"]
     assert [r["epsilon"] for r in runs] == [0.04, 0.02, 0.01]
     assert all(0.0 < r["richardson_error"] <= 1e-8 for r in runs)
@@ -364,6 +422,7 @@ def test_twoscale_single_epsilon_reports_only(tmp_path):
     rows = (out / "twoscale.csv").read_text().splitlines()
     assert rows[0] == "epsilon,variable,sup_error"
     assert len(rows) == 6  # five variables
+    assert_canonical_csvs(out)
     assert "no trend gate" in (out / "summary.txt").read_text()
     runs = json.loads((out / "manifest.json").read_text())["runs"]
     assert [sorted(r) for r in runs] == [["epsilon", "richardson_error", "theta_min"]]
@@ -484,6 +543,18 @@ def test_preset_and_epsilon_flags_land_in_manifest(tmp_path):
     echo = json.loads((out / "manifest.json").read_text())["config"]
     assert "frequency.preset = constant" in echo
     assert "run.epsilons = 0.04" in echo
+    assert_canonical_csvs(out)  # the constant preset's all-zero columns
+
+
+@pytest.mark.parametrize("command", ["sweep", "twoscale"])
+def test_constant_preset_tables_are_canonical(tmp_path, command):
+    # zero and rounding-level cells; sweep's orders.csv is then header only
+    out = tmp_path / command
+    assert fs.main([command, "--preset", "constant", "--epsilon", "0.04",
+                    "--out", str(out)]) == 0
+    assert_canonical_csvs(out)
+    if command == "sweep":
+        assert (out / "orders.csv").read_text() == "variable,order,r_squared\n"
 
 
 def test_thermo_command_structure(tmp_path):
@@ -493,6 +564,7 @@ def test_thermo_command_structure(tmp_path):
     rows = (out / "thermo.csv").read_text().splitlines()
     assert rows[0] == "t,T0,F0,S0,S2_doublebar,E2_perp_bar,E2_par_bar,first_law_residual"
     assert len(rows) == 2002
+    assert_canonical_csvs(out)
     summary = (out / "thermo_summary.txt").read_text()
     assert "FAIL" not in summary
     assert "entropy normalization" in summary
@@ -510,6 +582,7 @@ def test_thermo_passes_equipartition_gaps_at_rounding_level(tmp_path):
                     "--out", str(out)]) == 0
     assert ("[PASS] windowed equipartition gap decreasing across epsilons: residual at "
             "rounding level") in (out / "thermo_summary.txt").read_text()
+    assert_canonical_csvs(out)
 
 
 @pytest.mark.parametrize("command, epsilon", [("twoscale", "0.5"), ("thermo", "0.9"),
@@ -545,6 +618,23 @@ def test_huge_step_factor_exhausts_the_step_budget(tmp_path, capsys, command, ke
     cfgfile = tmp_path / "huge.txt"
     cfgfile.write_text(f"{key} = 1e15\n")
     rc = fs.main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("numerical failure:") and "step budget" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, epsilon", [("sweep", "1e-9"), ("thermo", "1e-9"),
+                                              ("twoscale", "1e-9"), ("thermo", "1e-300"),
+                                              ("sweep", "0.04,5e-324")])
+def test_tiny_epsilon_exhausts_the_step_budget_before_any_solve(tmp_path, capsys,
+                                                                command, epsilon):
+    # twoscale used to build its unfolding grid (1.44 TiB at 1e-9) and thermo
+    # its correctors (an overflow at 1e-300) before the budget was checked;
+    # at 5e-324 the fine step underflows to zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = fs.main([command, "--epsilon", epsilon, "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 3
     assert err.startswith("numerical failure:") and "step budget" in err
