@@ -142,16 +142,21 @@ def action_angle_field(epsilon: float, fm: FrequencyModel):
         w, w1, w2, _ = derivs(y)
         r2 = reduce(2.0 * phi)
         s2, c2 = sin(r2), cos(r2)
-        s4 = 2.0 * s2 * c2
+        ss = s2 * s2
         r = w1 / w
-        phi_dot = w + epsilon * (0.5 * p * r) * s2 + eps2 * (0.25 * theta * r * r) * (s2 * s2)
-        theta_dot = -(theta * p * r) * c2 - epsilon * (0.25 * theta * theta * r * r) * s4
-        y_dot = p + epsilon * (0.5 * theta * r) * s2
+        # recurring left factors in each term's left-to-right order: the same bits
+        ht, qt = 0.5 * theta, 0.25 * theta
+        htp = ht * p
+        qttr = qt * theta * r
+        qttrr = qttr * r
+        phi_dot = w + epsilon * (0.5 * p * r) * s2 + eps2 * (qt * r * r) * ss
+        theta_dot = -(theta * p * r) * c2 - epsilon * qttrr * (2.0 * s2 * c2)
+        y_dot = p + epsilon * (ht * r) * s2
         p_dot = (-theta * w1
-                 + epsilon * (0.5 * theta * p * r * r) * s2
-                 - epsilon * (0.5 * theta * p * w2 / w) * s2
-                 + eps2 * (0.25 * theta * theta * r * r * r) * (s2 * s2)
-                 - eps2 * (0.25 * theta * theta * r * w2 / w) * (s2 * s2))
+                 + epsilon * (htp * r * r) * s2
+                 - epsilon * (htp * w2 / w) * s2
+                 + eps2 * (qttrr * r) * ss
+                 - eps2 * (qttr * w2 / w) * ss)
         return phi_dot, theta_dot, y_dot, p_dot
 
     return f
@@ -163,13 +168,14 @@ def cartesian_field(epsilon: float, fm: FrequencyModel):
     Takes any sequence of four floats and returns a tuple of floats.
     """
     _check(epsilon)
-    inv2 = 1.0 / (epsilon * epsilon)
+    neg_inv2 = -(1.0 / (epsilon * epsilon))
     derivs = fm.scalar_derivs()
 
     def f(t, x):
         y, eta, z, zeta = x
         w, w1, _, _ = derivs(y)
-        return eta, -inv2 * w * w1 * z * z, zeta, -inv2 * w * w * z
+        m = neg_inv2 * w  # the common left factor of -w*w1*z*z/eps^2 and -w*w*z/eps^2
+        return eta, m * w1 * z * z, zeta, m * w * z
 
     return f
 

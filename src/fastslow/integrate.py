@@ -73,17 +73,19 @@ def integrate_fixed(rhs, x0, horizon_T: float, h: float) -> Trajectory:
     isfinite = math.isfinite
     put(states, 0, x0, x1, x2, x3)
     f = rhs(0.0, x)
+    t = 0.0  # i*h: each step's t_next but the shortened last one
     for i in range(n_steps):
-        t = i * h
         t_next = horizon_T if i == n_steps - 1 else (i + 1) * h
         hi = t_next - t
         half = 0.5 * hi
+        t_half = t + half
+        row = 32 * i
         a0, a1, a2, a3 = f
-        put(derivs, 32 * i, a0, a1, a2, a3)
-        b0, b1, b2, b3 = rhs(t + half, (x0 + half * a0, x1 + half * a1,
-                                        x2 + half * a2, x3 + half * a3))
-        c0, c1, c2, c3 = rhs(t + half, (x0 + half * b0, x1 + half * b1,
-                                        x2 + half * b2, x3 + half * b3))
+        put(derivs, row, a0, a1, a2, a3)
+        b0, b1, b2, b3 = rhs(t_half, (x0 + half * a0, x1 + half * a1,
+                                      x2 + half * a2, x3 + half * a3))
+        c0, c1, c2, c3 = rhs(t_half, (x0 + half * b0, x1 + half * b1,
+                                      x2 + half * b2, x3 + half * b3))
         d0, d1, d2, d3 = rhs(t_next, (x0 + hi * c0, x1 + hi * c1,
                                       x2 + hi * c2, x3 + hi * c3))
         sixth = hi / 6.0
@@ -94,8 +96,9 @@ def integrate_fixed(rhs, x0, horizon_T: float, h: float) -> Trajectory:
         x = (x0, x1, x2, x3)
         if not (isfinite(x0) and isfinite(x1) and isfinite(x2) and isfinite(x3)):
             raise NumericalError(f"non-finite state at t={t_next!r}: {np.array(x)}")
-        put(states, 32 * i + 32, x0, x1, x2, x3)
+        put(states, row + 32, x0, x1, x2, x3)
         f = rhs(t_next, x)
+        t = t_next
     derivs[-1] = f
     times = np.arange(n_steps + 1.0)  # scaled in place: i*h bitwise, as in the loop
     times *= h

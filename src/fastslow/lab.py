@@ -156,13 +156,6 @@ def validate_config(cfg: RunConfig) -> None:
     cfg.params()
 
 
-def _split(v):
-    """v as hi + lo, each of at most 26 significant bits (Dekker 1971)."""
-    c = phase._SPLIT * v
-    hi = c - (c - v)
-    return hi, v - hi
-
-
 # 10^j = _POW_HI + _POW_LO, j = 16 - X for each decimal exponent X in [-30, 16]
 _POW_HI = np.array([float(10**j) for j in range(47)])
 _POW_LO = np.array([float(10**j - int(h)) for j, h in enumerate(_POW_HI.tolist())])
@@ -207,7 +200,7 @@ def _format_cells(x: np.ndarray) -> np.ndarray:
     X = np.floor(np.log10(a)).astype(np.int64)
     j = np.clip(16 - X, 0, 46)
     hi = _POW_HI.take(j)
-    (ah, al), (hh, hl) = _split(a), _split(hi)
+    (ah, al), (hh, hl) = phase._split(a), phase._split(hi)
     p = a * hi
     t = ((((ah * hh - p) + ah * hl) + al * hh) + al * hl) + a * _POW_LO.take(j)
     frac = t - np.floor(t)
@@ -538,8 +531,8 @@ def cmd_thermo(cfg: RunConfig, out: Path) -> int:
                                                [r.xi_sup for r in equip])
         gates.append(Gate("virial product sup-norm order >= 0.9", xi_order >= 0.9,
                           f"{xi_order:.3f}"))
-    gates.append(Gate("quasi-static gap reported (work of second-order force), not asserted",
-                      True, f"{literal.max_residual:.3e}"))
+    gates.append("[INFO] quasi-static gap (work of second-order force), reported, not "
+                 f"asserted: {literal.max_residual:.3e}")
     lines.append("[INFO] entropy normalization: additive constant -log(theta_star) "
                  f"= {dc.entropy_constant!r} pins initial entropy to zero")
     summary = out / "thermo_summary.txt"
@@ -649,15 +642,22 @@ def cmd_check(cfg: RunConfig, out: Path) -> int:
 
     checks = []
 
-    e1 = []
+    # the correctors reduce 2*phi0/eps, whose Dekker split must stay finite
+    peak, eps = float(np.max(np.abs(base.phi0))), cfg.epsilons[-1]  # the smallest
+    if not math.isfinite(phase._SPLIT * (2.0 * peak / eps)):
+        raise ConfigError(f"run.epsilons: epsilon {eps:g} overflows the phase "
+                          f"reduction of 2*phi/epsilon (|phi| up to {peak:.3g})")
+    e1, e2 = [], []
     for eps in cfg.epsilons:
         cv = expansion.correctors(base, corr.phi2_bar, eps, fm, dc.theta_star)
         theta1 = -cv.theta1 if cfg.flip_theta1_sign else cv.theta1
         cv_used = expansion.CorrectorValues(theta1, cv.phi2, cv.y2, cv.p2, cv.theta2)
         ex = thermo.energy_expansion(base, corr, cv_used, eps, dc.theta_star, fm)
         e1.append(np.max(np.abs(ex.E1_perp_osc + ex.E1_par_osc)))
+        e2.append(np.max(np.abs(ex.E2_perp_osc + ex.E2_par_osc)))
     # np.max, unlike the builtin max, keeps a NaN, which then fails the gate
     checks.append(("first_order_energy_identity", float(np.max(e1)), 1e-13))
+    checks.append(("second_order_energy_identity", float(np.max(e2)), 1e-13))
 
     ident = expansion.averaged_action_identity(base, corr, fm, dc.theta_star)
     checks.append(("averaged_action_constraint", float(np.max(np.abs(ident))), 1e-8))

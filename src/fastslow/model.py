@@ -45,6 +45,7 @@ def _constant(c, floor, sin, cos, every):
 
 def _sine(c, floor, sin, cos, every):
     a, b = c
+    nb = -b  # -b*s is (-b)*s
 
     def derivs(y):
         s = sin(y)
@@ -52,27 +53,28 @@ def _sine(c, floor, sin, cos, every):
         w = a + b * s
         if not every(w >= floor):
             raise ValueError(_FLOOR_ERROR)
-        return w, b * co, -b * s, -b * co
+        return w, b * co, nb * s, nb * co
     return derivs
 
 
 def _fourier(c, floor, sin, cos, every):
-    # (k, a_k, b_k, k^2, k^3) per harmonic, the integer factors converted to
-    # float (exactly) once
-    harmonics = tuple((float(k), c[2 * k - 1], c[2 * k], float(k * k), float(k**3))
-                      for k in range(1, len(c) // 2 + 1))
+    # (k, a_k, -a_k, b_k, k^2, k^3) per harmonic, each converted to float once;
+    # -a*sk is (-a)*sk, which keeps the sign of a nan that -(a*sk) flips
+    harmonics = tuple((float(k), c[2 * k - 1], -c[2 * k - 1], c[2 * k], float(k * k),
+                       float(k**3)) for k in range(1, len(c) // 2 + 1))
 
     def derivs(y):
         # y**0 is 1.0, or ones shaped like y, for every y (inf and nan too)
         w = c[0] * y**0
         w1 = w2 = w3 = 0.0 * y
-        for k, a, b, k2, k3 in harmonics:
+        for k, a, na, b, k2, k3 in harmonics:
             ck = cos(k * y)
             sk = sin(k * y)
-            w = w + a * ck + b * sk
-            w1 = w1 + k * (-a * sk + b * ck)
-            w2 = w2 - k2 * (a * ck + b * sk)
-            w3 = w3 + k3 * (a * sk - b * ck)
+            ack, bsk, bck = a * ck, b * sk, b * ck
+            w = w + ack + bsk
+            w1 = w1 + k * (na * sk + bck)
+            w2 = w2 - k2 * (ack + bsk)
+            w3 = w3 + k3 * (a * sk - bck)
         if not every(w >= floor):
             raise ValueError(_FLOOR_ERROR)
         return w, w1, w2, w3

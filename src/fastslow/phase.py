@@ -33,6 +33,13 @@ _Q_SHORT = 2.0**19
 _ROUND = 1.5 * 2.0**52  # (x + _ROUND) - _ROUND rounds x half to even for |x| < 2^51
 
 
+def _split(v):
+    """v as hi + lo, each of at most 26 significant bits (Dekker 1971)."""
+    c = _SPLIT * v
+    hi = c - (c - v)
+    return hi, v - hi
+
+
 def reducer(epsilon, rint=round, every=bool):
     """The map a -> a/epsilon reduced modulo 2*pi into roughly [-pi, pi].
 
@@ -46,16 +53,14 @@ def reducer(epsilon, rint=round, every=bool):
     product stays exact below 2^60; with zero high chunks the split path
     subtracts 0.0, so both paths give the same bits.
     """
-    eh = _SPLIT * epsilon
-    eh = eh - (eh - epsilon)
-    el = epsilon - eh
+    eh, el = _split(epsilon)
 
     def reduce(a):
         t_hi = a / epsilon
         # exact division residual via a two-product p + pl = t_hi*epsilon,
         # so that t_hi + t_lo = a/epsilon to ~2^-106 relative
         p = t_hi * epsilon
-        th = _SPLIT * t_hi
+        th = _SPLIT * t_hi  # _split(t_hi), inline on the hot path
         th = th - (th - t_hi)
         tl = t_hi - th
         pl = ((th * eh - p) + th * el + tl * eh) + tl * el

@@ -188,6 +188,34 @@ def test_fused_field_is_bitwise_the_structured_formula(preset, coefficients):
             assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
 
 
+def _cartesian_rhs_parent(y, eta, z, zeta, epsilon, fm):
+    """The cartesian field as written before its common left factor
+    -w/eps^2 was bound: every product left to right."""
+    inv2 = 1.0 / (epsilon * epsilon)
+    w, w1, _, _ = fm.derivs(y)
+    return eta, -inv2 * w * w1 * z * z, zeta, -inv2 * w * w * z
+
+
+@pytest.mark.parametrize("preset, coefficients", [
+    ("sine", (2.0, 1.0)), ("fourier", (3.0, 0.5, 0.5, 0.3, -0.4)), ("constant", (2.0,))])
+def test_cartesian_field_is_bitwise_the_structured_formula(preset, coefficients):
+    fm = fs.make_frequency(preset, coefficients)
+    rng = np.random.default_rng(22)
+    edges = [(0.0, 0.0, 0.0, 0.0), (-0.0, -0.0, -0.0, -0.0), (1.5, 0.0, -0.0, 0.3),
+             (0.0, -0.7, 0.0, -0.0), (-2.0, 0.4, -0.0, 1.0)]
+    for eps in (0.3, 0.01, 1e-6):
+        # z of order eps, as on a trajectory, so that z*z/eps^2 is of order one
+        states = edges + np.c_[rng.uniform(-5.0, 5.0, 200), rng.uniform(-2.0, 2.0, 200),
+                               eps * rng.uniform(-2.0, 2.0, 200),
+                               rng.uniform(-3.0, 3.0, 200)].tolist()
+        f = fs.cartesian_field(eps, fm)
+        for x in states:
+            got = f(0.0, x)
+            want = _cartesian_rhs_parent(*x, eps, fm)
+            assert got == want
+            assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
+
+
 def _kernels(s, eps, fm):
     """Every kernel that takes one epsilon per element, on state s: each
     entry is a tuple of the kernel's outputs."""

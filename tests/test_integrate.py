@@ -335,6 +335,21 @@ def test_tuple_rk4_matches_ndarray_rk4():
                            np.array([2.0, 0.0, 0.0, 0.0]), 1.0, 1e-3)
 
 
+def test_rk4_stage_times_are_those_of_the_ndarray_form():
+    # a field that reads t: each stage gets the time of the vector form,
+    # i*h + 0.5*hi and t_next, the shortened last step included
+    def field(t, x):
+        return (math.cos(3.0 * t) * x[1], -x[0], t * t, math.sin(t) + 0.1 * x[3])
+
+    x0 = np.array([0.3, -0.2, 0.0, 1.0])
+    for T, h in ((0.3, 0.0123), (1.0, 1 / 3), (2.5, 0.01)):
+        traj = fs.integrate_fixed(field, x0, T, h)
+        times, states, derivs = _rk4_ndarray(field, x0, T, h)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.states, states)
+        assert np.array_equal(traj.derivs, derivs)
+
+
 def _rk4_rows(rhs, x0, horizon_T, h):
     # integrate_fixed as it was with numpy row assignments and times written
     # in the loop: the oracle of the packed rows and of the times built after it

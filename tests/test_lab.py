@@ -1,5 +1,6 @@
 """Configuration parsing, file outputs, CLI exit codes, determinism."""
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -362,15 +363,24 @@ def test_sign_flip_control_fails_check(tmp_path):
     assert rc == 1
     report = json.loads((tmp_path / "o" / "check.json").read_text())
     assert not report["first_order_energy_identity"]["pass"]
+    assert not report["second_order_energy_identity"]["pass"]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-def test_check_fails_on_a_nan_identity(tmp_path):
-    # at epsilon = 1e-300 the phase reduction's split of epsilon overflows and
-    # the first-order identity is NaN, which a builtin max() over the
-    # epsilons used to drop, so check passed with value 0; check.json stays
+def test_check_fails_on_a_nan_identity(tmp_path, monkeypatch):
+    # a NaN first-order identity at the last epsilon, which a builtin max()
+    # over the epsilons used to drop, so check passed; check.json stays
     # strict JSON, with null for the NaN
-    assert fs.main(["check", "--epsilon", "1e-300", "--out", str(tmp_path)]) == 1
+    energy_expansion = fs.thermo.energy_expansion
+
+    def nan_at_last_epsilon(base, corr, cv, epsilon, theta_star, fm):
+        ex = energy_expansion(base, corr, cv, epsilon, theta_star, fm)
+        if epsilon != 0.005:
+            return ex
+        return dataclasses.replace(ex, E1_perp_osc=np.where(
+            np.arange(ex.E1_perp_osc.size) == 7, np.nan, ex.E1_perp_osc))
+
+    monkeypatch.setattr(fs.thermo, "energy_expansion", nan_at_last_epsilon)
+    assert fs.main(["check", "--out", str(tmp_path)]) == 1
 
     def reject(token):
         raise ValueError(f"{token} is not JSON")
@@ -380,6 +390,42 @@ def test_check_fails_on_a_nan_identity(tmp_path):
     assert entry["value"] is None and not entry["pass"]
     assert ("[FAIL] first_order_energy_identity: value=nan"
             in (tmp_path / "check.txt").read_text())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_check_rejects_an_epsilon_whose_phase_split_overflows(tmp_path, capsys):
+    # at 1e-300 the Dekker split of 2*phi/epsilon in the phase reduction
+    # overflows; check rejects the epsilon before any corrector is made
+    assert fs.main(["check", "--epsilon", "1e-300", "--out", str(tmp_path / "a")]) == 2
+    assert "configuration error: run.epsilons: epsilon 1e-300" in capsys.readouterr().err
+    assert not (tmp_path / "a" / "check.json").exists()
+    assert fs.main(["check", "--epsilon", "1e-299", "--out", str(tmp_path / "b")]) == 0
+
+
+_FOURIER_B = ("frequency.preset = fourier\n"
+              "frequency.coefficients = 3,0.5,0.5,0.3,-0.4\n"
+              "initial.p_star = -0.7\ninitial.u_star = 1.5\n")
+
+
+@pytest.mark.parametrize("config, flip_fails", [
+    ("", True), (_FOURIER_B, True), ("frequency.preset = constant\n", False)],
+    ids=["sine", "fourier-b", "constant"])
+def test_second_order_energy_identity_gate(tmp_path, config, flip_fails):
+    # E2_perp_osc + E2_par_osc vanishes on the default ladder, and a flipped
+    # theta1 corrector breaks it wherever theta1 is not zero (constant: it is)
+    def identity(flip):
+        cfgfile = tmp_path / f"flip{flip}.txt"
+        cfgfile.write_text(config + f"debug.flip_theta1_sign = {str(flip).lower()}\n")
+        out = tmp_path / f"o{flip}"
+        fs.main(["check", "--config", str(cfgfile), "--out", str(out)])
+        return json.loads((out / "check.json").read_text())["second_order_energy_identity"]
+
+    entry = identity(False)
+    assert entry["pass"] and entry["value"] <= 1e-13 and entry["tolerance"] == 1e-13
+    flipped = identity(True)
+    assert flipped["pass"] != flip_fails
+    if flip_fails:
+        assert flipped["value"] > 1e-3
 
 
 def test_simulate_outputs_are_deterministic(tmp_path):
@@ -568,6 +614,9 @@ def test_thermo_command_structure(tmp_path):
     summary = (out / "thermo_summary.txt").read_text()
     assert "FAIL" not in summary
     assert "entropy normalization" in summary
+    # reported, never asserted: an [INFO] line, not a gate that cannot fail
+    assert "\n[INFO] quasi-static gap (work of second-order force), reported" in summary
+    assert "[PASS] quasi-static" not in summary
     runs = json.loads((out / "manifest.json").read_text())["runs"]
     assert [r["epsilon"] for r in runs] == [0.04, 0.02]
     assert all(0.0 < r["richardson_error"] <= 1e-8 for r in runs)

@@ -119,6 +119,25 @@ def test_preset_routines_keep_the_four_method_arithmetic(preset, coeffs):
     assert all(_same_bits(g, w) for g, w in zip(fmx.derivs(ys), want, strict=True))
 
 
+@pytest.mark.parametrize("coeffs", [(2.0, 1.0), (2.0, -0.5), (2.0, 0.0), (2.0, -0.0)])
+def test_sine_routine_keeps_the_bits_of_its_formula(coeffs):
+    # bytes, so that the sign of a nan and of a zero count: (-b)*s, not -(b*s)
+    def same(got, want):
+        return all(type(g) is type(w) and np.asarray(g).tobytes() == np.asarray(w).tobytes()
+                   for g, w in zip(got, want, strict=True))
+
+    unchecked = lambda mask: True
+    ys = [-11.5, -math.pi, -0.3, -0.0, 0.0, 0.7, 3.0, 1e300, math.nan]
+    scalar = fs.model._sine(coeffs, -math.inf, math.sin, math.cos, unchecked)
+    for y in ys:
+        assert same(scalar(y), _four_method_arithmetic("sine", coeffs, y)), y
+    arr = np.array(ys + [math.inf, -math.inf])
+    with np.errstate(invalid="ignore"):
+        want = _four_method_arithmetic("sine", coeffs, arr)
+        got = fs.model._sine(coeffs, -math.inf, np.sin, np.cos, unchecked)(arr)
+    assert same(got, want)
+
+
 def _fourier_integer_factors(c, y, sin, cos):
     """The Fourier routine as it was before its harmonics were prepared: it
     indexes the raw coefficients and multiplies by the integers k, k*k and
