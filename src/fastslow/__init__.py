@@ -13,8 +13,8 @@ model        frequency profiles, initial data, derived constants
 phase        accurate reduction of the fast phase modulo its period
 dynamics     equations of motion in both coordinate systems
 integrate    fixed-step and adaptive integrators, dense output
-homogenized  the leading-order averaged system
-expansion    correctors, averaged second-order system, reconstruction
+homogenized  the leading-order limit, a view of the joint slow solve
+expansion    the joint slow solve, correctors, reconstruction
 averaging    two-scale unfolding, windowed averages, order estimation
 thermo       temperature, entropy, force, energy balances
 lab          run configuration, file outputs, command line
@@ -43,6 +43,7 @@ from .dynamics import (
 from .expansion import (
     AveragedCorrection,
     CorrectorValues,
+    HomogenizedState,
     ResidualReport,
     averaged_rhs,
     correctors,
@@ -54,7 +55,7 @@ from .expansion import (
     solve_expansion,
     two_scale_limits,
 )
-from .homogenized import HomogenizedState, solve_homogenized
+from .homogenized import solve_homogenized
 from .integrate import (
     NumericalError,
     Trajectory,

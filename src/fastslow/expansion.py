@@ -15,11 +15,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ActionAngleState, action_angle_field, energy_action_angle
-from .homogenized import HomogenizedState
 from .integrate import (SLOW_MAX_STEP, SLOW_TOL, Trajectory, integrate_controlled,
                         reference_solution, sample)
 from .model import FrequencyModel, SystemParams, derived_constants
 from .phase import reduced_sincos
+
+
+@dataclass(frozen=True)
+class HomogenizedState:
+    """Limit state: phase phi0 and slow pair (y0, p0), at action theta_star.
+
+    Fields may hold floats or equal-length arrays; the formulas are
+    arithmetic in the fields either way.
+    """
+
+    phi0: object
+    y0: object
+    p0: object
 
 
 @dataclass(frozen=True)
@@ -149,7 +161,8 @@ def initial_corrections(params: SystemParams, fm: FrequencyModel) -> AveragedCor
 
 def expansion_field(params: SystemParams, fm: FrequencyModel):
     """Joint vector field, tuple to tuple, for (phi0, y0, p0, phi2_bar,
-    theta2_bar, y2_bar, p2_bar): the homogenized flow drives the averaged layer."""
+    theta2_bar, y2_bar, p2_bar): the homogenized flow (omega, p0,
+    -theta_star * omega'), the lab's one copy of it, drives the averaged layer."""
     theta_star = derived_constants(params, fm).theta_star
     derivs = fm.scalar_derivs()
 

@@ -22,8 +22,8 @@ class NumericalError(RuntimeError):
 
 
 _MAX_STEPS = 10_000_000  # step budget of one run
-# the lab's fixed numerics: tolerances and step cap of the slow (homogenized
-# and averaged) solves, and the points of every output grid over the horizon
+# the lab's fixed numerics: tolerances and step cap of the one slow solve (the
+# homogenized and averaged layers jointly), and the points of every output grid
 SLOW_TOL = 1e-12
 SLOW_MAX_STEP = 0.002
 GRID_POINTS = 2001
@@ -141,12 +141,16 @@ def integrate_controlled(rhs, x0, horizon_T: float, rtol: float, atol: float,
     in the vector form's order x + h*((0.0 + a_i0 k_0) + a_i1 k_1 + ...),
     zero terms included, so the states are bitwise those of ndarray
     arithmetic (builtin sum() compensates float sums from Python 3.12 on).
-    Aborts with NumericalError on step underflow or non-finite states.
+    Aborts with NumericalError on step underflow or non-finite states, and
+    before the first step when horizon_T / max_step exceeds max_steps.
     """
     if not (rtol > 0.0 and atol > 0.0):
         raise ValueError("tolerances must be positive")
     if not horizon_T > 0.0:
         raise ValueError("horizon_T must be positive")
+    if horizon_T / max_step > max_steps:  # the capped steps can never reach horizon_T
+        raise NumericalError(f"{horizon_T / max_step:.3g} steps of at most {max_step:g} "
+                             f"exceed the step budget of {max_steps}")
     x = tuple(np.asarray(x0, dtype=float).tolist())
     t = 0.0
     f = rhs(t, x)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import averaging, dynamics, expansion, homogenized, integrate, model, phase, thermo
+from . import averaging, dynamics, expansion, integrate, model, phase, thermo
 from .integrate import NumericalError
 
 
@@ -312,13 +312,15 @@ def _step_fits(cfg: RunConfig, fm, factor_key: str) -> None:
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
-    """Write finite-epsilon, homogenized, and averaged trajectories."""
+    """Write finite-epsilon trajectories, and the homogenized and averaged ones
+    from columns 0-2 and 3-6 of the joint slow solve, made before the fast runs."""
     t0 = time.perf_counter()
     fm = cfg.frequency()
     _step_fits(cfg, fm, "integrate.step_factor")
     params = cfg.params()
     dc = model.derived_constants(params, fm)
     grid = _grid(cfg)
+    es = integrate.sample(expansion.solve_expansion(params, fm), grid)  # the one slow solve
     files = []
     for eps in cfg.epsilons:
         h = fm.fast_step(eps, cfg.step_factor)
@@ -348,15 +350,11 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
                    ce_perp + ce_par, ce_perp, ce_par])
         files.append(p2)
 
-    hs = integrate.sample(homogenized.solve_homogenized(params, fm), grid)
-    e0 = 0.5 * hs[:, 2] ** 2 + dc.theta_star * fm.derivs(hs[:, 1])[0]
+    e0 = 0.5 * es[:, 2] ** 2 + dc.theta_star * fm.derivs(es[:, 1])[0]
     p3 = out / "homogenized.csv"
     write_csv(p3, ["t", "phi0", "y0", "p0", "theta0", "E0"],
-              [grid, hs[:, 0], hs[:, 1], hs[:, 2],
-               np.full(grid.size, dc.theta_star), e0])
+              [grid, es[:, 0], es[:, 1], es[:, 2], np.full(grid.size, dc.theta_star), e0])
     files.append(p3)
-
-    es = integrate.sample(expansion.solve_expansion(params, fm), grid)
     p4 = out / "averaged.csv"
     write_csv(p4, ["t", "phi2_bar", "theta2_bar", "y2_bar", "p2_bar"],
               [grid, es[:, 3], es[:, 4], es[:, 5], es[:, 6]])
@@ -559,8 +557,7 @@ def two_scale_error_table(cfg: RunConfig, fm, params, runs) -> dict:
         tt = np.asarray(t).ravel()
         ss = np.asarray(s).ravel()
         base, corr = expansion.eval_expansion(etraj, tt)
-        b = homogenized.HomogenizedState(base.phi0[:, None], base.y0[:, None],
-                                         base.p0[:, None])
+        b = expansion.HomogenizedState(base.phi0[:, None], base.y0[:, None], base.p0[:, None])
         cv = expansion.two_scale_limits(b, corr.phi2_bar[:, None],
                                         ss[None, :], fm, theta_star)
         return (cv.theta1,

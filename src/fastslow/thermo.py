@@ -19,8 +19,7 @@ import numpy as np
 
 from .averaging import windowed_average
 from .dynamics import oscillator_energy_gap_arrays
-from .expansion import AveragedCorrection, CorrectorValues
-from .homogenized import HomogenizedState
+from .expansion import AveragedCorrection, CorrectorValues, HomogenizedState
 from .integrate import GRID_POINTS, Trajectory, sample
 from .model import DerivedConstants, FrequencyModel
 from .phase import reduced_sincos

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import math
+import sys
 import tracemalloc
 import warnings
 import weakref
@@ -441,6 +442,32 @@ def test_simulate_outputs_are_deterministic(tmp_path):
     assert_canonical_csvs(d1)
 
 
+def test_simulate_makes_one_slow_solve(tmp_path, monkeypatch):
+    # homogenized.csv and averaged.csv are columns of the one joint solve
+    solves = []
+    solve = fs.integrate.integrate_controlled
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+    for mod in [m for n, m in sys.modules.items() if n.partition(".")[0] == "fastslow"]:
+        for name, value in list(vars(mod).items()):
+            if value is solve:
+                monkeypatch.setattr(mod, name, counted)
+    out = tmp_path / "o"
+    assert fs.main(["simulate", "--out", str(out), "--epsilon", "0.04"]) == 0
+    assert len(solves) == 1
+    monkeypatch.undo()
+    cfg = RunConfig()
+    grid = lab._grid(cfg)
+    xs = fs.sample(fs.solve_expansion(cfg.params(), cfg.frequency()), grid)
+    hom = np.loadtxt(out / "homogenized.csv", delimiter=",", skiprows=1)
+    avg = np.loadtxt(out / "averaged.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(hom[:, 0], grid) and np.array_equal(avg[:, 0], grid)
+    assert np.array_equal(hom[:, 1:4], xs[:, :3])
+    assert np.array_equal(avg[:, 1:], xs[:, 3:])
+
+
 def test_sweep_gates_and_run_records(tmp_path):
     d1 = tmp_path / "a"
     assert fs.main(["sweep", "--epsilon", "0.04,0.02,0.01", "--out", str(d1)]) == 0
@@ -688,6 +715,17 @@ def test_tiny_epsilon_exhausts_the_step_budget_before_any_solve(tmp_path, capsys
     assert rc == 3
     assert err.startswith("numerical failure:") and "step budget" in err
     assert "Traceback" not in err
+
+
+def test_slow_solve_past_the_step_budget_exits_3(tmp_path, capsys):
+    # 5e8 steps of at most 0.002: refused before the first step, not after
+    # ten million of them
+    cfgfile = tmp_path / "long.txt"
+    cfgfile.write_text("run.horizon_T = 1e6\n")
+    rc = fs.main(["check", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("numerical failure:") and "step budget" in err
 
 
 @pytest.mark.parametrize("command", ["check", "thermo"])
