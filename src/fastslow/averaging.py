@@ -9,7 +9,7 @@ averages over whole fast periods extract the slowly varying parts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,8 +105,7 @@ def _unfolding_errors(u, limit, epsilon, r_grid, t_all):
     return errs.tolist()
 
 
-@dataclass(frozen=True)
-class WindowedAverage:
+class WindowedAverage(NamedTuple):
     """Mean of a signal over a whole-period window centered near a time."""
 
     value: float

@@ -11,7 +11,7 @@ epsilon, or an epsilon array shaped like the state's fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from .model import FrequencyModel
 from .phase import reduced_sincos, reducer
 
 
-@dataclass(frozen=True)
-class CartesianState:
+class CartesianState(NamedTuple):
     """Cartesian state; fields may hold floats or equal-length arrays."""
 
     y: object
@@ -29,8 +28,7 @@ class CartesianState:
     zeta: object
 
 
-@dataclass(frozen=True)
-class ActionAngleState:
+class ActionAngleState(NamedTuple):
     """Action-angle state; fields may hold floats or equal-length arrays."""
 
     phi: object

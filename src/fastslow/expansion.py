@@ -10,7 +10,7 @@ variables start correcting at second order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,7 @@ from .model import FrequencyModel, SystemParams, derived_constants
 from .phase import reduced_sincos
 
 
-@dataclass(frozen=True)
-class HomogenizedState:
+class HomogenizedState(NamedTuple):
     """Limit state: phase phi0 and slow pair (y0, p0), at action theta_star.
 
     Fields may hold floats or equal-length arrays; the formulas are
@@ -34,8 +33,7 @@ class HomogenizedState:
     p0: object
 
 
-@dataclass(frozen=True)
-class CorrectorValues:
+class CorrectorValues(NamedTuple):
     """Oscillatory correctors at given homogenized state(s).
 
     theta1 is the first-order action corrector; the rest are second
@@ -49,8 +47,7 @@ class CorrectorValues:
     theta2: object
 
 
-@dataclass(frozen=True)
-class AveragedCorrection:
+class AveragedCorrection(NamedTuple):
     """Slowly varying second-order corrections (phase averages)."""
 
     phi2_bar: object
@@ -59,8 +56,7 @@ class AveragedCorrection:
     p2_bar: object
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """Sup-norm distances between finite-epsilon reference runs and the
     reconstruction, per epsilon and variable.
 
@@ -178,8 +174,7 @@ def expansion_field(params: SystemParams, fm: FrequencyModel):
 def solve_expansion(params: SystemParams, fm: FrequencyModel) -> Trajectory:
     """Integrate homogenized + averaged layers jointly over [0, horizon_T]."""
     init = initial_corrections(params, fm)
-    x0 = np.array([0.0, params.y_star, params.p_star, init.phi2_bar,
-                   init.theta2_bar, init.y2_bar, init.p2_bar])
+    x0 = np.array([0.0, params.y_star, params.p_star, *init])
     return integrate_controlled(expansion_field(params, fm), x0, params.horizon_T,
                                 SLOW_TOL, SLOW_TOL, max_step=SLOW_MAX_STEP)
 
@@ -190,10 +185,7 @@ def eval_expansion(traj: Trajectory, grid):
     Returns (HomogenizedState, AveragedCorrection) holding arrays.
     """
     xs = sample(traj, grid)
-    base = HomogenizedState(phi0=xs[:, 0], y0=xs[:, 1], p0=xs[:, 2])
-    corr = AveragedCorrection(phi2_bar=xs[:, 3], theta2_bar=xs[:, 4],
-                              y2_bar=xs[:, 5], p2_bar=xs[:, 6])
-    return base, corr
+    return HomogenizedState(*xs[:, :3].T), AveragedCorrection(*xs[:, 3:].T)
 
 
 def reconstruct(epsilon: float, base: HomogenizedState,

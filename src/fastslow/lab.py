@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -647,8 +647,7 @@ def cmd_check(cfg: RunConfig, out: Path) -> int:
     e1, e2 = [], []
     for eps in cfg.epsilons:
         cv = expansion.correctors(base, corr.phi2_bar, eps, fm, dc.theta_star)
-        theta1 = -cv.theta1 if cfg.flip_theta1_sign else cv.theta1
-        cv_used = expansion.CorrectorValues(theta1, cv.phi2, cv.y2, cv.p2, cv.theta2)
+        cv_used = cv._replace(theta1=-cv.theta1) if cfg.flip_theta1_sign else cv
         ex = thermo.energy_expansion(base, corr, cv_used, eps, dc.theta_star, fm)
         e1.append(np.max(np.abs(ex.E1_perp_osc + ex.E1_par_osc)))
         e2.append(np.max(np.abs(ex.E2_perp_osc + ex.E2_par_osc)))
@@ -665,15 +664,15 @@ def cmd_check(cfg: RunConfig, out: Path) -> int:
     rng = np.random.default_rng(12345)
     s, e = _identity_states(rng, 1e-3)
     # action_angle_rhs wraps the integrators' float field, so it runs per state
-    d1 = [astuple(dynamics.action_angle_rhs(dynamics.ActionAngleState(*x), e_x, fm))[:4]
+    d1 = [dynamics.action_angle_rhs(dynamics.ActionAngleState(*x), e_x, fm)[:4]
           for *x, e_x in np.c_[s.phi, s.theta, s.y, s.p, e].tolist()]
-    d2 = astuple(dynamics.action_angle_rhs_composed(s, e, fm))[:4]
+    d2 = dynamics.action_angle_rhs_composed(s, e, fm)[:4]
     checks.append(("eom_form_equivalence", float(np.max(np.abs(np.transpose(d1) - d2))), 1e-14))
 
     s, e = _identity_states(rng, 1e-6)
     c = dynamics.from_action_angle(s, e, fm)
     c2 = dynamics.from_action_angle(dynamics.to_action_angle(c, e, fm), e, fm)
-    worst_rt = float(np.max(np.abs(np.subtract(astuple(c), astuple(c2)))))
+    worst_rt = float(np.max(np.abs(np.subtract(c, c2))))
     checks.append(("transform_round_trip", worst_rt, 1e-12))
     ea = dynamics.energy_action_angle(s, e, fm)
     ec = dynamics.energy_cartesian(c, e, fm)
@@ -752,7 +751,3 @@ def main(argv=None) -> int:
     except (NumericalError, OverflowError) as e:  # OverflowError: float ** on huge data
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

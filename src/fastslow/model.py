@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,8 +85,7 @@ def _fourier(c, floor, sin, cos, every):
 _ROUTINES = {"constant": _constant, "sine": _sine, "fourier": _fourier}
 
 
-@dataclass(frozen=True)
-class FrequencyModel:
+class FrequencyModel(NamedTuple):
     """Frequency profile omega(y) with hand-coded derivatives.
 
     preset: "constant", "sine", or "fourier".
@@ -123,8 +123,7 @@ class FrequencyModel:
         return _ROUTINES[self.preset](self.coefficients, floor, sin, cos, every)
 
 
-@dataclass(frozen=True)
-class LogDerivatives:
+class LogDerivatives(NamedTuple):
     """The first three y-derivatives of log omega, shaped like y."""
 
     dyL: float
@@ -145,13 +144,12 @@ class SystemParams:
     def __post_init__(self):
         if not self.horizon_T > 0:
             raise ValueError("horizon_T must be positive")
-        if self.u_star == 0.0:
+        if self.u_star == 0.0:  # stacklevel 3: past the generated __init__ to its caller
             warnings.warn("u_star = 0: oscillator starts with zero action, "
-                          "angle variable is degenerate", stacklevel=2)
+                          "angle variable is degenerate", stacklevel=3)
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
+class DerivedConstants(NamedTuple):
     """Constants fixed by the initial data.
 
     theta_star: initial (and adiabatically conserved) action.

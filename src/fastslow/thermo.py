@@ -13,7 +13,7 @@ their equations of motion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from .model import DerivedConstants, FrequencyModel
 from .phase import reduced_sincos
 
 
-@dataclass(frozen=True)
-class ThermoExpansion:
+class ThermoExpansion(NamedTuple):
     """Entropy/temperature/force series along the reconstruction.
 
     S1_osc is the first-order entropy coefficient (purely oscillatory);
@@ -46,8 +45,7 @@ class ThermoExpansion:
     F2_bar: object
 
 
-@dataclass(frozen=True)
-class EnergyExpansion:
+class EnergyExpansion(NamedTuple):
     """Oscillator/slow energy split, order by order.
 
     Each second-order piece is its full coefficient minus its fast-phase
@@ -67,8 +65,7 @@ class EnergyExpansion:
     E2_bar: object
 
 
-@dataclass(frozen=True)
-class AveragedEnergyBundle:
+class AveragedEnergyBundle(NamedTuple):
     """Closed forms tied to the averaged second-order energy.
 
     S2_doublebar_closed is the closed-form doubly averaged entropy
@@ -83,16 +80,14 @@ class AveragedEnergyBundle:
     dE2_dp0: object
 
 
-@dataclass(frozen=True)
-class FirstLawReport:
+class FirstLawReport(NamedTuple):
     """Pointwise residuals of an energy-balance check on a uniform grid."""
 
     residuals: np.ndarray
     max_residual: float
 
 
-@dataclass(frozen=True)
-class EquipartitionReport:
+class EquipartitionReport(NamedTuple):
     """Windowed kinetic-potential gaps and the virial-type sup norm."""
 
     centers: np.ndarray

@@ -1,7 +1,6 @@
 """Equations of motion and the coordinate transform between charts."""
 
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -221,11 +220,11 @@ def _kernels(s, eps, fm):
     entry is a tuple of the kernel's outputs."""
     c = fs.from_action_angle(s, eps, fm)
     return {
-        "from_action_angle": astuple(c),
-        "to_action_angle": astuple(fs.to_action_angle(c, eps, fm))[:4],
+        "from_action_angle": tuple(c),
+        "to_action_angle": tuple(fs.to_action_angle(c, eps, fm))[:4],
         "energy_action_angle": (fs.energy_action_angle(s, eps, fm),),
         "energy_cartesian": (fs.energy_cartesian(c, eps, fm),),
-        "action_angle_rhs_composed": astuple(fs.action_angle_rhs_composed(s, eps, fm))[:4],
+        "action_angle_rhs_composed": tuple(fs.action_angle_rhs_composed(s, eps, fm))[:4],
         "reduced_sincos": fs.reduced_sincos(s.phi, eps, 2),
     }
 

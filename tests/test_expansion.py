@@ -6,7 +6,6 @@ theta* = 1/4, omega = 2, omega' = 1, omega'' = 0 at the start.
 """
 
 import math
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -168,7 +167,7 @@ def test_kernels_agree_on_scalars_and_length_one_arrays(expansion_run, fm, dc):
     i, eps, ts = 1234, 0.01, dc.theta_star
 
     def at(obj, pick):
-        return type(obj)(*(pick(v) for v in asdict(obj).values()))
+        return type(obj)(*(pick(v) for v in obj._asdict().values()))
 
     results = []
     for pick in (lambda v: float(v[i]), lambda v: v[i:i + 1]):
@@ -179,7 +178,7 @@ def test_kernels_agree_on_scalars_and_length_one_arrays(expansion_run, fm, dc):
                         fs.energy_expansion(b, c, cv, eps, ts, fm),
                         fs.averaged_energy_bundle(b, c, fm, ts, dc)])
     for scalar, array in zip(*results):
-        for name, value in asdict(scalar).items():
+        for name, value in scalar._asdict().items():
             assert np.ndim(value) == 0, name
             assert getattr(array, name).shape == (1,), name
             assert getattr(array, name)[0] == value, name

@@ -5,10 +5,13 @@ import gc
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -377,7 +380,7 @@ def test_check_fails_on_a_nan_identity(tmp_path, monkeypatch):
         ex = energy_expansion(base, corr, cv, epsilon, theta_star, fm)
         if epsilon != 0.005:
             return ex
-        return dataclasses.replace(ex, E1_perp_osc=np.where(
+        return ex._replace(E1_perp_osc=np.where(
             np.arange(ex.E1_perp_osc.size) == 7, np.nan, ex.E1_perp_osc))
 
     monkeypatch.setattr(fs.thermo, "energy_expansion", nan_at_last_epsilon)
@@ -743,3 +746,76 @@ def test_overflowing_initial_data_exits_3(tmp_path, capsys, command, key):
 
 def test_public_names_resolve():
     assert [name for name in fs.__all__ if not hasattr(fs, name)] == []
+
+
+# callers build the records positionally, as in ActionAngleState(*d)
+_RECORD_FIELDS = {
+    "WindowedAverage": "value t_lo t_hi slid_left slid_right",
+    "CartesianState": "y eta z zeta",
+    "ActionAngleState": "phi theta y p degenerate",
+    "HomogenizedState": "phi0 y0 p0",
+    "CorrectorValues": "theta1 phi2 y2 p2 theta2",
+    "AveragedCorrection": "phi2_bar theta2_bar y2_bar p2_bar",
+    "ResidualReport": "epsilons families normalized energy_drift",
+    "FrequencyModel": "preset coefficients omega_lower_bound omega_upper_bound",
+    "LogDerivatives": "dyL dy2L dy3L",
+    "DerivedConstants": "theta_star e_star entropy_constant c_sbarbar2",
+    "ThermoExpansion": "T0 F0 S0 S1_osc S2_full S2_bar S2_doublebar F2_bar",
+    "EnergyExpansion": ("E0_perp E1_perp_osc E1_par_osc E2_perp_osc E2_par_osc "
+                        "E2_perp_bar E2_par_bar E2_bar"),
+    "AveragedEnergyBundle": "S2_doublebar_closed E2_bar dE2_dy0 dE2_dp0",
+    "FirstLawReport": "residuals max_residual",
+    "EquipartitionReport": "centers gap_max xi_sup any_slid",
+}
+
+
+@pytest.mark.parametrize("name", _RECORD_FIELDS)
+def test_records_keep_their_fields_in_order_and_are_frozen(name):
+    cls = getattr(fs, name)
+    fields = tuple(_RECORD_FIELDS[name].split())
+    assert cls._fields == fields
+    rec = cls(*range(len(fields)))
+    assert [getattr(rec, f) for f in fields] == list(range(len(fields)))
+    with pytest.raises(AttributeError):
+        setattr(rec, fields[0], -1)
+
+
+def test_action_angle_state_is_not_degenerate_by_default():
+    assert fs.ActionAngleState(0.0, 1.0, 0.0, 1.0).degenerate is False
+
+
+def test_only_three_public_types_are_dataclasses():
+    # dataclass code generation is most of the package's import time
+    kept = [n for n in fs.__all__ if dataclasses.is_dataclass(getattr(fs, n))]
+    assert sorted(kept) == ["RunConfig", "SystemParams", "Trajectory"]
+
+
+def test_main_in_process_leaves_the_collector_unfrozen(tmp_path):
+    # only `python -m fastslow` freezes the import heap, never a library caller
+    before = gc.get_freeze_count()
+    assert fs.main(["check", "--out", str(tmp_path), "--epsilon", "0.04"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def _python_m_fastslow(tmp_path, command, config_text=None):
+    argv = [sys.executable, "-m", "fastslow", command, "--out", str(tmp_path / "o")]
+    if config_text is not None:
+        (tmp_path / "cfg.txt").write_text(config_text)
+        argv += ["--config", str(tmp_path / "cfg.txt")]
+    env = dict(os.environ, PYTHONPATH=str(Path(fs.__file__).parents[1]))
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_python_m_fastslow_check_passes(tmp_path):
+    proc = _python_m_fastslow(tmp_path, "check")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("[PASS] derivative_consistency:")
+
+
+@pytest.mark.parametrize("text, code", [("no.such.key = 1\n", 2),
+                                        ("run.horizon_T = 1e6\n", 3)],
+                         ids=["unknown-key", "past-the-step-budget"])
+def test_python_m_fastslow_exit_codes(tmp_path, text, code):
+    proc = _python_m_fastslow(tmp_path, "check", text)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr

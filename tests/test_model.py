@@ -259,6 +259,12 @@ def test_zero_oscillator_amplitude_warns(fm):
     assert math.isnan(d.entropy_constant)
 
 
+def test_zero_oscillator_amplitude_warning_names_the_caller():
+    with pytest.warns(UserWarning, match="u_star = 0") as caught:
+        fs.SystemParams(0.0, 1.0, 0.0, 1.0)
+    assert caught[0].filename == __file__
+
+
 def test_nonpositive_horizon_rejected():
     with pytest.raises(ValueError):
         fs.SystemParams(0.0, 1.0, 1.0, 0.0)
