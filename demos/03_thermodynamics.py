@@ -27,7 +27,7 @@ cv = fs.correctors(base, corr.phi2_bar, eps, fm, dc.theta_star)
 
 th = fs.expand_thermo(base, corr, cv, dc.theta_star, fm)
 ex = fs.energy_expansion(base, corr, cv, eps, dc.theta_star, fm)
-bundle = fs.averaged_energy_bundle(base, corr, fm, dc.theta_star, dc)
+bundle = fs.averaged_energy_bundle(base, corr, fm, dc)
 
 print("state functions at a few times (leading order)")
 print(f"{'t':>5} {'T0':>10} {'F0':>10} {'S0':>4} {'S2_doublebar':>13}")

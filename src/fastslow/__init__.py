@@ -37,7 +37,6 @@ from .dynamics import (
     energy_action_angle,
     energy_cartesian,
     from_action_angle,
-    oscillator_energy_gap_arrays,
     to_action_angle,
 )
 from .expansion import (
@@ -113,8 +112,7 @@ __all__ = [
     "initial_corrections", "integrate_controlled",
     "integrate_fixed", "invert_monotone", "load_config", "log_derivatives",
     "main", "make_frequency", "nonlinear_two_scale_error",
-    "oscillator_energy_gap_arrays", "parse_config_text",
-    "phase_space_volume", "reconstruct", "reduced_sincos",
+    "parse_config_text", "phase_space_volume", "reconstruct", "reduced_sincos",
     "reference_run", "reference_solution",
     "residual_norms", "sample", "solve_expansion", "solve_homogenized",
     "to_action_angle", "two_scale_limits",

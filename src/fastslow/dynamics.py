@@ -176,16 +176,3 @@ def cartesian_field(epsilon: float, fm: FrequencyModel):
         return eta, m * w1 * z * z, zeta, m * w * z
 
     return f
-
-
-def oscillator_energy_gap_arrays(PHI, THETA, Y, epsilon: float, fm: FrequencyModel):
-    """Kinetic minus potential oscillator energy, theta*omega*cos(2 phi/eps).
-
-    In the action-angle chart the oscillator's kinetic and potential parts
-    are theta*omega*(1 +- cos(2 phi/eps))/2, so their gap isolates the
-    double-frequency oscillation whose windowed averages vanish to second
-    order.
-    """
-    w = fm.derivs(np.asarray(Y, float))[0]
-    _, c2 = reduced_sincos(np.asarray(PHI, float), epsilon, 2)
-    return np.asarray(THETA, float) * w * c2

@@ -331,7 +331,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         E = dynamics.energy_action_angle(dynamics.ActionAngleState(*xs.T), eps, fm)
         w = fm.derivs(xs[:, 2])[0]
         e_perp = xs[:, 1] * w
-        p1 = out / f"traj_eps{eps:g}.csv"
+        p1 = out / f"traj_eps{eps!r}.csv"
         write_csv(p1, ["t", "phi", "theta", "y", "p", "E", "E_perp", "E_par"],
                   [grid, xs[:, 0], xs[:, 1], xs[:, 2], xs[:, 3], E, e_perp,
                    E - e_perp])
@@ -344,7 +344,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         wc = fm.derivs(cs[:, 0])[0]
         ce_perp = 0.5 * cs[:, 3] ** 2 + 0.5 * (wc * cs[:, 2] / eps) ** 2
         ce_par = 0.5 * cs[:, 1] ** 2
-        p2 = out / f"cart_eps{eps:g}.csv"
+        p2 = out / f"cart_eps{eps!r}.csv"
         write_csv(p2, ["t", "y", "eta", "z", "zeta", "E", "E_perp", "E_par"],
                   [grid, cs[:, 0], cs[:, 1], cs[:, 2], cs[:, 3],
                    ce_perp + ce_par, ce_perp, ce_par])
@@ -459,7 +459,7 @@ def cmd_thermo(cfg: RunConfig, out: Path) -> int:
     cv = expansion.correctors(base, corr.phi2_bar, eps_ref, fm, dc.theta_star)
     th = thermo.expand_thermo(base, corr, cv, dc.theta_star, fm)
     ex = thermo.energy_expansion(base, corr, cv, eps_ref, dc.theta_star, fm)
-    bundle = thermo.averaged_energy_bundle(base, corr, fm, dc.theta_star, dc)
+    bundle = thermo.averaged_energy_bundle(base, corr, fm, dc)
 
     lead = thermo.check_first_law(ex.E0_perp, base.y0, th.S0, th.F0, th.T0, dt)
     second = thermo.check_first_law(ex.E2_perp_bar, corr.y2_bar, th.S2_doublebar,
@@ -553,13 +553,10 @@ def two_scale_error_table(cfg: RunConfig, fm, params, runs) -> dict:
     theta_star = model.derived_constants(params, fm).theta_star
     etraj = expansion.solve_expansion(params, fm)
 
-    def limit(t, s):
-        tt = np.asarray(t).ravel()
-        ss = np.asarray(s).ravel()
-        base, corr = expansion.eval_expansion(etraj, tt)
+    def limit(t, s):  # t shaped (rows, 1), s (1, 256)
+        base, corr = expansion.eval_expansion(etraj, t.ravel())
         b = expansion.HomogenizedState(base.phi0[:, None], base.y0[:, None], base.p0[:, None])
-        cv = expansion.two_scale_limits(b, corr.phi2_bar[:, None],
-                                        ss[None, :], fm, theta_star)
+        cv = expansion.two_scale_limits(b, corr.phi2_bar[:, None], s, fm, theta_star)
         return (cv.theta1,
                 corr.phi2_bar[:, None] + cv.phi2,
                 corr.y2_bar[:, None] + cv.y2,

@@ -25,23 +25,10 @@ DEFAULT_COEFFICIENTS = {
 }
 
 
-# One routine factory per preset: (coefficients, floor, sin, cos, every) -> derivs(y),
+# One routine factory per profile form: (coefficients, floor, sin, cos, every) -> derivs(y),
 # (omega, omega', omega'', omega''') shaped like y, with math's sin and cos for a float y
 # and numpy's for an array; derivs raises ValueError unless every(omega >= floor).
 _FLOOR_ERROR = "frequency fell below its positive floor"
-
-
-def _constant(c, floor, sin, cos, every):
-    def derivs(y):
-        if isinstance(y, np.ndarray):
-            zero = 0.0 * y
-            d = np.full_like(zero, c[0]), zero, zero, zero
-        else:
-            d = c[0], 0.0, 0.0, 0.0
-        if not every(d[0] >= floor):
-            raise ValueError(_FLOOR_ERROR)
-        return d
-    return derivs
 
 
 def _sine(c, floor, sin, cos, every):
@@ -82,7 +69,8 @@ def _fourier(c, floor, sin, cos, every):
     return derivs
 
 
-_ROUTINES = {"constant": _constant, "sine": _sine, "fourier": _fourier}
+# a constant profile is a Fourier series with no harmonics
+_ROUTINES = {"constant": _fourier, "sine": _sine, "fourier": _fourier}
 
 
 class FrequencyModel(NamedTuple):

@@ -18,7 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .averaging import windowed_average
-from .dynamics import oscillator_energy_gap_arrays
 from .expansion import AveragedCorrection, CorrectorValues, HomogenizedState
 from .integrate import GRID_POINTS, Trajectory, sample
 from .model import DerivedConstants, FrequencyModel
@@ -154,8 +153,7 @@ def energy_expansion(base: HomogenizedState, corr: AveragedCorrection,
 
 
 def averaged_energy_bundle(base: HomogenizedState, corr: AveragedCorrection,
-                           fm: FrequencyModel, theta_star: float,
-                           constants: DerivedConstants) -> AveragedEnergyBundle:
+                           fm: FrequencyModel, constants: DerivedConstants) -> AveragedEnergyBundle:
     """Closed forms of the averaged second-order energy and its partials.
 
     E2_bar here uses the closed-form doubly averaged entropy coefficient,
@@ -168,7 +166,7 @@ def averaged_energy_bundle(base: HomogenizedState, corr: AveragedCorrection,
     """
     p0 = base.p0
     w, w1, w2, _ = fm.derivs(base.y0)
-    C = constants.c_sbarbar2
+    theta_star, C = constants.theta_star, constants.c_sbarbar2
     s2dd = 0.5 * (p0 * w1 / (2.0 * w * w)) ** 2 + C
     e2_bar = (p0 * corr.p2_bar
               + theta_star**2 * w1 * w1 / (16.0 * w * w)
@@ -266,15 +264,12 @@ def phase_space_volume(E_perp: float, y: float, fm: FrequencyModel,
     if method == "closed-form":
         area = 2.0 * math.pi * E_perp / w
     elif method == "area-quadrature":
-        if E_perp == 0.0:
-            area = 0.0
-        else:
-            n_cells = 2000
-            q_max = math.sqrt(2.0 * E_perp) / w
-            h = 2.0 * q_max / n_cells
-            q = -q_max + h * (np.arange(n_cells) + 0.5)
-            width = 2.0 * np.sqrt(np.maximum(0.0, 2.0 * E_perp - (w * q) ** 2))
-            area = float(np.sum(width) * h)
+        n_cells = 2000
+        q_max = math.sqrt(2.0 * E_perp) / w
+        h = 2.0 * q_max / n_cells
+        q = -q_max + h * (np.arange(n_cells) + 0.5)
+        width = 2.0 * np.sqrt(np.maximum(0.0, 2.0 * E_perp - (w * q) ** 2))
+        area = float(np.sum(width) * h)
     else:
         raise ValueError(f"unknown method: {method!r}")
     return area
@@ -295,9 +290,11 @@ def equipartition_check(traj: Trajectory, epsilon: float,
     centers = T * np.linspace(0.3, 0.7, 9)
 
     def gap_signal(ts):
+        # kinetic and potential energy are theta*omega*(1 +- cos(2 phi/eps))/2
         xs = sample(traj, ts)
-        return oscillator_energy_gap_arrays(xs[:, 0], xs[:, 1], xs[:, 2],
-                                            epsilon, fm)
+        w = fm.derivs(xs[:, 2])[0]
+        _, c2 = reduced_sincos(xs[:, 0], epsilon, 2)
+        return xs[:, 1] * w * c2
 
     windows = windowed_average(gap_signal, centers, epsilon, traj)
     grid = np.linspace(0.0, T, GRID_POINTS)

@@ -46,7 +46,7 @@ def thermo_min_eps(expansion_run, corrector_sets, fm, dc):
     cv = corrector_sets[eps]
     th = fs.expand_thermo(base, corr, cv, dc.theta_star, fm)
     ex = fs.energy_expansion(base, corr, cv, eps, dc.theta_star, fm)
-    bundle = fs.averaged_energy_bundle(base, corr, fm, dc.theta_star, dc)
+    bundle = fs.averaged_energy_bundle(base, corr, fm, dc)
     return th, ex, bundle
 
 

@@ -176,7 +176,7 @@ def test_kernels_agree_on_scalars_and_length_one_arrays(expansion_run, fm, dc):
         results.append([cv, fs.averaged_rhs(c, b, fm, ts),
                         fs.expand_thermo(b, c, cv, ts, fm),
                         fs.energy_expansion(b, c, cv, eps, ts, fm),
-                        fs.averaged_energy_bundle(b, c, fm, ts, dc)])
+                        fs.averaged_energy_bundle(b, c, fm, dc)])
     for scalar, array in zip(*results):
         for name, value in scalar._asdict().items():
             assert np.ndim(value) == 0, name

@@ -445,6 +445,15 @@ def test_simulate_outputs_are_deterministic(tmp_path):
     assert_canonical_csvs(d1)
 
 
+def test_simulate_names_files_by_the_shortest_repr_of_epsilon(tmp_path):
+    # '%g' prints both epsilons as 0.04, which would name one pair of files twice
+    assert fs.main(["simulate", "--out", str(tmp_path), "--epsilon", "0.04000001,0.04"]) == 0
+    assert set(file_hashes(tmp_path)) == {
+        "traj_eps0.04000001.csv", "cart_eps0.04000001.csv", "traj_eps0.04.csv",
+        "cart_eps0.04.csv", "homogenized.csv", "averaged.csv"}
+    assert len(json.loads((tmp_path / "manifest.json").read_text())["files"]) == 6
+
+
 def test_simulate_makes_one_slow_solve(tmp_path, monkeypatch):
     # homogenized.csv and averaged.csv are columns of the one joint solve
     solves = []

@@ -58,22 +58,26 @@ def test_derivs_follow_the_shape_of_y(preset, coeffs):
     assert all(np.ndim(v) == 0 for v in fmx.derivs(0.5))
 
 
-def test_array_evaluation_matches_scalar(fm):
-    y = np.linspace(-7, 7, 57)
-    for k, v in enumerate(fm.derivs(y)):
-        assert np.array_equal(v, [fm.derivs(float(e))[k] for e in y])
+def test_array_evaluation_matches_scalar():
+    # every preset, and Fourier with two harmonics; the sign of zero counts,
+    # so a float call has the bits of the array call
+    y = np.concatenate([np.linspace(-7, 7, 57), [-0.0, 0.0]])
+    for preset, coeffs in [("sine", (2.0, 1.0)), ("constant", (2.0,)),
+                           ("fourier", (2.0, 0.25, 0.25)),
+                           ("fourier", (3.0, 0.5, 0.5, 0.3, -0.4))]:
+        fmx = fs.make_frequency(preset, coeffs)
+        for k, v in enumerate(fmx.derivs(y)):
+            want = np.array([fmx.derivs(float(e))[k] for e in y])
+            assert np.array_equal(v, want), (preset, coeffs, k)
+            assert np.array_equal(np.signbit(v), np.signbit(want)), (preset, coeffs, k)
 
 
 def _four_method_arithmetic(preset, c, y):
     """(omega, omega', omega'', omega''') as the former per-derivative
-    methods computed them: their derivs for the constant and sine presets,
-    and omega, domega, d2omega, d3omega one after the other for fourier."""
+    methods computed them: their derivs for the sine preset, and omega,
+    domega, d2omega, d3omega one after the other for fourier and for
+    constant, a Fourier series with no harmonics."""
     xp = np if isinstance(y, np.ndarray) else math
-    if preset == "constant":
-        if isinstance(y, np.ndarray):
-            zero = 0.0 * y
-            return np.full_like(zero, c[0]), zero, zero, zero
-        return c[0], 0.0, 0.0, 0.0
     if preset == "sine":
         s = xp.sin(y)
         co = xp.cos(y)

@@ -28,7 +28,7 @@ def thermo_pieces(expansion_run, fm, dc):
     cv = fs.correctors(base, corr.phi2_bar, eps, fm, dc.theta_star)
     th = fs.expand_thermo(base, corr, cv, dc.theta_star, fm)
     ex = fs.energy_expansion(base, corr, cv, eps, dc.theta_star, fm)
-    bundle = fs.averaged_energy_bundle(base, corr, fm, dc.theta_star, dc)
+    bundle = fs.averaged_energy_bundle(base, corr, fm, dc)
     return grid, base, corr, cv, th, ex, bundle
 
 
@@ -144,6 +144,8 @@ def test_phase_space_volume_quadrature(fm):
         qu = fs.phase_space_volume(E, y, fm, method="area-quadrature")
         worst = max(worst, abs(qu - cl) / cl)
     assert worst <= 0.005
+    zero = fs.phase_space_volume(0.0, 0.3, fm, method="area-quadrature")
+    assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
     with pytest.raises(ValueError):
         fs.phase_space_volume(1.0, 0.0, fm, method="nope")
 
