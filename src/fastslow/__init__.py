@@ -21,9 +21,7 @@ lab          run configuration, file outputs, command line
 """
 
 from .averaging import (
-    WindowedAverage,
     estimate_order,
-    floor_frac,
     nonlinear_two_scale_error,
     windowed_average,
 )
@@ -43,12 +41,9 @@ from .expansion import (
     AveragedCorrection,
     CorrectorValues,
     HomogenizedState,
-    ResidualReport,
     averaged_rhs,
     correctors,
     eval_expansion,
-    initial_corrections,
-    reconstruct,
     reference_run,
     residual_norms,
     solve_expansion,
@@ -64,30 +59,22 @@ from .integrate import (
     reference_solution,
     sample,
 )
-from .lab import ConfigError, RunConfig, load_config, main, parse_config_text
+from .lab import RunConfig, load_config, main
 from .model import (
     DerivedConstants,
     FrequencyModel,
-    LogDerivatives,
     SystemParams,
     derived_constants,
     finite_difference_report,
-    log_derivatives,
     make_frequency,
 )
 from .phase import reduced_sincos
 from .thermo import (
-    AveragedEnergyBundle,
-    EnergyExpansion,
-    EquipartitionReport,
-    FirstLawReport,
-    ThermoExpansion,
     averaged_energy_bundle,
     check_first_law,
     energy_expansion,
     equipartition_check,
     expand_thermo,
-    fd4_derivative,
     hertz_temperature_oracle,
     phase_space_volume,
 )
@@ -95,24 +82,23 @@ from .thermo import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionAngleState", "AveragedCorrection", "AveragedEnergyBundle",
-    "CartesianState", "ConfigError", "CorrectorValues", "DerivedConstants",
-    "EnergyExpansion", "EquipartitionReport", "FirstLawReport",
-    "FrequencyModel", "HomogenizedState", "LogDerivatives",
-    "NumericalError", "ResidualReport", "RunConfig", "SystemParams",
-    "ThermoExpansion", "Trajectory", "WindowedAverage",
+    "ActionAngleState", "AveragedCorrection",
+    "CartesianState", "CorrectorValues", "DerivedConstants",
+    "FrequencyModel", "HomogenizedState",
+    "NumericalError", "RunConfig", "SystemParams",
+    "Trajectory",
     "action_angle_field", "action_angle_rhs", "action_angle_rhs_composed",
     "averaged_energy_bundle", "averaged_rhs",
     "cartesian_field", "check_first_law", "correctors",
     "derived_constants", "energy_action_angle",
     "energy_cartesian", "energy_expansion",
     "equipartition_check", "estimate_order", "eval_expansion",
-    "expand_thermo", "fd4_derivative", "finite_difference_report",
-    "floor_frac", "from_action_angle", "hertz_temperature_oracle",
-    "initial_corrections", "integrate_controlled",
-    "integrate_fixed", "invert_monotone", "load_config", "log_derivatives",
+    "expand_thermo", "finite_difference_report",
+    "from_action_angle", "hertz_temperature_oracle",
+    "integrate_controlled",
+    "integrate_fixed", "invert_monotone", "load_config",
     "main", "make_frequency", "nonlinear_two_scale_error",
-    "parse_config_text", "phase_space_volume", "reconstruct", "reduced_sincos",
+    "phase_space_volume", "reduced_sincos",
     "reference_run", "reference_solution",
     "residual_norms", "sample", "solve_expansion", "solve_homogenized",
     "to_action_angle", "two_scale_limits",

@@ -20,19 +20,6 @@ class PhaseRangeError(ValueError):
     """epsilon too large for the phase range of the trajectory."""
 
 
-def floor_frac(x):
-    """Split x into (N, R) with N = floor(x) as a float and R = x - N.
-
-    R lands in [0, 1); for negative x very close to an integer the
-    subtraction can round to 1.0, which is clamped to the largest double
-    below 1 so the interval contract holds.  N + R reproduces x exactly
-    for x >= 0 and to <= 2 ulp otherwise.
-    """
-    n = np.floor(x)
-    r = x - n
-    return n, np.where(r >= 1.0, np.nextafter(1.0, 0.0), r)
-
-
 _S_POINTS = 256  # fast points s per cell
 
 
@@ -76,8 +63,7 @@ def nonlinear_two_scale_error(u, limit, phase_traj: Trajectory, epsilons):
     t_distinct = invert_monotone(phase_traj, t_distinct, component=0)
     ends = np.cumsum([_S_POINTS * n_cells + 1 + r_grid.size for _, n_cells, r_grid in ladder])
     return [(_unfolding_errors(u, limit, epsilon, r_grid, t_distinct[idx]),
-             {"r_max": r_max, "cells": n_cells, "r_window": (0.0, float(r_grid[-1])),
-              "s_points": _S_POINTS})
+             {"cells": n_cells, "r_window": (0.0, float(r_grid[-1]))})
             for (epsilon, n_cells, r_grid), idx in zip(ladder, np.split(which, ends[:-1]))]
 
 
@@ -88,7 +74,9 @@ def _unfolding_errors(u, limit, epsilon, r_grid, t_all):
     # the running max per signal is the max over the whole surface
     t_fine, t_slow = t_all[:-r_grid.size], t_all[-r_grid.size:]
     cells = [np.asarray(v, float)[:-1].reshape(-1, _S_POINTS) for v in u(epsilon, t_fine)]
-    n, rho = floor_frac(r_grid / epsilon)
+    q = r_grid / epsilon  # >= 0, so q - floor(q) is exact and below 1
+    n = np.floor(q)
+    rho = q - n
     n = n.astype(int)
     s_grid = np.arange(_S_POINTS) / _S_POINTS
     errs = np.zeros(len(cells))
@@ -124,24 +112,23 @@ _GL_WEIGHTS = np.array([0.06667134430868814, 0.1494513491505804, 0.2190863625159
                         0.2692667193099965, 0.2955242247147528, 0.2955242247147528,
                         0.2692667193099965, 0.219086362515982, 0.1494513491505804,
                         0.06667134430868814])
+_PERIODS = 8  # fast periods per window
 
 
-def windowed_average(signal, centers, epsilon: float, phase_traj: Trajectory,
-                     m: int = 8) -> list[WindowedAverage]:
-    """Average a vectorized signal over m whole fast periods around each
+def windowed_average(signal, centers, epsilon: float,
+                     phase_traj: Trajectory) -> list[WindowedAverage]:
+    """Average a vectorized signal over 8 whole fast periods around each
     of a sequence of centers; returns one WindowedAverage per center.
 
     The window edges are found by inverting the phase (component 0 of
     phase_traj), the edges of all windows in one call: the fast factor
-    exp(2i*phi/eps) completes exactly m cycles between them, so the
+    exp(2i*phi/eps) completes exactly 8 cycles between them, so the
     oscillatory parts of the signal cancel to high order.  Windows that
     would stick out of the time range slide inward, keeping their width;
     slid windows are flagged.
     """
-    if m < 1:
-        raise ValueError("need at least one period")
     phi = sample(phase_traj, np.asarray(centers, float), component=0)
-    half = math.pi * m * epsilon / 2.0
+    half = math.pi * _PERIODS * epsilon / 2.0
     phi_lo_all = float(phase_traj.states[0, 0])
     phi_hi_all = float(phase_traj.states[-1, 0])
     if 2 * half > phi_hi_all - phi_lo_all:
@@ -156,7 +143,7 @@ def windowed_average(signal, centers, epsilon: float, phase_traj: Trajectory,
     t_edges = invert_monotone(phase_traj, np.concatenate([lo, hi]), component=0)
     # composite Gauss-Legendre: 4 panels per fast period resolves the
     # oscillation far below the other error terms
-    n_panels = 4 * m
+    n_panels = 4 * _PERIODS
     out = []
     for t_lo, t_hi, left, right in zip(t_edges[:phi.size].tolist(),
                                        t_edges[phi.size:].tolist(),
@@ -194,5 +181,6 @@ def estimate_order(epsilons, errors) -> tuple[float, float]:
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     ss_res = float(np.sum(resid**2))
-    r2 = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / ss_tot
+    # all errors equal (ss_tot = 0): R^2 is 1 for an exact fit, undefined otherwise
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0 if ss_res == 0.0 else math.nan
     return float(slope), float(r2)

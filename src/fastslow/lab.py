@@ -55,18 +55,12 @@ class RunConfig:
     flip_theta1_sign: bool = _key("debug.flip_theta1_sign", False)
 
     def frequency(self) -> model.FrequencyModel:
-        try:
-            return model.make_frequency(self.frequency_preset,
-                                        self.frequency_coefficients)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        return model.make_frequency(self.frequency_preset,
+                                    self.frequency_coefficients)
 
     def params(self) -> model.SystemParams:
-        try:
-            return model.SystemParams(self.y_star, self.p_star, self.u_star,
-                                      self.horizon_T)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        return model.SystemParams(self.y_star, self.p_star, self.u_star,
+                                  self.horizon_T)
 
     def echo(self) -> str:
         """Canonical flat-text form; reparsing reproduces this config."""
@@ -152,8 +146,11 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("epsilons must be strictly decreasing")
     if not (cfg.step_factor > 0 and cfg.reference_factor > 0):
         raise ConfigError("step factors must be positive")
-    cfg.frequency()
-    cfg.params()
+    try:  # the commands build both again, from a config that passed here
+        cfg.frequency()
+        cfg.params()
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
 
 
 # 10^j = _POW_HI + _POW_LO, j = 16 - X for each decimal exponent X in [-30, 16]
@@ -745,6 +742,6 @@ def main(argv=None) -> int:
     except averaging.PhaseRangeError as e:  # it names the epsilon
         print(f"configuration error: run.epsilons: {e}", file=sys.stderr)
         return 2
-    except (NumericalError, OverflowError) as e:  # OverflowError: float ** on huge data
+    except (NumericalError, ArithmeticError) as e:  # float ** overflow, division by zero
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3

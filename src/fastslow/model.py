@@ -111,14 +111,6 @@ class FrequencyModel(NamedTuple):
         return _ROUTINES[self.preset](self.coefficients, floor, sin, cos, every)
 
 
-class LogDerivatives(NamedTuple):
-    """The first three y-derivatives of log omega, shaped like y."""
-
-    dyL: float
-    dy2L: float
-    dy3L: float
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """Initial data and horizon: y(0)=y_star, dy/dt(0)=p_star,
@@ -189,19 +181,6 @@ def make_frequency(preset: str, coefficients) -> FrequencyModel:
     raise ValueError(f"unknown frequency preset: {preset!r}")
 
 
-def log_derivatives(fm: FrequencyModel, y) -> LogDerivatives:
-    """y-derivatives of log omega, the chains finite_difference_report checks."""
-    w, w1, w2, w3 = fm.derivs(y)
-    r1 = w1 / w
-    r2 = w2 / w
-    r3 = w3 / w
-    return LogDerivatives(
-        dyL=r1,
-        dy2L=r2 - r1 * r1,
-        dy3L=r3 - 3.0 * r1 * r2 + 2.0 * r1 * r1 * r1,
-    )
-
-
 def derived_constants(params: SystemParams, fm: FrequencyModel) -> DerivedConstants:
     """Constants derived from the initial data.
 
@@ -236,9 +215,12 @@ def finite_difference_report(fm: FrequencyModel) -> dict[str, float]:
     ys = np.random.default_rng(20260819).uniform(-10.0, 10.0, 100)
     h = 1e-5
 
-    def chains(y):
-        L = log_derivatives(fm, y)
-        return (*fm.derivs(y), L.dyL, L.dy2L, L.dy3L)
+    def chains(y):  # omega and its derivatives, then those of log omega
+        w, w1, w2, w3 = fm.derivs(y)
+        r1 = w1 / w
+        r2 = w2 / w
+        r3 = w3 / w
+        return (w, w1, w2, w3, r1, r2 - r1 * r1, r3 - 3.0 * r1 * r2 + 2.0 * r1 * r1 * r1)
 
     at, up, down = chains(ys), chains(ys + h), chains(ys - h)
     out = {}

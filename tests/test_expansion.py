@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fastslow as fs
+from fastslow.expansion import initial_corrections, reconstruct
+from fastslow.thermo import fd4_derivative
 
 
 def base_at_start():
@@ -28,7 +30,7 @@ def test_corrector_values_at_start(dc, fm):
 
 
 def test_initial_corrections_frozen_values(params, fm):
-    corr0 = fs.initial_corrections(params, fm)
+    corr0 = initial_corrections(params, fm)
     assert corr0.phi2_bar == 0.0625
     assert corr0.y2_bar == 0.015625
     assert corr0.p2_bar == 0.015625
@@ -36,7 +38,7 @@ def test_initial_corrections_frozen_values(params, fm):
 
 
 def test_averaged_rhs_at_start(params, fm, dc):
-    corr0 = fs.initial_corrections(params, fm)
+    corr0 = initial_corrections(params, fm)
     d = fs.averaged_rhs(corr0, base_at_start(), fm, dc.theta_star)
     assert d.phi2_bar == 0.0078125
     assert d.theta2_bar == -0.0048828125
@@ -49,7 +51,7 @@ def test_averaged_rhs_is_trajectory_derivative(expansion_run, fm, dc):
     d = fs.averaged_rhs(corr, base, fm, dc.theta_star)
     dt = grid[1] - grid[0]
     for name in ("phi2_bar", "theta2_bar", "y2_bar", "p2_bar"):
-        fd = fs.fd4_derivative(getattr(corr, name), dt)
+        fd = fd4_derivative(getattr(corr, name), dt)
         assert np.max(np.abs(fd - getattr(d, name))) <= 1e-9
 
 
@@ -82,7 +84,7 @@ def test_correctors_vanish_at_quarter_period(expansion_run, fm, dc):
 
 def test_constant_frequency_kills_expansion(params):
     fmc = fs.make_frequency("constant", (2.0,))
-    corr0 = fs.initial_corrections(params, fmc)
+    corr0 = initial_corrections(params, fmc)
     assert corr0.phi2_bar == 0.0 and corr0.theta2_bar == 0.0
     assert corr0.y2_bar == 0.0 and corr0.p2_bar == 0.0
     traj = fs.solve_expansion(params, fmc)
@@ -103,7 +105,7 @@ def test_reconstruction_reproduces_initial_data(expansion_run, fm, dc):
                                corr.y2_bar[0], corr.p2_bar[0])
     for eps in (0.04, 0.005):
         cv0 = fs.correctors(b0, c0.phi2_bar, eps, fm, dc.theta_star)
-        phi, theta, y, p = fs.reconstruct(eps, b0, c0, cv0, dc.theta_star)
+        phi, theta, y, p = reconstruct(eps, b0, c0, cv0, dc.theta_star)
         # averaged initial data exactly cancels the correctors at t=0
         assert phi == 0.0
         assert theta == 0.25

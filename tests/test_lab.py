@@ -1,5 +1,6 @@
 """Configuration parsing, file outputs, CLI exit codes, determinism."""
 
+import ast
 import dataclasses
 import gc
 import hashlib
@@ -122,7 +123,7 @@ _REJECTED_BY_COMMAND = [
 @pytest.mark.filterwarnings("ignore:u_star = 0")
 def test_bad_configs_rejected(text, command, keys, tmp_path, capsys):
     if command is None:
-        with pytest.raises(fs.ConfigError):
+        with pytest.raises(lab.ConfigError):
             parse_config_text(text)
         return
     parse_config_text(text)
@@ -565,7 +566,8 @@ def _two_scale_error_table_per_epsilon(cfg, fm, params, runs):
         theta1 = (xs[:, 1] - theta_star) / eps
         signals = (theta1, (xs[:, 0] - base.phi0) / eps**2, (xs[:, 2] - base.y0) / eps**2,
                    (xs[:, 3] - base.p0) / eps**2, (theta1 - cv.theta1) / eps)
-        n, rho = fs.floor_frac(r_grid / eps)
+        n = np.floor(r_grid / eps)
+        rho = r_grid / eps - n
         n = n.astype(int)
         j = np.arange(256)
         s_grid = j / 256
@@ -753,10 +755,73 @@ def test_overflowing_initial_data_exits_3(tmp_path, capsys, command, key):
     assert "Traceback" not in err
 
 
+# a float division by zero on extreme data is a numerical failure, as an overflow is
+@pytest.mark.parametrize("command, text", [
+    ("sweep", "frequency.coefficients = 1e-300,1e-301\nintegrate.reference_factor = 1e-150\n"),
+    ("simulate", "frequency.preset = constant\nfrequency.coefficients = 1e-300\n"
+                 "integrate.step_factor = 1e-300\n"),
+    ("check", "frequency.preset = constant\nfrequency.coefficients = 1e-100\n"),
+], ids=["sweep-fast-step", "simulate-fast-step", "check-derived-constants"])
+def test_division_by_zero_exits_3(tmp_path, capsys, command, text):
+    cfgfile = tmp_path / "tiny.txt"
+    cfgfile.write_text(text)
+    rc = fs.main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("numerical failure:")
+    assert "Traceback" not in err
+
+
+def test_sweep_with_equal_errors_fails_its_order_gate(tmp_path, capsys):
+    # at y_star = 1e20 the leading y residuals are all equal: the fit has no R^2
+    cfgfile = tmp_path / "far.txt"
+    cfgfile.write_text("frequency.coefficients = 1,0.99\ninitial.y_star = 1e20\n")
+    rc = fs.main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert "[FAIL] order y_leading >= 1.9, R^2 >= 0.98: order=0.000 R^2=nan" in out
+    assert "Traceback" not in err
+
+
 def test_public_names_resolve():
     assert [name for name in fs.__all__ if not hasattr(fs, name)] == []
 
 
+def _names_used(source: str) -> set:
+    """Identifiers a Python source reads, imports or names in a string that is
+    itself Python code (the benchmark names the functions it wraps that way)."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                used |= _names_used(node.value)
+            except SyntaxError:  # prose, not code
+                pass
+    return used
+
+
+def test_public_names_are_used_outside_their_module():
+    # a name stays in fastslow only if the system uses it: another module of the
+    # package, a demo or the benchmark; RunConfig is what load_config returns
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "fastslow"
+    files = ([p for p in package.glob("*.py") if p.name != "__init__.py"]
+             + list((root / "demos").glob("*.py")) + list((root / "perfbench").glob("*.py")))
+    uses = {p: _names_used(p.read_text()) for p in files}
+    unused = [name for name in fs.__all__
+              if not any(name in names for p, names in uses.items()
+                         if p != package / (getattr(fs, name).__module__.rpartition(".")[2] + ".py"))]
+    assert unused == ["RunConfig"]
+
+
+# where the records live; only those the system uses are in fastslow itself
+_RECORD_MODULES = (fs, fs.averaging, fs.expansion, fs.thermo)
 # callers build the records positionally, as in ActionAngleState(*d)
 _RECORD_FIELDS = {
     "WindowedAverage": "value t_lo t_hi slid_left slid_right",
@@ -767,7 +832,6 @@ _RECORD_FIELDS = {
     "AveragedCorrection": "phi2_bar theta2_bar y2_bar p2_bar",
     "ResidualReport": "epsilons families normalized energy_drift",
     "FrequencyModel": "preset coefficients omega_lower_bound omega_upper_bound",
-    "LogDerivatives": "dyL dy2L dy3L",
     "DerivedConstants": "theta_star e_star entropy_constant c_sbarbar2",
     "ThermoExpansion": "T0 F0 S0 S1_osc S2_full S2_bar S2_doublebar F2_bar",
     "EnergyExpansion": ("E0_perp E1_perp_osc E1_par_osc E2_perp_osc E2_par_osc "
@@ -780,7 +844,7 @@ _RECORD_FIELDS = {
 
 @pytest.mark.parametrize("name", _RECORD_FIELDS)
 def test_records_keep_their_fields_in_order_and_are_frozen(name):
-    cls = getattr(fs, name)
+    cls = next(getattr(m, name) for m in _RECORD_MODULES if hasattr(m, name))
     fields = tuple(_RECORD_FIELDS[name].split())
     assert cls._fields == fields
     rec = cls(*range(len(fields)))

@@ -233,21 +233,6 @@ def test_frequency_below_its_floor_raises():
             call()
 
 
-def test_log_derivatives_at_origin(fm):
-    ld = fs.log_derivatives(fm, 0.0)
-    assert ld.dyL == 0.5
-    assert ld.dy2L == -0.25
-    assert ld.dy3L == -0.25
-
-
-def test_log_derivatives_at_half_pi(fm):
-    # omega=3, omega'=0, omega''=-1, omega'''=0 there
-    ld = fs.log_derivatives(fm, math.pi / 2)
-    assert abs(ld.dyL) <= 1e-16
-    assert abs(ld.dy2L + 1.0 / 3.0) <= 1e-15
-    assert abs(ld.dy3L) <= 1e-15
-
-
 def test_derived_constants_exact(params, fm, dc):
     assert dc.theta_star == 0.25
     assert dc.e_star == 1.0
@@ -291,14 +276,21 @@ def _finite_difference_report_per_point(fm):
     def nth(k):
         return lambda y: fm.derivs(y)[k]
 
+    def nth_log(k):  # the k-th y-derivative of log omega, k = 1, 2, 3
+        def f(y):
+            w, w1, w2, w3 = fm.derivs(y)
+            r1 = w1 / w
+            r2 = w2 / w
+            r3 = w3 / w
+            return (r1, r2 - r1 * r1, r3 - 3.0 * r1 * r2 + 2.0 * r1 * r1 * r1)[k - 1]
+        return f
+
     pairs = {
         "domega": (nth(1), nth(0)),
         "d2omega": (nth(2), nth(1)),
         "d3omega": (nth(3), nth(2)),
-        "dy2L": (lambda y: fs.log_derivatives(fm, y).dy2L,
-                 lambda y: fs.log_derivatives(fm, y).dyL),
-        "dy3L": (lambda y: fs.log_derivatives(fm, y).dy3L,
-                 lambda y: fs.log_derivatives(fm, y).dy2L),
+        "dy2L": (nth_log(2), nth_log(1)),
+        "dy3L": (nth_log(3), nth_log(2)),
     }
     out = {}
     for nm, (exact_f, lower_f) in pairs.items():

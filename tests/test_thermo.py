@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 import fastslow as fs
+from fastslow.expansion import initial_corrections
+from fastslow.thermo import fd4_derivative
 
 
 def test_thermo_state_values(params, fm, dc):
     # bath state at t = 0: theta* = 1/4, omega = 2, omega' = 1
     base = fs.HomogenizedState(phi0=0.0, y0=0.0, p0=1.0)
-    corr = fs.initial_corrections(params, fm)
+    corr = initial_corrections(params, fm)
     cv = fs.correctors(base, corr.phi2_bar, 0.04, fm, dc.theta_star)
     th = fs.expand_thermo(base, corr, cv, dc.theta_star, fm)
     assert th.T0 == 0.5
@@ -113,10 +115,10 @@ def test_first_law_along_expansion(thermo_pieces):
 
 def test_fd4_derivative_accuracy_and_validation():
     t = np.linspace(0.0, 1.0, 2001)
-    d = fs.fd4_derivative(np.sin(3 * t), t[1] - t[0])
+    d = fd4_derivative(np.sin(3 * t), t[1] - t[0])
     assert np.max(np.abs(d - 3 * np.cos(3 * t))) <= 1e-9
     with pytest.raises(ValueError):
-        fs.fd4_derivative(np.zeros(4), 0.1)
+        fd4_derivative(np.zeros(4), 0.1)
 
 
 def test_hertz_temperature_matches_action_times_frequency(fm):
