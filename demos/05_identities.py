@@ -44,7 +44,7 @@ print(f"chart round trip, 200 random states:     max gap {worst:.2e}")
 # energy must not care which chart evaluates it
 c = fs.CartesianState(y=0.3, eta=0.9, z=0.4 * eps, zeta=1.1)
 ea = fs.energy_action_angle(fs.to_action_angle(c, eps, fm), eps, fm)
-ec = fs.energy_cartesian(c, eps, fm)
+ec = sum(fs.energy_cartesian(c, eps, fm))  # E_perp + E_par
 print(f"energy across charts:                    gap {abs(ea - ec):.2e}")
 
 ##### first-order energy cancellation

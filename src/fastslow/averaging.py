@@ -171,9 +171,9 @@ def estimate_order(epsilons, errors) -> tuple[float, float]:
         raise ValueError("need at least three epsilons for an order fit")
     if eps.size != err.size:
         raise ValueError("epsilons and errors must have equal length")
-    if np.any(eps <= 0) or np.any(err <= 0):
+    if not np.all(eps > 0) or np.any(err <= 0):  # a NaN epsilon is not positive
         raise ValueError("epsilons and errors must be positive")
-    if np.unique(eps).size != eps.size:
+    if np.any(np.diff(np.sort(eps)) == 0):  # np.unique would import numpy.ma
         raise ValueError("epsilons must be distinct")
     x = np.log(eps)
     y = np.log(err)

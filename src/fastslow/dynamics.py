@@ -111,7 +111,7 @@ def energy_cartesian(s: CartesianState, epsilon, fm: FrequencyModel):
     _check(epsilon)
     wz = fm.derivs(s.y)[0] * s.z / epsilon
     # squares as products: a float's ** 2 is libm's pow, which can differ in the last bit
-    return 0.5 * (s.eta * s.eta) + 0.5 * (s.zeta * s.zeta) + 0.5 * (wz * wz)
+    return 0.5 * (s.zeta * s.zeta) + 0.5 * (wz * wz), 0.5 * (s.eta * s.eta)  # E_perp, E_par
 
 
 def energy_action_angle(s: ActionAngleState, epsilon, fm: FrequencyModel):

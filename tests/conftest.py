@@ -1,3 +1,6 @@
+import dataclasses
+import types
+
 import numpy as np
 import pytest
 
@@ -32,6 +35,27 @@ def params():
 @pytest.fixture(scope="session")
 def dc(params, fm):
     return fs.derived_constants(params, fm)
+
+
+@pytest.fixture(scope="session")
+def reference_run(fm):
+    """fs.reference_run(params, fm, epsilon, factor) at y* = 0, p* = 1, u* = 1
+    and horizon_T, on the standard frequency unless fm is given, made once per
+    session.  Every test that asks for the same run gets the same one, with
+    read-only arrays and meta, so no test can change what another reads."""
+    runs = {}
+
+    def run(epsilon, fm=fm, horizon_T=1.0, factor=80.0):
+        key = (fm, horizon_T, epsilon, factor)
+        if key not in runs:
+            params = fs.SystemParams(y_star=0.0, p_star=1.0, u_star=1.0, horizon_T=horizon_T)
+            ref = fs.reference_run(params, fm, epsilon, factor)
+            for a in (ref.times, ref.states, ref.derivs):
+                a.flags.writeable = False
+            runs[key] = dataclasses.replace(ref, meta=types.MappingProxyType(ref.meta))
+        return runs[key]
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -22,8 +22,8 @@ def record(acceptance_lines, num, name, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def reference_runs(params, fm):
-    return {eps: fs.reference_run(params, fm, eps, 80.0) for eps in EPSILONS}
+def reference_runs(reference_run):
+    return {eps: reference_run(eps) for eps in EPSILONS}
 
 
 @pytest.fixture(scope="module")

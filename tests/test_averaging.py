@@ -10,11 +10,8 @@ from fastslow.averaging import WindowedAverage
 
 
 @pytest.fixture(scope="module")
-def osc_ref(fm, dc):
-    eps = 0.01
-    x0 = np.array([0.0, dc.theta_star, 0.0, 1.0])
-    h = 2 * math.pi * eps / (80 * fm.omega_upper_bound)
-    return eps, fs.reference_solution(fs.action_angle_field(eps, fm), x0, 1.0, h)
+def osc_ref(reference_run):
+    return 0.01, reference_run(0.01)
 
 
 def test_windowed_average_constant_and_linear(osc_ref):
@@ -217,6 +214,11 @@ def test_estimate_order_validates():
         fs.estimate_order([0.1, 0.05, 0.02], [1.0, 0.0, 0.5])
     with pytest.raises(ValueError):
         fs.estimate_order([0.1, 0.1, 0.02], [1.0, 0.5, 0.2])
+    # equal epsilons apart from each other, and a NaN epsilon
+    with pytest.raises(ValueError, match="distinct"):
+        fs.estimate_order([0.02, 0.1, 0.02], [1.0, 0.5, 0.2])
+    with pytest.raises(ValueError, match="positive"):
+        fs.estimate_order([0.1, math.nan, 0.02], [1.0, 0.5, 0.2])
     with pytest.raises(ValueError):
         fs.estimate_order([0.1, 0.05, 0.02], [1.0, 0.5])
 

@@ -86,14 +86,18 @@ def test_energy_values_and_split(fm):
     s = fs.ActionAngleState(0.0, 0.25, 0.0, 1.0)
     assert fs.energy_action_angle(s, 0.01, fm) == 1.0
     c = fs.from_action_angle(s, 0.01, fm)
-    assert abs(fs.energy_cartesian(c, 0.01, fm) - 1.0) <= 1e-14
+    e_perp, e_par = fs.energy_cartesian(c, 0.01, fm)
+    assert abs(e_perp + e_par - 1.0) <= 1e-14
+    # at phi = 0: z = 0, zeta = sqrt(2 theta omega) = 1 and eta = p = 1
+    assert (e_perp, e_par) == (0.5, 0.5)
 
 
 def test_energy_agrees_across_charts(fm):
     worst = 0.0
     for s, eps in random_states(500, seed=103):
         ea = fs.energy_action_angle(s, eps, fm)
-        ec = fs.energy_cartesian(fs.from_action_angle(s, eps, fm), eps, fm)
+        e_perp, e_par = fs.energy_cartesian(fs.from_action_angle(s, eps, fm), eps, fm)
+        ec = e_perp + e_par
         worst = max(worst, abs(ea - ec) / max(1.0, abs(ea)))
     assert worst <= 1e-13
 
@@ -223,7 +227,7 @@ def _kernels(s, eps, fm):
         "from_action_angle": tuple(c),
         "to_action_angle": tuple(fs.to_action_angle(c, eps, fm))[:4],
         "energy_action_angle": (fs.energy_action_angle(s, eps, fm),),
-        "energy_cartesian": (fs.energy_cartesian(c, eps, fm),),
+        "energy_cartesian": fs.energy_cartesian(c, eps, fm),
         "action_angle_rhs_composed": tuple(fs.action_angle_rhs_composed(s, eps, fm))[:4],
         "reduced_sincos": fs.reduced_sincos(s.phi, eps, 2),
     }

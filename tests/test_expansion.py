@@ -149,10 +149,10 @@ def test_corrector_amplitudes_bounded(phi, y, p, eps, phi2_bar):
     assert abs(cv.p2) <= theta_star * abs(p) * abs(w2 * w - 2 * w1 * w1) / (4 * w**3) + 1e-15
 
 
-def test_residual_norms_shapes(params, fm):
+def test_residual_norms_shapes(params, fm, reference_run):
     grid = np.linspace(0.0, 1.0, 201)
     base, corr = fs.eval_expansion(fs.solve_expansion(params, fm), grid)
-    runs = ((eps, fs.reference_run(params, fm, eps, 80.0)) for eps in (0.04, 0.02))
+    runs = ((eps, reference_run(eps)) for eps in (0.04, 0.02))
     rep = fs.residual_norms(params, fm, grid, base, corr, runs)
     assert rep.epsilons == (0.04, 0.02)
     assert set(rep.families) == {"leading", "first", "second"}

@@ -90,11 +90,11 @@ def test_dense_eval_exact_at_nodes(fm):
                               traj.states[i])
 
 
-def test_dense_eval_midpoint_accuracy(fm):
+def test_dense_eval_midpoint_accuracy(fm, reference_run):
     eps = 0.02
     x0 = np.array([0.0, 0.25, 0.0, 1.0])
     h = 2 * math.pi * eps / (80 * fm.omega_upper_bound)
-    traj = fs.reference_solution(fs.action_angle_field(eps, fm), x0, 1.0, h)
+    traj = reference_run(eps)  # reference_solution from x0 at base step h
     fine = fs.reference_solution(fs.action_angle_field(eps, fm), x0, 1.0, h / 4)
     tm = float(0.5 * (traj.times[100] + traj.times[101]))
     assert np.max(np.abs(fs.sample(traj, [tm])[0] - fs.sample(fine, [tm])[0])) <= 1e-10
@@ -132,17 +132,27 @@ def test_sample_matches_dense_eval(fm):
         assert np.array_equal(xs[j], _dense_eval(traj, float(grid[j])))
 
 
-def test_richardson_reference_reports_error(fm):
+def test_richardson_reference_reports_error(fm, reference_run):
     eps = 0.02
     x0 = np.array([0.0, 0.25, 0.0, 1.0])
     h1 = 2 * math.pi * eps / (40 * fm.omega_upper_bound)
     r1 = fs.reference_solution(fs.action_angle_field(eps, fm), x0, 1.0, h1)
-    r2 = fs.reference_solution(fs.action_angle_field(eps, fm), x0, 1.0, h1 / 2)
+    r2 = reference_run(eps)  # reference_solution from x0 at base step h1 / 2
     e1 = r1.meta["richardson_error"]
     e2 = r2.meta["richardson_error"]
     assert e1 > 0 and e2 > 0
     # fourth-order scheme: halving h divides the tag by ~16
     assert 12 <= e1 / e2 <= 22
+
+
+def test_shared_reference_runs_are_read_only(reference_run):
+    ref = reference_run(0.04)
+    assert reference_run(0.04) is ref
+    for a in (ref.times, ref.states, ref.derivs):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    with pytest.raises(TypeError):
+        ref.meta["richardson_error"] = 0.0
 
 
 def test_reference_error_cap_enforced(fm):
@@ -271,10 +281,9 @@ def test_invert_monotone_matches_full_width_bisection_past_a_flat_node():
     ("fourier", (3.0, 0.5, 0.5, 0.3, -0.4), 1.3),
 ])
 def test_invert_monotone_matches_sample_bisection_on_reference_runs(
-        preset, coefficients, horizon_T):
+        preset, coefficients, horizon_T, reference_run):
     fm = fs.make_frequency(preset, coefficients)
-    params = fs.SystemParams(y_star=0.0, p_star=1.0, u_star=1.0, horizon_T=horizon_T)
-    _assert_inverts_like_full_width_bisection(fs.reference_run(params, fm, 0.01, 80.0))
+    _assert_inverts_like_full_width_bisection(reference_run(0.01, fm, horizon_T))
 
 
 def test_invert_monotone_rejects_a_column_that_turns_back():

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import fastslow as fs
 from fastslow import lab
@@ -134,6 +135,62 @@ def test_bad_configs_rejected(text, command, keys, tmp_path, capsys):
     assert err.startswith("configuration error:")
     assert all(key in err for key in keys)
     assert list(tmp_path.iterdir()) == [config]
+
+
+# the values of a config's numeric keys, drawn from one pool per config, so
+# that tiny coefficients meet tiny step factors
+_VALUE_POOLS = {
+    "ordinary": ("0.04", "0.5", "1", "2", "40", "80"),
+    "tiny": ("5e-324", "1e-310", "1e-300", "1e-150", "1e-30"),
+    "huge": ("1e30", "1e150", "1e300", "1.7976931348623157e308"),
+    "zero": ("0", "-0.0"),
+    "negative": ("-1", "-1e-300", "-1e300"),
+    "nonfinite": ("nan", "inf", "-inf", "1e400"),
+}
+_VALUE_POOLS["mixed"] = tuple(v for pool in _VALUE_POOLS.values() for v in pool)
+# per pool, a strategy for each value kind of lab._KEY_FIELDS
+_VALUES = {name: {str: st.sampled_from(("sine", "constant", "fourier", "cosine")),
+                  float: st.sampled_from(pool),
+                  "floats": st.lists(st.sampled_from(pool), min_size=1,
+                                     max_size=5).map(",".join),
+                  "bool": st.sampled_from(("true", "false", "maybe"))}
+           for name, pool in _VALUE_POOLS.items()}
+_KEYS = sorted(k for k in lab._KEY_FIELDS if k != "output.dir")
+_STEP_KEYS = ("integrate.step_factor", "integrate.reference_factor")
+
+
+@st.composite
+def _config_texts(draw):
+    values = draw(st.sampled_from(list(_VALUES.values())))
+    keys = draw(st.lists(st.sampled_from(_KEYS), unique=True, max_size=6))
+    lines = [f"{key} = {draw(values[lab._KEY_FIELDS[key][1]])}" for key in keys]
+    lines += draw(st.lists(st.sampled_from(("no equals sign", "no.such.key = 1",
+                                            "run.horizon_T = one", "run.epsilons = ,",
+                                            "initial.y_star = 0")), max_size=1))
+    return "\n".join(lines)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(text=_config_texts())
+# the two configs whose step divisor underflows, which the draws rarely meet
+@example(text="frequency.coefficients = 1e-300,1e-301\nintegrate.reference_factor = 1e-150")
+@example(text="frequency.preset = constant\nfrequency.coefficients = 1e-300\n"
+              "integrate.step_factor = 1e-300")
+@pytest.mark.filterwarnings("ignore:u_star = 0")
+def test_any_config_text_parses_or_is_rejected_and_its_step_check_classifies(text):
+    # no solve: a text parses or raises ConfigError (exit 2), and the step checks
+    # that every command but check runs first pass or raise ConfigError or
+    # NumericalError (exit 3), never another exception
+    try:
+        cfg = parse_config_text(text)
+    except lab.ConfigError:
+        return
+    fm = cfg.frequency()
+    for key in _STEP_KEYS:
+        try:
+            lab._step_fits(cfg, fm, key)
+        except (lab.ConfigError, fs.NumericalError):
+            pass
 
 
 @pytest.mark.parametrize("command", ["sweep", "simulate", "twoscale"])
@@ -331,8 +388,8 @@ def _identity_loops_per_state(fm):
         worst_rt = max(worst_rt, abs(c.y - c2.y), abs(c.eta - c2.eta),
                        abs(c.z - c2.z), abs(c.zeta - c2.zeta))
         ea = fs.energy_action_angle(s, e, fm)
-        ec = fs.energy_cartesian(c, e, fm)
-        worst_en = max(worst_en, abs(ea - ec) / max(1.0, abs(ea)))
+        e_perp, e_par = fs.energy_cartesian(c, e, fm)
+        worst_en = max(worst_en, abs(ea - (e_perp + e_par)) / max(1.0, abs(ea)))
     return {"eom_form_equivalence": worst_eq, "transform_round_trip": worst_rt,
             "energy_agreement": worst_en}, rows
 
@@ -444,6 +501,20 @@ def test_simulate_outputs_are_deterministic(tmp_path):
     header = (d1 / "traj_eps0.04.csv").read_text().splitlines()[0]
     assert header == "t,phi,theta,y,p,E,E_perp,E_par"
     assert_canonical_csvs(d1)
+
+
+def test_simulate_writes_the_cartesian_split_of_energy_cartesian(tmp_path):
+    assert fs.main(["simulate", "--out", str(tmp_path), "--epsilon", "0.04"]) == 0
+    t, y, eta, z, zeta, E, e_perp, e_par = np.loadtxt(tmp_path / "cart_eps0.04.csv",
+                                                      delimiter=",", skiprows=1).T
+    fm = RunConfig().frequency()
+    split = fs.energy_cartesian(fs.CartesianState(y, eta, z, zeta), 0.04, fm)
+    assert np.array_equal(e_perp, split[0]) and np.array_equal(e_par, split[1])
+    assert np.array_equal(E, e_perp + e_par)
+    # the split in the order simulate wrote it with its own formula
+    w = fm.derivs(y)[0]
+    assert np.array_equal(e_perp, 0.5 * zeta**2 + 0.5 * (w * z / 0.04) ** 2)
+    assert np.array_equal(e_par, 0.5 * eta**2)
 
 
 def test_simulate_names_files_by_the_shortest_repr_of_epsilon(tmp_path):
@@ -587,32 +658,31 @@ def _two_scale_error_table_per_epsilon(cfg, fm, params, runs):
     # no coarser fine grid lies in a finer one
     ("fourier", (0.04, 0.03, 0.011)),
 ])
-def test_two_scale_table_matches_per_epsilon_unfolding(preset, epsilons):
+def test_two_scale_table_matches_per_epsilon_unfolding(preset, epsilons, reference_run):
     cfg = RunConfig(frequency_preset=preset,
                     frequency_coefficients=fs.model.DEFAULT_COEFFICIENTS[preset],
                     epsilons=epsilons)
     fm, params = cfg.frequency(), cfg.params()
-    runs = {eps: fs.reference_run(params, fm, eps, cfg.reference_factor)
-            for eps in epsilons}
+    runs = {eps: reference_run(eps, fm) for eps in epsilons}  # at cfg's params and factor
     table = two_scale_error_table(cfg, fm, params, runs.items())
     assert table == _two_scale_error_table_per_epsilon(cfg, fm, params, runs)
     assert list(table) == list(epsilons)
 
 
-def test_two_scale_table_rejects_a_run_for_another_epsilon(params, fm):
+def test_two_scale_table_rejects_a_run_for_another_epsilon(params, fm, reference_run):
     cfg = RunConfig(epsilons=(0.04, 0.02))
-    ref = fs.reference_run(params, fm, 0.04, cfg.reference_factor)
+    ref = reference_run(0.04)
     with pytest.raises(ValueError, match="epsilon 0.02"):
         two_scale_error_table(cfg, fm, params, [(0.04, ref), (0.01, ref)])
 
 
-def test_two_scale_table_traced_peak_is_bounded():
+def test_two_scale_table_traced_peak_is_bounded(reference_run):
     # remainders and unfolding run in blocks of 8,192 points, so the peak no
     # longer holds the full-length temporaries or the 512 x 256 limit
     # surfaces (11.6 MiB before, 1.9 MiB after, on Linux x86-64)
     cfg = RunConfig(epsilons=(0.04,))
     fm, params = cfg.frequency(), cfg.params()
-    ref = fs.reference_run(params, fm, 0.04, cfg.reference_factor)
+    ref = reference_run(0.04)
     tracemalloc.start()
     try:
         two_scale_error_table(cfg, fm, params, [(0.04, ref)])
@@ -755,20 +825,26 @@ def test_overflowing_initial_data_exits_3(tmp_path, capsys, command, key):
     assert "Traceback" not in err
 
 
-# a float division by zero on extreme data is a numerical failure, as an overflow is
-@pytest.mark.parametrize("command, text", [
-    ("sweep", "frequency.coefficients = 1e-300,1e-301\nintegrate.reference_factor = 1e-150\n"),
+# a float division by zero on extreme data is a numerical failure, as an overflow is;
+# a step whose divisor underflows names the step factor, its value and the epsilon
+@pytest.mark.parametrize("command, text, names", [
+    ("sweep", "frequency.coefficients = 1e-300,1e-301\nintegrate.reference_factor = 1e-150\n",
+     "integrate.reference_factor = 1e-150 times the largest frequency 1.1e-300 underflows "
+     "to zero in the step at epsilon 0.04"),
     ("simulate", "frequency.preset = constant\nfrequency.coefficients = 1e-300\n"
-                 "integrate.step_factor = 1e-300\n"),
-    ("check", "frequency.preset = constant\nfrequency.coefficients = 1e-100\n"),
+                 "integrate.step_factor = 1e-300\n",
+     "integrate.step_factor = 1e-300 times the largest frequency 1e-300 underflows "
+     "to zero in the step at epsilon 0.04"),
+    ("check", "frequency.preset = constant\nfrequency.coefficients = 1e-100\n", ""),
 ], ids=["sweep-fast-step", "simulate-fast-step", "check-derived-constants"])
-def test_division_by_zero_exits_3(tmp_path, capsys, command, text):
+def test_division_by_zero_exits_3(tmp_path, capsys, command, text, names):
     cfgfile = tmp_path / "tiny.txt"
     cfgfile.write_text(text)
     rc = fs.main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 3
     assert err.startswith("numerical failure:")
+    assert names in err
     assert "Traceback" not in err
 
 
@@ -883,6 +959,19 @@ def test_python_m_fastslow_check_passes(tmp_path):
     proc = _python_m_fastslow(tmp_path, "check")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].startswith("[PASS] derivative_consistency:")
+
+
+def test_thermo_imports_neither_numpy_ma_nor_numpy_random(tmp_path):
+    # each import costs a process about 14 ms: thermo's quadrature points are
+    # fixed, and estimate_order finds equal epsilons without np.unique
+    argv = [sys.executable, "-X", "importtime", "-m", "fastslow", "thermo",
+            "--epsilon", "0.04,0.02,0.01", "--out", str(tmp_path / "o")]
+    env = dict(os.environ, PYTHONPATH=str(Path(fs.__file__).parents[1]))
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+    assert "numpy" in imported
+    assert imported & {"numpy.ma", "numpy.random"} == set()
 
 
 @pytest.mark.parametrize("text, code", [("no.such.key = 1\n", 2),

@@ -153,13 +153,8 @@ def test_phase_space_volume_quadrature(fm):
 
 
 @pytest.fixture(scope="module")
-def equip_refs(fm, dc):
-    refs = {}
-    for eps in (0.02, 0.01):
-        x0 = np.array([0.0, dc.theta_star, 0.0, 1.0])
-        h = 2 * math.pi * eps / (80 * fm.omega_upper_bound)
-        refs[eps] = fs.reference_solution(fs.action_angle_field(eps, fm), x0, 1.0, h)
-    return refs
+def equip_refs(reference_run):
+    return {eps: reference_run(eps) for eps in (0.02, 0.01)}
 
 
 def test_equipartition_windowed_gap_shrinks(equip_refs, fm):
