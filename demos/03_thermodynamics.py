@@ -13,6 +13,7 @@ second-order force does the bookkeeping.
 import numpy as np
 
 import fastslow as fs
+from fastslow.thermo import fd4_derivative
 
 fm = fs.make_frequency("sine", (2.0, 1.0))
 params = fs.SystemParams(y_star=0.0, p_star=1.0, u_star=1.0, horizon_T=1.0)
@@ -40,20 +41,18 @@ for i in (0, 500, 1000, 1500, 2000):
 lead = fs.check_first_law(ex.E0_perp, base.y0, th.S0, th.F0, th.T0, dt)
 print()
 print(f"leading order:  max |dE0_perp - F0 dy0 - T0 dS0|        = "
-      f"{lead.max_residual:.3e}")
+      f"{np.max(np.abs(lead)):.3e}")
 
 # at second order the balance needs the second-order force
 # F2 = omega' theta2_bar + theta* omega'' y2_bar acting through dy0;
 # without it the residual is the quasi-static defect, order 1e-2 here
-second = fs.check_first_law(ex.E2_perp_bar, corr.y2_bar, th.S2_doublebar,
-                            th.F0, th.T0, dt,
-                            second_order_work=(th.F2_bar, base.y0))
 naive = fs.check_first_law(ex.E2_perp_bar, corr.y2_bar, th.S2_doublebar,
                            th.F0, th.T0, dt)
+second = naive - th.F2_bar * fd4_derivative(base.y0, dt)
 print(f"second order:   max residual with F2 work term          = "
-      f"{second.max_residual:.3e}")
+      f"{np.max(np.abs(second)):.3e}")
 print(f"second order:   max residual without it (for contrast)  = "
-      f"{naive.max_residual:.3e}")
+      f"{np.max(np.abs(naive)):.3e}")
 
 ##### identities the averaged layer satisfies
 

@@ -60,7 +60,7 @@ def nonlinear_two_scale_error(u, limit, phase_traj: Trajectory, epsilons):
         r for epsilon, n_cells, r_grid in ladder
         for r in (epsilon * np.arange(_S_POINTS * n_cells + 1) / _S_POINTS, r_grid)]),
         return_inverse=True)
-    t_distinct = invert_monotone(phase_traj, t_distinct, component=0)
+    t_distinct = invert_monotone(phase_traj, t_distinct)
     ends = np.cumsum([_S_POINTS * n_cells + 1 + r_grid.size for _, n_cells, r_grid in ladder])
     return [(_unfolding_errors(u, limit, epsilon, r_grid, t_distinct[idx]),
              {"cells": n_cells, "r_window": (0.0, float(r_grid[-1]))})
@@ -140,7 +140,7 @@ def windowed_average(signal, centers, epsilon: float,
                   np.where(slid_right, phi_hi_all - 2 * half, phi - half))
     hi = np.where(slid_left, phi_lo_all + 2 * half,
                   np.where(slid_right, phi_hi_all, phi + half))
-    t_edges = invert_monotone(phase_traj, np.concatenate([lo, hi]), component=0)
+    t_edges = invert_monotone(phase_traj, np.concatenate([lo, hi]))
     # composite Gauss-Legendre: 4 panels per fast period resolves the
     # oscillation far below the other error terms
     n_panels = 4 * _PERIODS

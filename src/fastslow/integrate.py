@@ -288,11 +288,11 @@ def reference_solution(rhs, x0, horizon_T: float, base_h: float,
 _BLOCK = 8192
 
 
-def invert_monotone(traj: Trajectory, targets, component: int = 0) -> np.ndarray:
-    """Times at which a strictly increasing component crosses the targets.
+def invert_monotone(traj: Trajectory, targets) -> np.ndarray:
+    """Times at which the phase, a strictly increasing column 0, crosses the targets.
 
     Bisection (60 halvings of [t_0, t_end]) on the dense interpolant of that
-    component alone; resolves times to ~1e-15 * horizon.  The interpolant
+    column alone; resolves times to ~1e-15 * horizon.  The interpolant
     must be monotone between nodes, as phi' = omega > 0 makes every phase
     the lab inverts.  A midpoint in the target's own Hermite segment is
     evaluated with sample's arithmetic, one in a neighbouring segment by
@@ -303,18 +303,18 @@ def invert_monotone(traj: Trajectory, targets, component: int = 0) -> np.ndarray
     values not strictly increasing and for NaN or out-of-range targets.
     """
     targets = np.atleast_1d(np.asarray(targets, float))
-    vals = traj.states[:, component]
+    vals = traj.states[:, 0]
     if not np.all(np.diff(vals) > 0.0):
-        raise ValueError("component is not strictly increasing at the nodes")
+        raise ValueError("the phase, column 0, is not strictly increasing at the nodes")
     if not np.all((vals[0] - 1e-9 <= targets) & (targets <= vals[-1] + 1e-9)):
-        raise ValueError("target outside the component's range")
+        raise ValueError("target outside the phase's range")
     blocks = np.array_split(targets.ravel(), targets.size // _BLOCK + 1)
-    return np.concatenate([_bisect(traj, b, component) for b in blocks]).reshape(targets.shape)
+    return np.concatenate([_bisect(traj, b) for b in blocks]).reshape(targets.shape)
 
 
-def _bisect(traj: Trajectory, targets: np.ndarray, component: int) -> np.ndarray:
+def _bisect(traj: Trajectory, targets: np.ndarray) -> np.ndarray:
     times = traj.times
-    vals, f = traj.states[:, component], traj.derivs[:, component]
+    vals, f = traj.states[:, 0], traj.derivs[:, 0]
     i = np.clip(np.searchsorted(vals, targets, side="right") - 1, 0, len(times) - 2)
     # sample's segment k is [e[k + 1], e[k + 2]), padded so that k = -1 and
     # k = n - 1 are empty
@@ -336,7 +336,7 @@ def _bisect(traj: Trajectory, targets: np.ndarray, component: int) -> np.ndarray
             take_hi = (mid < start) | ((mid < end) & take_hi)
             nb = ((below <= mid) & (mid < start)) | ((end <= mid) & (mid < above))
             if nb.any():
-                take_hi[nb] = sample(traj, mid[nb], component=component) < targets[nb]
+                take_hi[nb] = sample(traj, mid[nb], component=0) < targets[nb]
         new_lo = np.where(take_hi, mid, lo)
         new_hi = np.where(take_hi, hi, mid)
         if inside and np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):

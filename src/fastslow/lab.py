@@ -297,7 +297,7 @@ def _finish(command: str, cfg: RunConfig, out: Path, t0: float, files: list,
 
 
 def _step_fits(cfg: RunConfig, fm, factor_key: str) -> None:
-    """A step longer than the horizon is bad configuration (exit 2); a run past the
+    """A step longer than the horizon, or NaN, is bad configuration (exit 2); a run past the
     step budget at the smallest epsilon, a numerical failure (exit 3) before any solve."""
     factor = getattr(cfg, _KEY_FIELDS[factor_key][0])
     try:
@@ -306,9 +306,10 @@ def _step_fits(cfg: RunConfig, fm, factor_key: str) -> None:
         raise NumericalError(f"{factor_key} = {factor:g} times the largest frequency "
                              f"{fm.omega_upper_bound:g} underflows to zero in the step at "
                              f"epsilon {cfg.epsilons[0]:g}") from None
-    if h > cfg.horizon_T:
+    if not h <= cfg.horizon_T:  # inf / inf, when both overflow, is a NaN step
+        fit = "longer than" if h > cfg.horizon_T else "no step within"
         raise ConfigError(f"{factor_key} = {factor:g} gives a step of {h:.3g} at epsilon "
-                          f"{cfg.epsilons[0]:g}, longer than run.horizon_T = {cfg.horizon_T:g}")
+                          f"{cfg.epsilons[0]:g}, {fit} run.horizon_T = {cfg.horizon_T:g}")
     fine = 0.5 if factor_key == "integrate.reference_factor" else 1.0  # half-step run
     integrate.step_count(cfg.horizon_T, fine * fm.fast_step(cfg.epsilons[-1], factor))
 
@@ -461,11 +462,10 @@ def cmd_thermo(cfg: RunConfig, out: Path) -> int:
     bundle = thermo.averaged_energy_bundle(base, corr, fm, dc)
 
     lead = thermo.check_first_law(ex.E0_perp, base.y0, th.S0, th.F0, th.T0, dt)
-    second = thermo.check_first_law(ex.E2_perp_bar, corr.y2_bar, th.S2_doublebar,
-                                    th.F0, th.T0, dt,
-                                    second_order_work=(th.F2_bar, base.y0))
     literal = thermo.check_first_law(ex.E2_perp_bar, corr.y2_bar, th.S2_doublebar,
                                      th.F0, th.T0, dt)
+    # the second-order balance closes with the work of F2_bar through dy0
+    second = literal - th.F2_bar * thermo.fd4_derivative(base.y0, dt)
     rhs = expansion.averaged_rhs(corr, base, fm, dc.theta_star)
     hamilton_y = np.max(np.abs(rhs.y2_bar - bundle.dE2_dp0))
     hamilton_p = np.max(np.abs(rhs.p2_bar + bundle.dE2_dy0))
@@ -478,15 +478,15 @@ def cmd_thermo(cfg: RunConfig, out: Path) -> int:
     write_csv(p1, ["t", "T0", "F0", "S0", "S2_doublebar", "E2_perp_bar",
                    "E2_par_bar", "first_law_residual"],
               [grid, th.T0, th.F0, th.S0, th.S2_doublebar, ex.E2_perp_bar,
-               ex.E2_par_bar, second.residuals])
+               ex.E2_par_bar, second])
 
     t_check = thermo.hertz_temperature_oracle(0.5 * params.u_star**2, params.y_star, fm)
     # (name, tolerance as printed, the values it bounds)
     gates = [Gate(f"{name} <= {tol}", max(values) <= float(tol),
                   " ".join(f"{v:.3e}" for v in values))
              for name, tol, *values in (
-                 ("leading-order energy balance", "1e-8", lead.max_residual),
-                 ("second-order energy balance", "1e-6", second.max_residual),
+                 ("leading-order energy balance", "1e-8", np.max(np.abs(lead))),
+                 ("second-order energy balance", "1e-6", np.max(np.abs(second))),
                  ("averaged second-order energy vanishes", "1e-8", e2_bar_sup),
                  ("averaged action identity", "1e-8", identity_sup),
                  ("closed-form doubly averaged entropy matches trajectory", "1e-8",
@@ -527,7 +527,7 @@ def cmd_thermo(cfg: RunConfig, out: Path) -> int:
         gates.append(Gate("virial product sup-norm order >= 0.9", xi_order >= 0.9,
                           f"{xi_order:.3f}"))
     gates.append("[INFO] quasi-static gap (work of second-order force), reported, not "
-                 f"asserted: {literal.max_residual:.3e}")
+                 f"asserted: {np.max(np.abs(literal)):.3e}")
     lines.append("[INFO] entropy normalization: additive constant -log(theta_star) "
                  f"= {dc.entropy_constant!r} pins initial entropy to zero")
     summary = out / "thermo_summary.txt"
@@ -611,13 +611,13 @@ def cmd_twoscale(cfg: RunConfig, out: Path) -> int:
                    runs)
 
 
-def _identity_states(rng, theta_lo: float):
-    """1,000 random action-angle states and one epsilon each, drawn in one
-    call: the values of interleaved rng.uniform calls for phi, theta, y, p
-    and log10(epsilon), in that order."""
+def _identity_states(theta_lo: float):
+    """1,000 action-angle states and one epsilon each on a fixed lattice: row k
+    puts phi, theta, y, p and log10(epsilon) at the fractional parts of
+    k*sqrt(2), k*sqrt(3), k*sqrt(5), k*sqrt(7) and k*sqrt(11) of their ranges."""
     lo = np.array([-3.0, theta_lo, -5.0, -2.0, -3.0])
     hi = np.array([3.0, 2.0, 5.0, 2.0, -1.0])
-    u = lo + (hi - lo) * rng.random((1000, 5))
+    u = lo + (hi - lo) * (np.arange(1, 1001)[:, None] * np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0]) % 1.0)
     # float_power is libm's pow, as Python's 10 ** x is; np.power may differ in the last bit
     return dynamics.ActionAngleState(*u[:, :4].T), np.float_power(10.0, u[:, 4])
 
@@ -655,15 +655,14 @@ def cmd_check(cfg: RunConfig, out: Path) -> int:
     # E2_bar depends on neither the correctors nor epsilon, so the loop's last ex serves
     checks.append(("averaged_energy_zero", float(np.max(np.abs(ex.E2_bar))), 1e-8))
 
-    rng = np.random.default_rng(12345)
-    s, e = _identity_states(rng, 1e-3)
+    s, e = _identity_states(1e-3)
     # action_angle_rhs wraps the integrators' float field, so it runs per state
     d1 = [dynamics.action_angle_rhs(dynamics.ActionAngleState(*x), e_x, fm)[:4]
           for *x, e_x in np.c_[s.phi, s.theta, s.y, s.p, e].tolist()]
     d2 = dynamics.action_angle_rhs_composed(s, e, fm)[:4]
     checks.append(("eom_form_equivalence", float(np.max(np.abs(np.transpose(d1) - d2))), 1e-14))
 
-    s, e = _identity_states(rng, 1e-6)
+    s, e = _identity_states(1e-6)
     c = dynamics.from_action_angle(s, e, fm)
     c2 = dynamics.from_action_angle(dynamics.to_action_angle(c, e, fm), e, fm)
     worst_rt = float(np.max(np.abs(np.subtract(c, c2))))

@@ -79,13 +79,6 @@ class AveragedEnergyBundle(NamedTuple):
     dE2_dp0: object
 
 
-class FirstLawReport(NamedTuple):
-    """Pointwise residuals of an energy-balance check on a uniform grid."""
-
-    residuals: np.ndarray
-    max_residual: float
-
-
 class EquipartitionReport(NamedTuple):
     """Windowed kinetic-potential gaps and the virial-type sup norm."""
 
@@ -207,26 +200,16 @@ def fd4_derivative(values: np.ndarray, dt: float) -> np.ndarray:
 
 def check_first_law(energy: np.ndarray, position: np.ndarray,
                     entropy: np.ndarray, force: np.ndarray,
-                    temperature: np.ndarray, dt: float,
-                    second_order_work: tuple[np.ndarray, np.ndarray] | None = None
-                    ) -> FirstLawReport:
-    """Residual of the energy balance dE = F dy + T dS along a time grid.
+                    temperature: np.ndarray, dt: float) -> np.ndarray:
+    """Pointwise residual dE - F dy - T dS of the energy balance on a time grid.
 
     All series live on the same uniform grid with spacing dt; derivatives
     are fourth-order finite differences.  At second order the balance
     closes only when the work of the second-order force through the
-    leading-order displacement is included: pass that pair as
-    second_order_work = (force2, position0).
+    leading-order displacement, F2 dy0, is subtracted as well.
     """
-    dE = fd4_derivative(energy, dt)
-    dy = fd4_derivative(position, dt)
-    dS = fd4_derivative(entropy, dt)
-    residuals = dE - np.asarray(force, float) * dy - np.asarray(temperature, float) * dS
-    if second_order_work is not None:
-        f2, y0 = second_order_work
-        residuals = residuals - np.asarray(f2, float) * fd4_derivative(np.asarray(y0, float), dt)
-    return FirstLawReport(residuals=residuals,
-                          max_residual=float(np.max(np.abs(residuals))))
+    return (fd4_derivative(energy, dt) - np.asarray(force, float) * fd4_derivative(position, dt)
+            - np.asarray(temperature, float) * fd4_derivative(entropy, dt))
 
 
 def hertz_temperature_oracle(E_perp: float, y: float, fm: FrequencyModel) -> float:

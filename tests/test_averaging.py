@@ -71,7 +71,7 @@ def _windowed_average_one(signal, t, epsilon, phase_traj, m=8):
         lo, hi = phi_lo_all, phi_lo_all + 2 * half
     elif slid_right:
         lo, hi = phi_hi_all - 2 * half, phi_hi_all
-    t_edges = fs.invert_monotone(phase_traj, np.array([lo, hi]), component=0)
+    t_edges = fs.invert_monotone(phase_traj, np.array([lo, hi]))
     t_lo, t_hi = float(t_edges[0]), float(t_edges[1])
     n_panels = 4 * m
     bounds = np.linspace(t_lo, t_hi, n_panels + 1)

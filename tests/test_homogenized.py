@@ -94,7 +94,7 @@ def test_invert_phase_round_trip(params, fm):
     traj = fs.solve_homogenized(params, fm)
     r_max = float(traj.states[-1, 0]) / math.pi
     r = np.linspace(0.0, 0.98 * r_max, 50)
-    ts = fs.invert_monotone(traj, math.pi * r, component=0)
+    ts = fs.invert_monotone(traj, math.pi * r)
     phis = fs.sample(traj, ts)[:, 0]
     assert np.max(np.abs(phis - math.pi * r)) <= 1e-10
     assert abs(ts[0]) <= 1e-15  # bisection pins r=0 at the left endpoint

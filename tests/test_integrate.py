@@ -225,13 +225,13 @@ def test_sample_component_matches_full_columns(expansion_run):
         assert np.array_equal(col, full[:, c])
 
 
-def _invert_full_width(traj, targets, component=0, iterations=60):
-    # bisection that interpolates every column and keeps one
+def _invert_full_width(traj, targets, iterations=60):
+    # bisection that interpolates every column and keeps the phase
     lo = np.full(targets.shape, traj.times[0])
     hi = np.full(targets.shape, traj.times[-1])
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
-        v = fs.sample(traj, mid)[:, component]
+        v = fs.sample(traj, mid)[:, 0]
         take_hi = v < targets
         lo = np.where(take_hi, mid, lo)
         hi = np.where(take_hi, hi, mid)

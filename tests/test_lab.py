@@ -114,6 +114,9 @@ _REJECTED_BY_COMMAND = [
     ("integrate.reference_factor = 1e-3", "twoscale",
      ("integrate.reference_factor", "run.horizon_T")),
     ("initial.u_star = 0", "thermo", ("initial.u_star",)),
+    # both terms of the step overflow, and inf / inf is a NaN step
+    ("run.epsilons = 1e308\nintegrate.step_factor = 1e308", "simulate",
+     ("integrate.step_factor = 1e+308", "epsilon 1e+308")),
 ]
 
 
@@ -176,21 +179,31 @@ def _config_texts(draw):
 @example(text="frequency.coefficients = 1e-300,1e-301\nintegrate.reference_factor = 1e-150")
 @example(text="frequency.preset = constant\nfrequency.coefficients = 1e-300\n"
               "integrate.step_factor = 1e-300")
+# the config whose step is inf / inf
+@example(text="run.epsilons = 1e308\nintegrate.step_factor = 1e308")
 @pytest.mark.filterwarnings("ignore:u_star = 0")
 def test_any_config_text_parses_or_is_rejected_and_its_step_check_classifies(text):
     # no solve: a text parses or raises ConfigError (exit 2), and the step checks
     # that every command but check runs first pass or raise ConfigError or
-    # NumericalError (exit 3), never another exception
+    # NumericalError (exit 3), never another exception; a NaN step is a
+    # ConfigError
     try:
         cfg = parse_config_text(text)
     except lab.ConfigError:
         return
     fm = cfg.frequency()
     for key in _STEP_KEYS:
+        factor = getattr(cfg, lab._KEY_FIELDS[key][0])
+        with np.errstate(all="ignore"):  # the step in numpy floats, which do not raise
+            nan_step = np.isnan(2.0 * math.pi * np.float64(cfg.epsilons[0])
+                                / (np.float64(factor) * fm.omega_upper_bound))
         try:
             lab._step_fits(cfg, fm, key)
-        except (lab.ConfigError, fs.NumericalError):
+        except lab.ConfigError:
+            continue
+        except fs.NumericalError:
             pass
+        assert not nan_step, f"{key}: a NaN step passed the step check"
 
 
 @pytest.mark.parametrize("command", ["sweep", "simulate", "twoscale"])
@@ -355,19 +368,24 @@ def test_check_command_passes_and_writes_report(tmp_path, capsys):
     assert set(manifest["files"]) == {"check.txt", "check.json"}
 
 
+def _lattice_row(k, theta_lo):
+    """Row k of check's fixed lattice, one float at a time: the fractional
+    parts of k*sqrt(2), ..., k*sqrt(11) placed in the ranges of phi, theta,
+    y, p and log10(epsilon)."""
+    ranges = ((-3.0, 3.0), (theta_lo, 2.0), (-5.0, 5.0), (-2.0, 2.0), (-3.0, -1.0))
+    phi, theta, y, p, log_e = (lo + (hi - lo) * (k * math.sqrt(q) % 1.0)
+                               for (lo, hi), q in zip(ranges, (2.0, 3.0, 5.0, 7.0, 11.0)))
+    return fs.ActionAngleState(phi=phi, theta=theta, y=y, p=p), 10 ** log_e
+
+
 def _identity_loops_per_state(fm):
     """check's eom_form_equivalence, transform_round_trip and
     energy_agreement as two loops of float calls computed them, and the
-    (phi, theta, y, p, epsilon) rows each loop drew."""
-    rng = np.random.default_rng(12345)
+    (phi, theta, y, p, epsilon) rows of each loop."""
     rows = ([], [])
     worst_eq = 0.0
-    for _ in range(1000):
-        s = fs.ActionAngleState(phi=float(rng.uniform(-3, 3)),
-                                theta=float(rng.uniform(1e-3, 2.0)),
-                                y=float(rng.uniform(-5, 5)),
-                                p=float(rng.uniform(-2, 2)))
-        e = float(10 ** rng.uniform(-3, -1))
+    for k in range(1, 1001):
+        s, e = _lattice_row(k, 1e-3)
         rows[0].append((s.phi, s.theta, s.y, s.p, e))
         d1 = fs.action_angle_rhs(s, e, fm)
         d2 = fs.action_angle_rhs_composed(s, e, fm)
@@ -375,12 +393,8 @@ def _identity_loops_per_state(fm):
                        abs(d1.y - d2.y), abs(d1.p - d2.p))
     worst_rt = 0.0
     worst_en = 0.0
-    for _ in range(1000):
-        s = fs.ActionAngleState(phi=float(rng.uniform(-3, 3)),
-                                theta=float(rng.uniform(1e-6, 2.0)),
-                                y=float(rng.uniform(-5, 5)),
-                                p=float(rng.uniform(-2, 2)))
-        e = float(10 ** rng.uniform(-3, -1))
+    for k in range(1, 1001):
+        s, e = _lattice_row(k, 1e-6)
         rows[1].append((s.phi, s.theta, s.y, s.p, e))
         c = fs.from_action_angle(s, e, fm)
         s2 = fs.to_action_angle(c, e, fm)
@@ -397,14 +411,14 @@ def _identity_loops_per_state(fm):
 @pytest.mark.parametrize("flags, preset", [([], "sine"), (["--preset", "fourier"], "fourier")],
                          ids=["default", "fourier"])
 def test_check_identities_equal_the_per_state_loops(tmp_path, monkeypatch, flags, preset):
-    # check draws each block of states in one call and runs the kernels on
-    # arrays; its states and its maxima must be those of the per-state float
-    # loops, bit for bit
+    # check makes each block of states in one array pass and runs the kernels
+    # on arrays; its states and its maxima must be those of the per-state
+    # float loops, bit for bit
     draw = lab._identity_states
     drawn = []
 
-    def recorded(rng, theta_lo):
-        s, e = draw(rng, theta_lo)
+    def recorded(theta_lo):
+        s, e = draw(theta_lo)
         drawn.append(np.c_[s.phi, s.theta, s.y, s.p, e])
         return s, e
 
@@ -913,7 +927,6 @@ _RECORD_FIELDS = {
     "EnergyExpansion": ("E0_perp E1_perp_osc E1_par_osc E2_perp_osc E2_par_osc "
                         "E2_perp_bar E2_par_bar E2_bar"),
     "AveragedEnergyBundle": "S2_doublebar_closed E2_bar dE2_dy0 dE2_dp0",
-    "FirstLawReport": "residuals max_residual",
     "EquipartitionReport": "centers gap_max xi_sup any_slid",
 }
 
@@ -961,17 +974,18 @@ def test_python_m_fastslow_check_passes(tmp_path):
     assert proc.stdout.splitlines()[-1].startswith("[PASS] derivative_consistency:")
 
 
-def test_thermo_imports_neither_numpy_ma_nor_numpy_random(tmp_path):
-    # each import costs a process about 14 ms: thermo's quadrature points are
-    # fixed, and estimate_order finds equal epsilons without np.unique
-    argv = [sys.executable, "-X", "importtime", "-m", "fastslow", "thermo",
-            "--epsilon", "0.04,0.02,0.01", "--out", str(tmp_path / "o")]
+def test_no_command_imports_numpy_ma_or_numpy_random(tmp_path):
+    # each import costs a process about 10-14 ms: every point set of the
+    # commands is fixed, and estimate_order finds equal epsilons without np.unique
     env = dict(os.environ, PYTHONPATH=str(Path(fs.__file__).parents[1]))
-    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
-    assert "numpy" in imported
-    assert imported & {"numpy.ma", "numpy.random"} == set()
+    for command in lab._COMMANDS:
+        argv = [sys.executable, "-X", "importtime", "-m", "fastslow", command,
+                "--epsilon", "0.04,0.02,0.01", "--out", str(tmp_path / command)]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+        assert "numpy" in imported
+        assert imported & {"numpy.ma", "numpy.random"} == set(), command
 
 
 @pytest.mark.parametrize("text, code", [("no.such.key = 1\n", 2),
