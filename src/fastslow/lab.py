@@ -83,17 +83,21 @@ def _echo_value(value, kind) -> str:
     return repr(value) if kind is float else str(value)
 
 
-def _parse_value(val: str, kind):
-    if kind == "floats":
-        parsed = tuple(float(x) for x in val.split(",") if x.strip() != "")
-        if not parsed:
-            raise ValueError("empty list")
-        return parsed
-    if kind == "bool":
-        if val.lower() not in ("true", "false"):
-            raise ValueError("expected true or false")
-        return val.lower() == "true"
-    return kind(val)
+def _parse_value(val: str, kind, where: str):
+    """val read as kind; a value it cannot be is a ConfigError that begins with where."""
+    try:
+        if kind == "floats":
+            parsed = tuple(float(x) for x in val.split(",") if x.strip() != "")
+            if not parsed:
+                raise ValueError("empty list")
+            return parsed
+        if kind == "bool":
+            if val.lower() not in ("true", "false"):
+                raise ValueError("expected true or false")
+            return val.lower() == "true"
+        return kind(val)
+    except ValueError as e:
+        raise ConfigError(f"{where}: {e}") from e
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -113,10 +117,7 @@ def parse_config_text(text: str) -> RunConfig:
         name, kind = _KEY_FIELDS[key]
         if name in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        try:
-            values[name] = _parse_value(val, kind)
-        except ValueError as e:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {e}") from e
+        values[name] = _parse_value(val, kind, f"line {lineno}: bad value for {key}")
     # a preset without coefficients takes its own defaults, as --preset does
     preset = values.get("frequency_preset", "sine")
     values.setdefault("frequency_coefficients", model.DEFAULT_COEFFICIENTS.get(
@@ -298,7 +299,8 @@ def _finish(command: str, cfg: RunConfig, out: Path, t0: float, files: list,
 
 def _step_fits(cfg: RunConfig, fm, factor_key: str) -> None:
     """A step longer than the horizon, or NaN, is bad configuration (exit 2); a run past the
-    step budget at the smallest epsilon, a numerical failure (exit 3) before any solve."""
+    step budget at the smallest epsilon, a numerical failure (exit 3) before any solve; then a
+    plain step factor below pi/sqrt(2), whose cartesian runs grow without bound, exit 2."""
     factor = getattr(cfg, _KEY_FIELDS[factor_key][0])
     try:
         h = fm.fast_step(cfg.epsilons[0], factor)
@@ -312,6 +314,12 @@ def _step_fits(cfg: RunConfig, fm, factor_key: str) -> None:
                           f"{cfg.epsilons[0]:g}, {fit} run.horizon_T = {cfg.horizon_T:g}")
     fine = 0.5 if factor_key == "integrate.reference_factor" else 1.0  # half-step run
     integrate.step_count(cfg.horizon_T, fine * fm.fast_step(cfg.epsilons[-1], factor))
+    # RK4 is stable on the imaginary axis for |h lambda| <= 2 sqrt(2), and the cartesian
+    # chart's fast oscillator has |h lambda| = h omega/epsilon <= 2 pi / factor
+    bound = math.pi / math.sqrt(2.0)
+    if factor_key == "integrate.step_factor" and factor < bound:
+        raise ConfigError(f"{factor_key} = {factor!r} is below pi/sqrt(2) = {bound!r}, "
+                          "where RK4 is unstable on the cartesian fast oscillator")
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
@@ -374,6 +382,12 @@ def _rounding_gate(name: str, raw: float, ok: bool, detail: str) -> Gate:
     return Gate(name, ok, detail)
 
 
+def _decreasing_gate(name: str, raw: float, seq) -> Gate:
+    """A _rounding_gate on whether seq falls strictly; its detail lists seq in order."""
+    return _rounding_gate(name, raw, bool(np.all(np.diff(seq) < 0)),
+                          " -> ".join(f"{v:.3e}" for v in seq))
+
+
 def _reference_runs(cfg: RunConfig, fm, params, runs: list):
     """Yield (epsilon, reference run) per epsilon of cfg, each made when asked
     for, and append its manifest record to runs.  The generator drops each run
@@ -422,11 +436,9 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
                                     raw[fam, var], order >= 1.9 and r2 >= 0.98,
                                     f"order={order:.3f} R^2={r2:.5f}"))
     for key in second if len(eps) >= 2 else ():
-        vals = rep.normalized["second"][key[1]]
-        gates.append(_rounding_gate(
+        gates.append(_decreasing_gate(
             f"normalized second-order residual of {key[1]} strictly decreasing",
-            raw[key], bool(np.all(np.diff(vals) < 0)),
-            " -> ".join(f"{v:.3e}" for v in vals)))
+            raw[key], rep.normalized["second"][key[1]]))
     drift_ok = bool(np.all(rep.energy_drift <= 1e-8))
     gates.append(Gate("energy drift <= 1e-8 at every epsilon", drift_ok,
                       " ".join(f"{v:.2e}" for v in rep.energy_drift)))
@@ -518,9 +530,8 @@ def cmd_thermo(cfg: RunConfig, out: Path) -> int:
         del ref  # so the next run is made with this one already freed
     if len(cfg.epsilons) >= 2:
         gaps = [r.gap_max for r in equip]
-        gates.append(_rounding_gate("windowed equipartition gap decreasing across epsilons",
-                                    max(gaps), bool(np.all(np.diff(gaps) < 0)),
-                                    " -> ".join(f"{g:.3e}" for g in gaps)))
+        gates.append(_decreasing_gate("windowed equipartition gap decreasing across epsilons",
+                                      max(gaps), gaps))
     if len(cfg.epsilons) >= 3:
         xi_order, _ = averaging.estimate_order(cfg.epsilons,
                                                [r.xi_sup for r in equip])
@@ -601,9 +612,8 @@ def cmd_twoscale(cfg: RunConfig, out: Path) -> int:
             seq = [table[e][var] for e in eps_list]
             # theta1 is rescaled by 1/eps, the others by 1/eps^2
             raw = max(v * e ** (1 if var == "theta1" else 2) for e, v in zip(eps_list, seq))
-            report.append(_rounding_gate(f"unfolding error of {var} strictly decreasing",
-                                         raw, bool(np.all(np.diff(seq) < 0)),
-                                         " -> ".join(f"{v:.3e}" for v in seq)))
+            report.append(_decreasing_gate(f"unfolding error of {var} strictly decreasing",
+                                           raw, seq))
     else:
         report.append("[INFO] single epsilon: table emitted, no trend gate")
     summary = out / "summary.txt"
@@ -712,34 +722,25 @@ def main(argv=None) -> int:
                         help="override frequency preset with its default coefficients")
     args = parser.parse_args(argv)
 
+    # every failure of a run, wherever it is raised, maps to its exit code here
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
-        if args.preset is not None:
-            if args.preset not in model.DEFAULT_COEFFICIENTS:
-                raise ConfigError(f"unknown preset {args.preset!r}")
+        if args.preset is not None:  # an unknown name fails in validate_config
             cfg = replace(cfg, frequency_preset=args.preset,
-                          frequency_coefficients=model.DEFAULT_COEFFICIENTS[args.preset])
+                          frequency_coefficients=model.DEFAULT_COEFFICIENTS.get(args.preset, ()))
         if args.epsilon is not None:
-            try:
-                cfg = replace(cfg, epsilons=_parse_value(args.epsilon, "floats"))
-            except ValueError as e:
-                raise ConfigError(f"bad --epsilon list: {e}") from e
+            cfg = replace(cfg, epsilons=_parse_value(args.epsilon, "floats", "bad --epsilon list"))
         if args.out is not None:
             cfg = replace(cfg, out_dir=args.out)
         validate_config(cfg)
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-    except (ConfigError, OSError) as e:  # OSError: unreadable config, or out unusable
-        print(f"configuration error: {e}", file=sys.stderr)
-        return 2
-
-    try:
         return _COMMANDS[args.command](cfg, out)
-    except ConfigError as e:
-        print(f"configuration error: {e}", file=sys.stderr)
-        return 2
-    except averaging.PhaseRangeError as e:  # it names the epsilon
-        print(f"configuration error: run.epsilons: {e}", file=sys.stderr)
+    # OSError: a config file that cannot be read, an output that cannot be written
+    except (ConfigError, OSError, averaging.PhaseRangeError) as e:
+        # a PhaseRangeError names the epsilon that does not fit
+        key = "run.epsilons: " if isinstance(e, averaging.PhaseRangeError) else ""
+        print(f"configuration error: {key}{e}", file=sys.stderr)
         return 2
     except (NumericalError, ArithmeticError) as e:  # float ** overflow, division by zero
         print(f"numerical failure: {e}", file=sys.stderr)

@@ -148,37 +148,27 @@ class DerivedConstants(NamedTuple):
 def make_frequency(preset: str, coefficients) -> FrequencyModel:
     """Build a validated FrequencyModel.
 
-    constant: [w0], w0 > 0.
-    sine:     [a, b] meaning a + b*sin(y), requires a - |b| > 0.
-    fourier:  [a0, a1, b1, a2, b2, ...] meaning
-              a0 + sum_k (a_k cos(k y) + b_k sin(k y)),
-              requires a0 - sum_k (|a_k| + |b_k|) > 0.
+    constant: [w0].
+    sine:     [a, b] meaning a + b*sin(y).
+    fourier:  [a0, a1, b1, a2, b2, ...] meaning a0 + sum_k (a_k cos(k y) + b_k sin(k y)).
+    Each has the floor c0 - sum_{k>=1} |c_k| and the ceiling c0 + sum_{k>=1} |c_k| of its
+    coefficients c (sine: a -+ |b|; constant: w0), and requires a positive floor.
     """
     coeffs = tuple(float(c) for c in coefficients)
-    if preset == "constant":
-        if len(coeffs) != 1:
-            raise ValueError("constant preset takes exactly one coefficient")
-        if not coeffs[0] > 0:
-            raise ValueError("constant frequency must be positive")
-        return FrequencyModel(preset, coeffs, coeffs[0], coeffs[0])
-    if preset == "sine":
-        if len(coeffs) != 2:
-            raise ValueError("sine preset takes exactly two coefficients")
-        lb = coeffs[0] - abs(coeffs[1])
-        if not lb > 0:
-            raise ValueError("sine preset needs a - |b| > 0 to keep the frequency positive")
-        return FrequencyModel(preset, coeffs, lb, coeffs[0] + abs(coeffs[1]))
-    if preset == "fourier":
-        if len(coeffs) < 1 or len(coeffs) % 2 == 0:
-            raise ValueError("fourier preset takes an odd number of coefficients: "
-                             "a0, then (a_k, b_k) pairs")
-        wiggle = sum(abs(c) for c in coeffs[1:])
-        lb = coeffs[0] - wiggle
-        if not lb > 0:
-            raise ValueError("fourier preset needs a0 - sum|a_k|+|b_k| > 0 "
-                             "to keep the frequency positive")
-        return FrequencyModel(preset, coeffs, lb, coeffs[0] + wiggle)
-    raise ValueError(f"unknown frequency preset: {preset!r}")
+    if preset not in _ROUTINES:
+        raise ValueError(f"unknown frequency preset: {preset!r}")
+    if preset == "constant" and len(coeffs) != 1:
+        raise ValueError("constant preset takes exactly one coefficient")
+    if preset == "sine" and len(coeffs) != 2:
+        raise ValueError("sine preset takes exactly two coefficients")
+    if preset == "fourier" and len(coeffs) % 2 == 0:
+        raise ValueError("fourier preset takes an odd number of coefficients: "
+                         "a0, then (a_k, b_k) pairs")
+    wiggle = sum(abs(c) for c in coeffs[1:])
+    if not coeffs[0] - wiggle > 0:
+        raise ValueError(f"{preset} preset needs c0 - sum_k |c_k| > 0 "
+                         "to keep the frequency positive")
+    return FrequencyModel(preset, coeffs, coeffs[0] - wiggle, coeffs[0] + wiggle)
 
 
 def derived_constants(params: SystemParams, fm: FrequencyModel) -> DerivedConstants:

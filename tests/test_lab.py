@@ -10,7 +10,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import warnings
 import weakref
 from pathlib import Path
 
@@ -117,6 +116,13 @@ _REJECTED_BY_COMMAND = [
     # both terms of the step overflow, and inf / inf is a NaN step
     ("run.epsilons = 1e308\nintegrate.step_factor = 1e308", "simulate",
      ("integrate.step_factor = 1e+308", "epsilon 1e+308")),
+    # one ulp below RK4's stability bound pi/sqrt(2) on the cartesian fast oscillator,
+    # and a config whose cartesian energies reached inf below it
+    ("frequency.preset = constant\nintegrate.step_factor = 2.2214414690791826", "simulate",
+     ("integrate.step_factor = 2.2214414690791826", "pi/sqrt(2) = 2.221441469079183")),
+    ("frequency.preset = constant\ninitial.y_star = -135.43058254588348\n"
+     "integrate.step_factor = 1.9642449042076022\nrun.epsilons = 0.002928,0.001096", "simulate",
+     ("integrate.step_factor = 1.9642449042076022", "pi/sqrt(2)")),
 ]
 
 
@@ -258,6 +264,33 @@ def test_config_file_not_utf8_exits_2(tmp_path, capsys):
     rc = fs.main(["check", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "configuration error:" in capsys.readouterr().err
+
+
+def test_step_factor_at_the_rk4_bound_keeps_the_cartesian_energy(tmp_path):
+    # the smallest factor accepted (one ulp below exits 2): the energies stay bounded,
+    # where at 2.22 they reach 330.9
+    config = tmp_path / "bound.txt"
+    config.write_text("frequency.preset = constant\n"
+                      f"integrate.step_factor = {math.pi / math.sqrt(2.0)!r}\n")
+    out = tmp_path / "o"
+    assert fs.main(["simulate", "--config", str(config), "--epsilon", "0.04,0.001",
+                    "--out", str(out)]) == 0
+    for eps in ("0.04", "0.001"):
+        E = np.loadtxt(out / f"cart_eps{eps}.csv", delimiter=",", skiprows=1)[:, 5]
+        assert np.max(np.abs(E)) <= 1.0 + 1e-9, eps
+
+
+@pytest.mark.parametrize("command, blocked", [("twoscale", "summary.txt"),
+                                              ("check", "check.json")])
+def test_output_file_that_cannot_be_written_exits_2(tmp_path, capsys, command, blocked):
+    # a directory where an output file goes is bad configuration, as an --out
+    # that cannot be made is
+    out = tmp_path / "o"
+    (out / blocked).mkdir(parents=True)
+    assert fs.main([command, "--epsilon", "0.04", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and blocked in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
@@ -468,7 +501,6 @@ def test_check_fails_on_a_nan_identity(tmp_path, monkeypatch):
             in (tmp_path / "check.txt").read_text())
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_check_rejects_an_epsilon_whose_phase_split_overflows(tmp_path, capsys):
     # at 1e-300 the Dekker split of 2*phi/epsilon in the phase reduction
     # overflows; check rejects the epsilon before any corrector is made
@@ -806,9 +838,7 @@ def test_tiny_epsilon_exhausts_the_step_budget_before_any_solve(tmp_path, capsys
     # twoscale used to build its unfolding grid (1.44 TiB at 1e-9) and thermo
     # its correctors (an overflow at 1e-300) before the budget was checked;
     # at 5e-324 the fine step underflows to zero
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        rc = fs.main([command, "--epsilon", epsilon, "--out", str(tmp_path / "o")])
+    rc = fs.main([command, "--epsilon", epsilon, "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 3
     assert err.startswith("numerical failure:") and "step budget" in err
@@ -960,7 +990,8 @@ def test_main_in_process_leaves_the_collector_unfrozen(tmp_path):
 
 
 def _python_m_fastslow(tmp_path, command, config_text=None):
-    argv = [sys.executable, "-m", "fastslow", command, "--out", str(tmp_path / "o")]
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "fastslow", command,
+            "--out", str(tmp_path / "o")]
     if config_text is not None:
         (tmp_path / "cfg.txt").write_text(config_text)
         argv += ["--config", str(tmp_path / "cfg.txt")]

@@ -1,5 +1,6 @@
 """Frequency profiles, derivatives, and constants fixed by the initial data."""
 
+import itertools
 import math
 
 import numpy as np
@@ -43,6 +44,42 @@ def test_constant_preset():
 def test_rejects_nonpositive_or_malformed(preset, coeffs):
     with pytest.raises(ValueError):
         fs.make_frequency(preset, coeffs)
+
+
+def _bounds_per_preset(preset, c):
+    """make_frequency's three branches before its one floor/ceiling rule, kept as
+    the rule's oracle: (floor, ceiling), or None where a branch rejected c."""
+    if preset == "constant":
+        return (c[0], c[0]) if len(c) == 1 and c[0] > 0 else None
+    if preset == "sine":
+        if len(c) != 2 or not c[0] - abs(c[1]) > 0:
+            return None
+        return c[0] - abs(c[1]), c[0] + abs(c[1])
+    if len(c) < 1 or len(c) % 2 == 0:
+        return None
+    wiggle = sum(abs(x) for x in c[1:])
+    return (c[0] - wiggle, c[0] + wiggle) if c[0] - wiggle > 0 else None
+
+
+_LEADING = (2.0, 1.0, 0.5, 1e-300, 0.0, -0.0, -1.0, math.inf, math.nan)
+_AMPLITUDES = (0.25, -0.25, 0.0, -0.0, -1.5, 5e-324, -1e300, math.inf, math.nan)
+
+
+@pytest.mark.parametrize("preset", ["constant", "sine", "fourier"])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 5])
+def test_floor_and_ceiling_are_bitwise_those_of_the_three_old_branches(preset, count):
+    # c0 -+ sum_{k>=1} |c_k|: sine's a -+ |b| is its one-term case, constant's c0 its
+    # zero-term case; a wrong count is rejected as before
+    amplitudes = _AMPLITUDES if count < 5 else _AMPLITUDES[:5]
+    for c in itertools.product(_LEADING, *[amplitudes] * (count - 1)) if count else [()]:
+        want = _bounds_per_preset(preset, c)
+        if want is None:
+            with pytest.raises(ValueError):
+                fs.make_frequency(preset, c)
+            continue
+        fmx = fs.make_frequency(preset, c)
+        got = (fmx.omega_lower_bound, fmx.omega_upper_bound)
+        assert [v.hex() for v in got] == [v.hex() for v in want], c
 
 
 @pytest.mark.parametrize("preset, coeffs", [
