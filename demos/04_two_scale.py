@@ -15,7 +15,7 @@ dc = fs.derived_constants(params, fm)
 # with the phase phi0(t) = pi*t the slow variable r is t itself, so the
 # signal v = sin(t) + 0.3 sin(2 pi t/eps) should unfold onto the surface
 # sin(t) + 0.3 sin(2 pi s): the fast factor riding on the slow drift
-clock = fs.integrate_fixed(lambda t, x: (math.pi, 0.0, 0.0, 0.0), np.zeros(4),
+clock = fs.integrate_fixed(lambda *x: (math.pi, 0.0, 0.0, 0.0), np.zeros(4),
                            1.0, 1e-3)
 
 

@@ -48,8 +48,7 @@ def _check(epsilon, theta=0.0) -> None:
 def action_angle_rhs(s: ActionAngleState, epsilon: float, fm: FrequencyModel) -> ActionAngleState:
     """Time derivative of the action-angle state (exact at finite epsilon)."""
     _check(epsilon, s.theta)
-    d = action_angle_field(epsilon, fm)(0.0, (s.phi, s.theta, s.y, s.p))
-    return ActionAngleState(*d)
+    return ActionAngleState(*action_angle_field(epsilon, fm)(s.phi, s.theta, s.y, s.p))
 
 
 def action_angle_rhs_composed(s: ActionAngleState, epsilon,
@@ -123,9 +122,10 @@ def energy_action_angle(s: ActionAngleState, epsilon, fm: FrequencyModel):
 
 
 def action_angle_field(epsilon: float, fm: FrequencyModel):
-    """Vector field f(t, x) for the integrators, x = (phi, theta, y, p).
+    """Vector field f(phi, theta, y, p) for integrate_fixed; H_eps does not
+    depend on time, so the field takes none.
 
-    Takes any sequence of four floats and returns a tuple of floats.  The
+    Takes four floats and returns a tuple of four floats.  The
     frequency routine and the phase reduction are bound once per field;
     the body is the only copy of the action-angle equations of motion.
     """
@@ -135,8 +135,7 @@ def action_angle_field(epsilon: float, fm: FrequencyModel):
     sin, cos = math.sin, math.cos
     eps2 = epsilon * epsilon
 
-    def f(t, x):
-        phi, theta, y, p = x
+    def f(phi, theta, y, p):
         w, w1, w2, _ = derivs(y)
         r2 = reduce(2.0 * phi)
         s2, c2 = sin(r2), cos(r2)
@@ -161,16 +160,13 @@ def action_angle_field(epsilon: float, fm: FrequencyModel):
 
 
 def cartesian_field(epsilon: float, fm: FrequencyModel):
-    """Vector field f(t, x) for the integrators, x = (y, eta, z, zeta).
-
-    Takes any sequence of four floats and returns a tuple of floats.
-    """
+    """Vector field f(y, eta, z, zeta) for integrate_fixed: four floats in,
+    a tuple of four floats out, no time argument."""
     _check(epsilon)
     neg_inv2 = -(1.0 / (epsilon * epsilon))
     derivs = fm.scalar_derivs()
 
-    def f(t, x):
-        y, eta, z, zeta = x
+    def f(y, eta, z, zeta):
         w, w1, _, _ = derivs(y)
         m = neg_inv2 * w  # the common left factor of -w*w1*z*z/eps^2 and -w*w*z/eps^2
         return eta, m * w1 * z * z, zeta, m * w * z

@@ -15,8 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import ActionAngleState, action_angle_field, energy_action_angle
-from .integrate import (SLOW_MAX_STEP, SLOW_TOL, Trajectory, integrate_controlled,
-                        reference_solution, sample)
+from .integrate import (_MAX_STEPS, SLOW_MAX_STEP, SLOW_TOL, Trajectory,
+                        integrate_controlled, reference_solution, sample)
 from .model import FrequencyModel, SystemParams, derived_constants
 from .phase import reduced_sincos
 
@@ -172,11 +172,19 @@ def expansion_field(params: SystemParams, fm: FrequencyModel):
 
 
 def solve_expansion(params: SystemParams, fm: FrequencyModel) -> Trajectory:
-    """Integrate homogenized + averaged layers jointly over [0, horizon_T]."""
+    """Integrate homogenized + averaged layers jointly over [0, horizon_T].
+
+    The step budget is 20 times the capped step count horizon_T /
+    SLOW_MAX_STEP plus 1000, at most that of a fast run: 11,000 at
+    horizon_T = 1, where solves take about 500 steps, so a stiff solve
+    ends in NumericalError within seconds, not after ten million steps.
+    """
     init = initial_corrections(params, fm)
     x0 = np.array([0.0, params.y_star, params.p_star, *init])
+    budget = min(_MAX_STEPS, 20 * (params.horizon_T / SLOW_MAX_STEP) + 1000)
     return integrate_controlled(expansion_field(params, fm), x0, params.horizon_T,
-                                SLOW_TOL, SLOW_TOL, max_step=SLOW_MAX_STEP)
+                                SLOW_TOL, SLOW_TOL, max_step=SLOW_MAX_STEP,
+                                max_steps=int(budget))
 
 
 def eval_expansion(traj: Trajectory, grid):

@@ -53,7 +53,8 @@ def integrate_fixed(rhs, x0, horizon_T: float, h: float) -> Trajectory:
 
     Node times are i*h (not accumulated sums) so that a run at h/2 hits
     every node of a run at h bit-exactly; the last step is shortened to
-    land on horizon_T.  rhs(t, x) receives a tuple of four Python floats and
+    land on horizon_T.  rhs(x0, x1, x2, x3) receives the state as four
+    Python floats, without a time: both charts' fields are autonomous.  It
     may return any sequence of four floats.  The stage sums are unrolled in
     the operation order of the vector form x + (h/6)*(((k1 + 2 k2) + 2 k3)
     + k4), so the states are bitwise those of the scheme in ndarray arithmetic.
@@ -72,32 +73,27 @@ def integrate_fixed(rhs, x0, horizon_T: float, h: float) -> Trajectory:
     put = struct.Struct("4d").pack_into  # a row at a byte offset; a third of row assignment's cost
     isfinite = math.isfinite
     put(states, 0, x0, x1, x2, x3)
-    f = rhs(0.0, x)
+    f = rhs(x0, x1, x2, x3)
     t = 0.0  # i*h: each step's t_next but the shortened last one
     for i in range(n_steps):
         t_next = horizon_T if i == n_steps - 1 else (i + 1) * h
         hi = t_next - t
         half = 0.5 * hi
-        t_half = t + half
         row = 32 * i
         a0, a1, a2, a3 = f
         put(derivs, row, a0, a1, a2, a3)
-        b0, b1, b2, b3 = rhs(t_half, (x0 + half * a0, x1 + half * a1,
-                                      x2 + half * a2, x3 + half * a3))
-        c0, c1, c2, c3 = rhs(t_half, (x0 + half * b0, x1 + half * b1,
-                                      x2 + half * b2, x3 + half * b3))
-        d0, d1, d2, d3 = rhs(t_next, (x0 + hi * c0, x1 + hi * c1,
-                                      x2 + hi * c2, x3 + hi * c3))
+        b0, b1, b2, b3 = rhs(x0 + half * a0, x1 + half * a1, x2 + half * a2, x3 + half * a3)
+        c0, c1, c2, c3 = rhs(x0 + half * b0, x1 + half * b1, x2 + half * b2, x3 + half * b3)
+        d0, d1, d2, d3 = rhs(x0 + hi * c0, x1 + hi * c1, x2 + hi * c2, x3 + hi * c3)
         sixth = hi / 6.0
         x0 = x0 + sixth * (((a0 + 2.0 * b0) + 2.0 * c0) + d0)
         x1 = x1 + sixth * (((a1 + 2.0 * b1) + 2.0 * c1) + d1)
         x2 = x2 + sixth * (((a2 + 2.0 * b2) + 2.0 * c2) + d2)
         x3 = x3 + sixth * (((a3 + 2.0 * b3) + 2.0 * c3) + d3)
-        x = (x0, x1, x2, x3)
         if not (isfinite(x0) and isfinite(x1) and isfinite(x2) and isfinite(x3)):
-            raise NumericalError(f"non-finite state at t={t_next!r}: {np.array(x)}")
+            raise NumericalError(f"non-finite state at t={t_next!r}: {np.array((x0, x1, x2, x3))}")
         put(states, row + 32, x0, x1, x2, x3)
-        f = rhs(t_next, x)
+        f = rhs(x0, x1, x2, x3)
         t = t_next
     derivs[-1] = f
     times = np.arange(n_steps + 1.0)  # scaled in place: i*h bitwise, as in the loop

@@ -31,7 +31,7 @@ def test_action_angle_rhs_at_zero_phase(fm):
 
 def test_cartesian_rhs_example(fm):
     # state (y, eta, z, zeta) = (0, 0, 1/8, 0)
-    dy, deta, dz, dzeta = fs.cartesian_field(1.0, fm)(0.0, (0.0, 0.0, 0.125, 0.0))
+    dy, deta, dz, dzeta = fs.cartesian_field(1.0, fm)(0.0, 0.0, 0.125, 0.0)
     assert dy == 0.0
     assert dz == 0.0
     assert deta == -0.03125  # -omega*omega'*z^2, exact dyadic
@@ -145,7 +145,7 @@ def test_field_closures_match_structured_rhs(fm):
     f = fs.action_angle_field(eps, fm)
     x = np.array([0.3, 0.2, -0.4, 0.9])
     d = fs.action_angle_rhs(fs.ActionAngleState(*x), eps, fm)
-    assert np.array_equal(f(0.0, x), np.array([d.phi, d.theta, d.y, d.p]))
+    assert np.array_equal(f(*x), np.array([d.phi, d.theta, d.y, d.p]))
 
 
 def _aa_rhs_parent(phi, theta, y, p, epsilon, fm):
@@ -185,7 +185,7 @@ def test_fused_field_is_bitwise_the_structured_formula(preset, coefficients):
                                rng.uniform(-2.0, 2.0, 200)].tolist()
         f = fs.action_angle_field(eps, fm)
         for x in states:
-            got = f(0.0, x)
+            got = f(*x)
             want = _aa_rhs_parent(*x, eps, fm)
             assert got == want
             assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
@@ -213,7 +213,7 @@ def test_cartesian_field_is_bitwise_the_structured_formula(preset, coefficients)
                                rng.uniform(-3.0, 3.0, 200)].tolist()
         f = fs.cartesian_field(eps, fm)
         for x in states:
-            got = f(0.0, x)
+            got = f(*x)
             want = _cartesian_rhs_parent(*x, eps, fm)
             assert got == want
             assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]

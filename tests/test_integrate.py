@@ -8,8 +8,13 @@ import pytest
 import fastslow as fs
 
 
-def decay(t, x):
+def decay(*x):
     return tuple(-v for v in x)
+
+
+def controlled_form(field):
+    # integrate_controlled's rhs(t, x) form of a field of integrate_fixed
+    return lambda t, x: field(*x)
 
 
 # integrate_fixed steps 4-component states; these start component 0 at one
@@ -33,7 +38,7 @@ def test_fixed_step_accuracy_at_small_h():
 
 
 def test_fixed_step_exact_on_constant_field():
-    traj = fs.integrate_fixed(lambda t, x: np.ones(4), ZERO, 2.0, 0.125)
+    traj = fs.integrate_fixed(lambda *x: np.ones(4), ZERO, 2.0, 0.125)
     assert traj.times[-1] == 2.0
     assert traj.states[-1, 0] == 2.0  # 16 exact binary steps
 
@@ -58,8 +63,8 @@ def test_constant_frequency_keeps_action_bitwise(fm):
 def test_controlled_energy_drift(fm):
     eps = 0.01
     x0 = np.array([0.0, 0.25, 0.0, 1.0])
-    traj = fs.integrate_controlled(fs.action_angle_field(eps, fm), x0, 1.0,
-                                   rtol=1e-10, atol=1e-10)
+    field = controlled_form(fs.action_angle_field(eps, fm))
+    traj = fs.integrate_controlled(field, x0, 1.0, rtol=1e-10, atol=1e-10)
     E = np.array([fs.energy_action_angle(fs.ActionAngleState(*st), eps, fm)
                   for st in traj.states])
     assert np.max(np.abs(E - E[0])) <= 1e-8
@@ -69,16 +74,16 @@ def test_controlled_step_count_scales_with_frequency(fm):
     x0 = np.array([0.0, 0.25, 0.0, 1.0])
     n = {}
     for eps in (0.01, 0.005):
-        traj = fs.integrate_controlled(fs.action_angle_field(eps, fm), x0, 1.0,
-                                       rtol=1e-10, atol=1e-10)
+        field = controlled_form(fs.action_angle_field(eps, fm))
+        traj = fs.integrate_controlled(field, x0, 1.0, rtol=1e-10, atol=1e-10)
         n[eps] = traj.times.size
     ratio = n[0.005] / n[0.01]
     assert 2 / 1.5 <= ratio <= 2 * 1.5
 
 
 def test_controlled_respects_max_step():
-    traj = fs.integrate_controlled(decay, np.array([1.0]), 1.0, 1e-8, 1e-8,
-                                   max_step=0.01)
+    traj = fs.integrate_controlled(controlled_form(decay), np.array([1.0]), 1.0,
+                                   1e-8, 1e-8, max_step=0.01)
     assert np.max(np.diff(traj.times)) <= 0.01 + 1e-12
 
 
@@ -163,12 +168,13 @@ def test_reference_error_cap_enforced(fm):
 
 
 def test_nonfinite_rhs_raises():
-    def bad(t, x):
+    def bad(*x):
         return np.full(len(x), float("nan"))
     with pytest.raises(fs.NumericalError):
         fs.integrate_fixed(bad, ONE, 1.0, 0.1)
     with pytest.raises(fs.NumericalError):
-        fs.integrate_controlled(bad, np.array([1.0]), 1.0, 1e-8, 1e-8)
+        fs.integrate_controlled(controlled_form(bad), np.array([1.0]), 1.0,
+                                1e-8, 1e-8)
 
 
 def test_step_larger_than_horizon_rejected():
@@ -184,10 +190,28 @@ def test_fixed_step_takes_four_components():
             fs.integrate_fixed(decay, np.ones(d), 1.0, 0.1)
 
 
+def test_fixed_step_passes_the_field_four_floats_and_no_time():
+    # the field gets the state as four positional floats: once at t = 0,
+    # then four times per step, the last call at the end state
+    calls = []
+
+    def field(*args, **kwargs):
+        assert not kwargs
+        calls.append(args)
+        return decay(*args)
+    x0 = (1.0, -0.5, 0.25, 2.0)
+    traj = fs.integrate_fixed(field, np.array(x0), 1.0, 0.03)
+    n_steps = traj.meta["n_steps"]
+    assert n_steps == 34
+    assert len(calls) == 4 * n_steps + 1
+    assert all(len(a) == 4 and all(type(v) is float for v in a) for a in calls)
+    assert calls[0] == x0 and calls[-1] == tuple(traj.states[-1].tolist())
+
+
 def test_step_budget_exhaustion_raises():
     with pytest.raises(fs.NumericalError):
-        fs.integrate_controlled(decay, np.array([1.0]), 1.0, 1e-13, 1e-13,
-                                max_steps=10)
+        fs.integrate_controlled(controlled_form(decay), np.array([1.0]), 1.0,
+                                1e-13, 1e-13, max_steps=10)
 
 
 def test_step_cap_beyond_the_budget_raises_before_the_first_step():
@@ -197,7 +221,7 @@ def test_step_cap_beyond_the_budget_raises_before_the_first_step():
 
     def counted(t, x):
         calls.append(t)
-        return decay(t, x)
+        return decay(*x)
     with pytest.raises(fs.NumericalError, match="step budget"):
         fs.integrate_controlled(counted, np.array([1.0]), 1.0, 1e-8, 1e-8,
                                 max_step=0.01, max_steps=10)
@@ -205,7 +229,7 @@ def test_step_cap_beyond_the_budget_raises_before_the_first_step():
 
 
 def test_invert_monotone_recovers_times():
-    traj = fs.integrate_fixed(lambda t, x: (2.0 + math.sin(x[0]), 0.0, 0.0, 0.0),
+    traj = fs.integrate_fixed(lambda *x: (2.0 + math.sin(x[0]), 0.0, 0.0, 0.0),
                               ZERO, 1.0, 1e-3)
     targets = np.linspace(0.0, float(traj.states[-1, 0]), 20)
     ts = fs.invert_monotone(traj, targets)
@@ -287,13 +311,14 @@ def test_invert_monotone_matches_sample_bisection_on_reference_runs(
 
 
 def test_invert_monotone_rejects_a_column_that_turns_back():
-    # x = sin(t) rises to 1 at t = pi/2 and falls after it
-    traj = fs.integrate_fixed(lambda t, x: (math.cos(t), 0.0, 0.0, 0.0),
-                              ZERO, 3.0, 1e-2)
+    # x = sin(t), from the oscillator x' = v, v' = -x, rises to 1 at t = pi/2
+    # and falls after it
+    traj = fs.integrate_fixed(lambda x, v, _, __: (v, -x, 0.0, 0.0),
+                              np.array([0.0, 1.0, 0.0, 0.0]), 3.0, 1e-2)
     assert float(traj.states[-1, 0]) > 0.1
     with pytest.raises(ValueError, match="strictly increasing"):
         fs.invert_monotone(traj, np.array([0.1]))
-    flat = fs.integrate_fixed(lambda t, x: ZERO, ONE, 1.0, 0.1)
+    flat = fs.integrate_fixed(lambda *x: ZERO, ONE, 1.0, 0.1)
     with pytest.raises(ValueError, match="strictly increasing"):
         fs.invert_monotone(flat, np.array([1.0]))
 
@@ -307,18 +332,18 @@ def _rk4_ndarray(rhs, x0, horizon_T, h):
     derivs = np.empty_like(states)
     times[0] = 0.0
     states[0] = x
-    f = np.asarray(rhs(0.0, x))
+    f = np.asarray(rhs(*x))
     derivs[0] = f
     for i in range(n_steps):
         t = i * h
         t_next = horizon_T if i == n_steps - 1 else (i + 1) * h
         hi = t_next - t
         k1 = f
-        k2 = np.asarray(rhs(t + 0.5 * hi, x + (0.5 * hi) * k1))
-        k3 = np.asarray(rhs(t + 0.5 * hi, x + (0.5 * hi) * k2))
-        k4 = np.asarray(rhs(t_next, x + hi * k3))
+        k2 = np.asarray(rhs(*(x + (0.5 * hi) * k1)))
+        k3 = np.asarray(rhs(*(x + (0.5 * hi) * k2)))
+        k4 = np.asarray(rhs(*(x + hi * k3)))
         x = x + (hi / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        f = np.asarray(rhs(t_next, x))
+        f = np.asarray(rhs(*x))
         times[i + 1] = t_next
         states[i + 1] = x
         derivs[i + 1] = f
@@ -354,23 +379,8 @@ def test_tuple_rk4_matches_ndarray_rk4():
                 np.max(np.abs(fine[idx] - coarse))) / 15.0
     # x' = x^2 from x = 2 blows up at t = 1/2: the state overflows mid-run
     with pytest.raises(fs.NumericalError, match=r"non-finite state at t=0\.5"):
-        fs.integrate_fixed(lambda t, x: tuple(v * v for v in x),
+        fs.integrate_fixed(lambda *x: tuple(v * v for v in x),
                            np.array([2.0, 0.0, 0.0, 0.0]), 1.0, 1e-3)
-
-
-def test_rk4_stage_times_are_those_of_the_ndarray_form():
-    # a field that reads t: each stage gets the time of the vector form,
-    # i*h + 0.5*hi and t_next, the shortened last step included
-    def field(t, x):
-        return (math.cos(3.0 * t) * x[1], -x[0], t * t, math.sin(t) + 0.1 * x[3])
-
-    x0 = np.array([0.3, -0.2, 0.0, 1.0])
-    for T, h in ((0.3, 0.0123), (1.0, 1 / 3), (2.5, 0.01)):
-        traj = fs.integrate_fixed(field, x0, T, h)
-        times, states, derivs = _rk4_ndarray(field, x0, T, h)
-        assert np.array_equal(traj.times, times)
-        assert np.array_equal(traj.states, states)
-        assert np.array_equal(traj.derivs, derivs)
 
 
 def _rk4_rows(rhs, x0, horizon_T, h):
@@ -384,7 +394,7 @@ def _rk4_rows(rhs, x0, horizon_T, h):
     derivs = np.empty_like(states)
     times[0] = 0.0
     states[0] = x
-    f = rhs(0.0, x)
+    f = rhs(*x)
     derivs[0] = f
     for i in range(n_steps):
         t = i * h
@@ -392,19 +402,16 @@ def _rk4_rows(rhs, x0, horizon_T, h):
         hi = t_next - t
         half = 0.5 * hi
         a0, a1, a2, a3 = f
-        b0, b1, b2, b3 = rhs(t + half, (x0 + half * a0, x1 + half * a1,
-                                        x2 + half * a2, x3 + half * a3))
-        c0, c1, c2, c3 = rhs(t + half, (x0 + half * b0, x1 + half * b1,
-                                        x2 + half * b2, x3 + half * b3))
-        d0, d1, d2, d3 = rhs(t_next, (x0 + hi * c0, x1 + hi * c1,
-                                      x2 + hi * c2, x3 + hi * c3))
+        b0, b1, b2, b3 = rhs(x0 + half * a0, x1 + half * a1, x2 + half * a2, x3 + half * a3)
+        c0, c1, c2, c3 = rhs(x0 + half * b0, x1 + half * b1, x2 + half * b2, x3 + half * b3)
+        d0, d1, d2, d3 = rhs(x0 + hi * c0, x1 + hi * c1, x2 + hi * c2, x3 + hi * c3)
         sixth = hi / 6.0
         x0 = x0 + sixth * (((a0 + 2.0 * b0) + 2.0 * c0) + d0)
         x1 = x1 + sixth * (((a1 + 2.0 * b1) + 2.0 * c1) + d1)
         x2 = x2 + sixth * (((a2 + 2.0 * b2) + 2.0 * c2) + d2)
         x3 = x3 + sixth * (((a3 + 2.0 * b3) + 2.0 * c3) + d3)
         x = (x0, x1, x2, x3)
-        f = rhs(t_next, x)
+        f = rhs(*x)
         times[i + 1] = t_next
         states[i + 1] = x
         derivs[i + 1] = f
@@ -518,7 +525,7 @@ def test_tuple_dopri_matches_ndarray_dopri_on_the_slow_fields(
 
 
 def test_tuple_dopri_matches_ndarray_dopri_through_rejections(fm):
-    field = fs.action_angle_field(0.01, fm)
+    field = controlled_form(fs.action_angle_field(0.01, fm))
     x0 = np.array([0.0, 0.25, 0.0, 1.0])
     traj = fs.integrate_controlled(field, x0, 1.0, rtol=1e-10, atol=1e-10)
     assert traj.meta["n_reject"] > 0
@@ -541,7 +548,7 @@ def test_tuple_dopri_matches_ndarray_dopri_in_any_dimension(d):
 
 
 def test_nan_times_and_targets_are_outside_the_range():
-    traj = fs.integrate_fixed(lambda t, x: (2.0, 0.0, 0.0, 0.0), ZERO, 1.0, 0.1)
+    traj = fs.integrate_fixed(lambda *x: (2.0, 0.0, 0.0, 0.0), ZERO, 1.0, 0.1)
     with pytest.raises(ValueError, match="outside"):
         fs.invert_monotone(traj, [math.nan, 0.5])
     for grid in ([0.5, math.nan], [math.nan]):

@@ -1019,10 +1019,29 @@ def test_no_command_imports_numpy_ma_or_numpy_random(tmp_path):
         assert imported & {"numpy.ma", "numpy.random"} == set(), command
 
 
-@pytest.mark.parametrize("text, code", [("no.such.key = 1\n", 2),
-                                        ("run.horizon_T = 1e6\n", 3)],
-                         ids=["unknown-key", "past-the-step-budget"])
-def test_python_m_fastslow_exit_codes(tmp_path, text, code):
-    proc = _python_m_fastslow(tmp_path, "check", text)
+_STIFF = {"u_star-minus-1e8": "initial.u_star = -1e8\n",
+          "p_star-1e8": "initial.p_star = 1e8\n",
+          "p_star-minus-1e8": "initial.p_star = -1e8\n"}
+# a budget of 1,001 steps at this horizon; the solve used to take 715,257
+_SHORT_FOURIER = ("frequency.preset = fourier\nfrequency.coefficients = 3,0.5,0.5,0.3,-0.4\n"
+                  "initial.u_star = -1e8\ninitial.p_star = -2.5\n"
+                  "integrate.step_factor = 1e3\nrun.horizon_T = 1e-4\n"
+                  "run.epsilons = 0.3,0.2,0.1\n")
+
+
+# the stiff slow solves stop at their budget, 20 capped step counts plus 1000
+# (11,000 at horizon_T = 1), in about a second, not after ten million steps
+@pytest.mark.parametrize("command, text, code", [
+    ("check", "no.such.key = 1\n", 2),
+    ("check", "run.horizon_T = 1e6\n", 3),
+    *[(command, text, 3) for text in _STIFF.values() for command in ("check", "sweep")],
+    ("check", _SHORT_FOURIER, 3),
+], ids=["unknown-key", "past-the-step-budget",
+        *[f"{command}-{case}" for case in _STIFF for command in ("check", "sweep")],
+        "check-short-fourier"])
+def test_python_m_fastslow_exit_codes(tmp_path, command, text, code):
+    proc = _python_m_fastslow(tmp_path, command, text)
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
+    if code == 3:
+        assert proc.stderr.startswith("numerical failure:") and "step budget" in proc.stderr

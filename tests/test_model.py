@@ -263,8 +263,8 @@ def test_frequency_below_its_floor_raises():
     assert bad.derivs(0.0)[0] == 2.0
     calls = (lambda: bad.derivs(y),
              lambda: bad.derivs(np.array([0.0, y])),
-             lambda: fs.action_angle_field(0.01, bad)(0.0, (0.0, 0.25, y, 1.0)),
-             lambda: fs.cartesian_field(0.01, bad)(0.0, (y, 1.0, 0.0, 1.0)))
+             lambda: fs.action_angle_field(0.01, bad)(0.0, 0.25, y, 1.0),
+             lambda: fs.cartesian_field(0.01, bad)(y, 1.0, 0.0, 1.0))
     for call in calls:
         with pytest.raises(ValueError, match="below its positive floor"):
             call()
