@@ -18,16 +18,13 @@ from fastslow.thermo import fd4_derivative
 fm = fs.make_frequency("sine", (2.0, 1.0))
 params = fs.SystemParams(y_star=0.0, p_star=1.0, u_star=1.0, horizon_T=1.0)
 dc = fs.derived_constants(params, fm)
-eps = 0.005
 
 grid = np.linspace(0.0, 1.0, 2001)
 dt = grid[1] - grid[0]
 run = fs.solve_expansion(params, fm)
 base, corr = fs.eval_expansion(run, grid)
-cv = fs.correctors(base, corr.phi2_bar, eps, fm, dc.theta_star)
 
-th = fs.expand_thermo(base, corr, cv, dc.theta_star, fm)
-ex = fs.energy_expansion(base, corr, cv, eps, dc.theta_star, fm)
+th = fs.expand_thermo(base, corr, dc.theta_star, fm)
 bundle = fs.averaged_energy_bundle(base, corr, fm, dc)
 
 print("state functions at a few times (leading order)")
@@ -38,7 +35,7 @@ for i in (0, 500, 1000, 1500, 2000):
 
 ##### energy balance, order by order
 
-lead = fs.check_first_law(ex.E0_perp, base.y0, th.S0, th.F0, th.T0, dt)
+lead = fs.check_first_law(th.E0_perp, base.y0, th.S0, th.F0, th.T0, dt)
 print()
 print(f"leading order:  max |dE0_perp - F0 dy0 - T0 dS0|        = "
       f"{np.max(np.abs(lead)):.3e}")
@@ -46,7 +43,7 @@ print(f"leading order:  max |dE0_perp - F0 dy0 - T0 dS0|        = "
 # at second order the balance needs the second-order force
 # F2 = omega' theta2_bar + theta* omega'' y2_bar acting through dy0;
 # without it the residual is the quasi-static defect, order 1e-2 here
-naive = fs.check_first_law(ex.E2_perp_bar, corr.y2_bar, th.S2_doublebar,
+naive = fs.check_first_law(th.E2_perp_bar, corr.y2_bar, th.S2_doublebar,
                            th.F0, th.T0, dt)
 second = naive - th.F2_bar * fd4_derivative(base.y0, dt)
 print(f"second order:   max residual with F2 work term          = "
@@ -58,7 +55,7 @@ print(f"second order:   max residual without it (for contrast)  = "
 
 print()
 print(f"averaged E2 vanishes:     sup |E2_bar|                = "
-      f"{np.max(np.abs(ex.E2_bar)):.3e}")
+      f"{np.max(np.abs(th.E2_bar)):.3e}")
 print(f"entropy closed form:      sup |theta2_bar - theta* S2ddbar(y0,p0)| = "
       f"{np.max(np.abs(corr.theta2_bar - dc.theta_star * bundle.S2_doublebar_closed)):.3e}")
 rhs = fs.averaged_rhs(corr, base, fm, dc.theta_star)

@@ -137,8 +137,9 @@ def integrate_controlled(rhs, x0, horizon_T: float, rtol: float, atol: float,
     in the vector form's order x + h*((0.0 + a_i0 k_0) + a_i1 k_1 + ...),
     zero terms included, so the states are bitwise those of ndarray
     arithmetic (builtin sum() compensates float sums from Python 3.12 on).
-    Aborts with NumericalError on step underflow or non-finite states, and
-    before the first step when horizon_T / max_step exceeds max_steps.
+    Aborts with NumericalError on step underflow or non-finite states,
+    after max_steps attempted steps, and before the first step when
+    horizon_T / max_step exceeds max_steps.
     """
     if not (rtol > 0.0 and atol > 0.0):
         raise ValueError("tolerances must be positive")
@@ -206,7 +207,8 @@ def integrate_controlled(rhs, x0, horizon_T: float, rtol: float, atol: float,
             n_reject += 1
             h = h * min(1.0, max(0.2, 0.9 * (err ** -0.14)))
     else:
-        raise NumericalError("step budget exhausted")
+        raise NumericalError(f"Dormand-Prince step budget of {max_steps} steps exhausted "
+                             f"at t={t:.6g} of horizon_T={horizon_T:g}")
     return Trajectory(np.array(times), np.array(states, float), np.array(derivs, float),
                       {"method": "dopri54", "rtol": rtol, "atol": atol,
                        "n_accept": n_accept, "n_reject": n_reject})

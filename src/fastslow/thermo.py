@@ -25,43 +25,41 @@ from .phase import reduced_sincos
 
 
 class ThermoExpansion(NamedTuple):
-    """Entropy/temperature/force series along the reconstruction.
+    """The averaged, epsilon-free state functions along the reconstruction.
 
-    S1_osc is the first-order entropy coefficient (purely oscillatory);
-    S2_full the full second-order coefficient; S2_bar its fast-phase
-    average; S2_doublebar the part that survives both averaging and the
-    removal of the first-order self-interaction; F2_bar the averaged
+    T0 is the temperature and E0_perp the leading oscillator energy, one
+    array; S2_bar is the fast-phase average of the second-order entropy
+    coefficient, S2_doublebar the part that survives both averaging and
+    the removal of the first-order self-interaction; F2_bar the averaged
     second-order force, whose work closes the second-order energy balance.
+    E2_perp_bar + E2_par_bar = E2_bar vanishes identically because total
+    energy is conserved and matched at t = 0.
     """
 
     T0: object
+    E0_perp: object
     F0: object
     S0: object
-    S1_osc: object
-    S2_full: object
     S2_bar: object
     S2_doublebar: object
     F2_bar: object
+    E2_perp_bar: object
+    E2_par_bar: object
+    E2_bar: object
 
 
 class EnergyExpansion(NamedTuple):
-    """Oscillator/slow energy split, order by order.
+    """Oscillatory oscillator/slow energy split at epsilon, order by order.
 
     Each second-order piece is its full coefficient minus its fast-phase
-    average.  The oscillatory pieces cancel at both orders
-    (E1_perp_osc + E1_par_osc = 0, E2_perp_osc + E2_par_osc = 0); the
-    second-order averages E2_perp_bar + E2_par_bar vanish identically
-    because total energy is conserved and matched at t = 0.
+    average.  The pieces cancel at both orders (E1_perp_osc + E1_par_osc
+    = 0, E2_perp_osc + E2_par_osc = 0).
     """
 
-    E0_perp: object
     E1_perp_osc: object
     E1_par_osc: object
     E2_perp_osc: object
     E2_par_osc: object
-    E2_perp_bar: object
-    E2_par_bar: object
-    E2_bar: object
 
 
 class AveragedEnergyBundle(NamedTuple):
@@ -88,31 +86,39 @@ class EquipartitionReport(NamedTuple):
     any_slid: bool
 
 
-def expand_thermo(base: HomogenizedState, corr: AveragedCorrection,
-                  cv: CorrectorValues, theta_star: float,
-                  fm: FrequencyModel) -> ThermoExpansion:
-    """Entropy/temperature/force coefficients along the reconstruction."""
-    w, w1, w2, _ = fm.derivs(base.y0)
+def _e2_par_bar(base: HomogenizedState, corr: AveragedCorrection,
+                theta_star: float, w, w1):
+    """Averaged second-order slow energy, from omega and omega' at y0."""
     dyL = w1 / w
     DtL = base.p0 * dyL
-    s1 = cv.theta1 / theta_star
+    return (base.p0 * corr.p2_bar + (theta_star * dyL / 4.0) ** 2
+            - theta_star * DtL * DtL / (4.0 * w))
+
+
+def expand_thermo(base: HomogenizedState, corr: AveragedCorrection,
+                  theta_star: float, fm: FrequencyModel) -> ThermoExpansion:
+    """Temperature, force, entropy and averaged energies along the reconstruction."""
+    w, w1, w2, _ = fm.derivs(base.y0)
+    T0, F0 = theta_star * w, theta_star * w1
+    DtL = base.p0 * (w1 / w)
+    e2_perp_bar = F0 * corr.y2_bar + w * corr.theta2_bar
+    e2_par_bar = _e2_par_bar(base, corr, theta_star, w, w1)
     return ThermoExpansion(
-        T0=theta_star * w,
-        F0=theta_star * w1,
+        T0=T0, E0_perp=T0, F0=F0,
         # the entropy normalization pins S0 = log(theta_star) + constant to 0
         S0=0.0 * w,
-        S1_osc=s1,
-        S2_full=(corr.theta2_bar + cv.theta2) / theta_star - 0.5 * s1 * s1,
         S2_bar=corr.theta2_bar / theta_star - (DtL / (4.0 * w)) ** 2,
         S2_doublebar=corr.theta2_bar / theta_star,
         F2_bar=w1 * corr.theta2_bar + theta_star * w2 * corr.y2_bar,
+        E2_perp_bar=e2_perp_bar, E2_par_bar=e2_par_bar,
+        E2_bar=e2_perp_bar + e2_par_bar,
     )
 
 
 def energy_expansion(base: HomogenizedState, corr: AveragedCorrection,
                      cv: CorrectorValues, epsilon: float, theta_star: float,
                      fm: FrequencyModel) -> EnergyExpansion:
-    """Energy split coefficients along the reconstruction.
+    """Oscillatory energy split coefficients along the reconstruction.
 
     The first-order pieces are computed independently of each other (the
     oscillator part through the action corrector, the slow part through
@@ -122,26 +128,15 @@ def energy_expansion(base: HomogenizedState, corr: AveragedCorrection,
     s2, c2 = reduced_sincos(base.phi0, epsilon, 2)
     dyL = w1 / w
     DtL = base.p0 * dyL
-    e1_perp = w * cv.theta1
-    e1_par = (0.5 * theta_star * DtL) * s2
-    e2_perp_osc = theta_star * w1 * cv.y2 + w * cv.theta2
     e2_par = (base.p0 * (corr.p2_bar + cv.p2)
               + (theta_star**2 * dyL * dyL / 8.0) * (s2 * s2)
               + theta_star * DtL * (corr.phi2_bar + cv.phi2) * c2
               + 0.5 * cv.theta1 * DtL * s2)
-    e2_perp_bar = theta_star * w1 * corr.y2_bar + w * corr.theta2_bar
-    e2_par_bar = (base.p0 * corr.p2_bar
-                  + (theta_star * dyL / 4.0) ** 2
-                  - theta_star * DtL * DtL / (4.0 * w))
     return EnergyExpansion(
-        E0_perp=theta_star * w,
-        E1_perp_osc=e1_perp,
-        E1_par_osc=e1_par,
-        E2_perp_osc=e2_perp_osc,
-        E2_par_osc=e2_par - e2_par_bar,
-        E2_perp_bar=e2_perp_bar,
-        E2_par_bar=e2_par_bar,
-        E2_bar=e2_perp_bar + e2_par_bar,
+        E1_perp_osc=w * cv.theta1,
+        E1_par_osc=(0.5 * theta_star * DtL) * s2,
+        E2_perp_osc=theta_star * w1 * cv.y2 + w * cv.theta2,
+        E2_par_osc=e2_par - _e2_par_bar(base, corr, theta_star, w, w1),
     )
 
 

@@ -41,14 +41,11 @@ def corrector_sets(expansion_run, fm, dc):
 
 
 @pytest.fixture(scope="module")
-def thermo_min_eps(expansion_run, corrector_sets, fm, dc):
+def averaged_thermo(expansion_run, fm, dc):
     traj, grid, base, corr = expansion_run
-    eps = min(EPSILONS)
-    cv = corrector_sets[eps]
-    th = fs.expand_thermo(base, corr, cv, dc.theta_star, fm)
-    ex = fs.energy_expansion(base, corr, cv, eps, dc.theta_star, fm)
+    th = fs.expand_thermo(base, corr, dc.theta_star, fm)
     bundle = fs.averaged_energy_bundle(base, corr, fm, dc)
-    return th, ex, bundle
+    return th, bundle
 
 
 def test_c01_energy_conservation(sweep_report, reference_runs, expansion_run,
@@ -115,18 +112,18 @@ def test_c06_averaged_action_identity(expansion_run, fm, dc, acceptance_lines):
            f"sup = {worst:.2e} (tol 1e-8)")
 
 
-def test_c07_averaged_second_order_energy_vanishes(thermo_min_eps,
+def test_c07_averaged_second_order_energy_vanishes(averaged_thermo,
                                                    acceptance_lines):
-    th, ex, bundle = thermo_min_eps
-    worst = float(np.max(np.abs(ex.E2_bar)))
+    th, bundle = averaged_thermo
+    worst = float(np.max(np.abs(th.E2_bar)))
     record(acceptance_lines, 7, "averaged-energy-vanishes", worst <= 1e-8,
            f"sup = {worst:.2e} (tol 1e-8)")
 
 
-def test_c08_closed_form_entropy(expansion_run, thermo_min_eps, dc,
+def test_c08_closed_form_entropy(expansion_run, averaged_thermo, dc,
                                  acceptance_lines):
     traj, grid, base, corr = expansion_run
-    th, ex, bundle = thermo_min_eps
+    th, bundle = averaged_thermo
     gap = float(np.max(np.abs(corr.theta2_bar
                               - dc.theta_star * bundle.S2_doublebar_closed)))
     exact0 = (corr.theta2_bar[0] == -0.00634765625
@@ -137,10 +134,10 @@ def test_c08_closed_form_entropy(expansion_run, thermo_min_eps, dc,
            f"-0.00634765625 at t=0: {exact0}")
 
 
-def test_c09_hamilton_form(expansion_run, thermo_min_eps, fm, dc,
+def test_c09_hamilton_form(expansion_run, averaged_thermo, fm, dc,
                            acceptance_lines):
     traj, grid, base, corr = expansion_run
-    th, ex, bundle = thermo_min_eps
+    th, bundle = averaged_thermo
     rhs = fs.averaged_rhs(corr, base, fm, dc.theta_star)
     ry = float(np.max(np.abs(rhs.y2_bar - bundle.dE2_dp0)))
     rp = float(np.max(np.abs(rhs.p2_bar + bundle.dE2_dy0)))
@@ -149,13 +146,13 @@ def test_c09_hamilton_form(expansion_run, thermo_min_eps, fm, dc,
            f"|dy2/dt - dE/dp| = {ry:.2e}, |dp2/dt + dE/dy| = {rp:.2e} (tol 1e-7)")
 
 
-def test_c10_first_law(expansion_run, thermo_min_eps, acceptance_lines):
+def test_c10_first_law(expansion_run, averaged_thermo, acceptance_lines):
     traj, grid, base, corr = expansion_run
-    th, ex, bundle = thermo_min_eps
+    th, bundle = averaged_thermo
     dt = grid[1] - grid[0]
     assert dt == 5e-4
-    lead = np.max(np.abs(fs.check_first_law(ex.E0_perp, base.y0, th.S0, th.F0, th.T0, dt)))
-    literal = fs.check_first_law(ex.E2_perp_bar, corr.y2_bar, th.S2_doublebar,
+    lead = np.max(np.abs(fs.check_first_law(th.E0_perp, base.y0, th.S0, th.F0, th.T0, dt)))
+    literal = fs.check_first_law(th.E2_perp_bar, corr.y2_bar, th.S2_doublebar,
                                  th.F0, th.T0, dt)
     second = np.max(np.abs(literal - th.F2_bar * fd4_derivative(base.y0, dt)))
     ok = lead <= 1e-8 and second <= 1e-6

@@ -176,7 +176,7 @@ def test_kernels_agree_on_scalars_and_length_one_arrays(expansion_run, fm, dc):
         b, c = at(base, pick), at(corr, pick)
         cv = fs.correctors(b, c.phi2_bar, eps, fm, ts)
         results.append([cv, fs.averaged_rhs(c, b, fm, ts),
-                        fs.expand_thermo(b, c, cv, ts, fm),
+                        fs.expand_thermo(b, c, ts, fm),
                         fs.energy_expansion(b, c, cv, eps, ts, fm),
                         fs.averaged_energy_bundle(b, c, fm, dc)])
     for scalar, array in zip(*results):

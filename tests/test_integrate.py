@@ -209,7 +209,7 @@ def test_fixed_step_passes_the_field_four_floats_and_no_time():
 
 
 def test_step_budget_exhaustion_raises():
-    with pytest.raises(fs.NumericalError):
+    with pytest.raises(fs.NumericalError, match=r"step budget of 10 steps exhausted at t="):
         fs.integrate_controlled(controlled_form(decay), np.array([1.0]), 1.0,
                                 1e-13, 1e-13, max_steps=10)
 

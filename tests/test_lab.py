@@ -780,6 +780,22 @@ def test_thermo_command_structure(tmp_path):
     assert all(0.0 < r["theta_min"] < 1.0 for r in runs)
 
 
+def test_thermo_makes_no_corrector_and_no_energy_split(tmp_path, monkeypatch):
+    # thermo reads only the epsilon-free averages of expand_thermo
+    plain = tmp_path / "plain"
+    assert fs.main(["thermo", "--epsilon", "0.04,0.02", "--out", str(plain)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("thermo called an epsilon-dependent kernel")
+
+    monkeypatch.setattr(fs.expansion, "correctors", refuse)
+    monkeypatch.setattr(fs.thermo, "energy_expansion", refuse)
+    patched = tmp_path / "patched"
+    assert fs.main(["thermo", "--epsilon", "0.04,0.02", "--out", str(patched)]) == 0
+    for name in ("thermo.csv", "thermo_summary.txt"):
+        assert (patched / name).read_bytes() == (plain / name).read_bytes(), name
+
+
 def test_thermo_passes_equipartition_gaps_at_rounding_level(tmp_path):
     # a constant frequency leaves only rounding noise in the windowed gaps,
     # which need not fall from one epsilon to the next
@@ -953,9 +969,9 @@ _RECORD_FIELDS = {
     "ResidualReport": "epsilons families normalized energy_drift",
     "FrequencyModel": "preset coefficients omega_lower_bound omega_upper_bound",
     "DerivedConstants": "theta_star e_star entropy_constant c_sbarbar2",
-    "ThermoExpansion": "T0 F0 S0 S1_osc S2_full S2_bar S2_doublebar F2_bar",
-    "EnergyExpansion": ("E0_perp E1_perp_osc E1_par_osc E2_perp_osc E2_par_osc "
+    "ThermoExpansion": ("T0 E0_perp F0 S0 S2_bar S2_doublebar F2_bar "
                         "E2_perp_bar E2_par_bar E2_bar"),
+    "EnergyExpansion": "E1_perp_osc E1_par_osc E2_perp_osc E2_par_osc",
     "AveragedEnergyBundle": "S2_doublebar_closed E2_bar dE2_dy0 dE2_dp0",
     "EquipartitionReport": "centers gap_max xi_sup any_slid",
 }
@@ -1030,18 +1046,21 @@ _SHORT_FOURIER = ("frequency.preset = fourier\nfrequency.coefficients = 3,0.5,0.
 
 
 # the stiff slow solves stop at their budget, 20 capped step counts plus 1000
-# (11,000 at horizon_T = 1), in about a second, not after ten million steps
-@pytest.mark.parametrize("command, text, code", [
-    ("check", "no.such.key = 1\n", 2),
-    ("check", "run.horizon_T = 1e6\n", 3),
-    *[(command, text, 3) for text in _STIFF.values() for command in ("check", "sweep")],
-    ("check", _SHORT_FOURIER, 3),
+# (11,000 at horizon_T = 1), in about a second, not after ten million steps;
+# the message names the budget
+@pytest.mark.parametrize("command, text, code, budget", [
+    ("check", "no.such.key = 1\n", 2, None),
+    ("check", "run.horizon_T = 1e6\n", 3, "10000000"),
+    *[(command, text, 3, "11000") for text in _STIFF.values()
+      for command in ("check", "sweep")],
+    ("check", _SHORT_FOURIER, 3, "1001"),
 ], ids=["unknown-key", "past-the-step-budget",
         *[f"{command}-{case}" for case in _STIFF for command in ("check", "sweep")],
         "check-short-fourier"])
-def test_python_m_fastslow_exit_codes(tmp_path, command, text, code):
+def test_python_m_fastslow_exit_codes(tmp_path, command, text, code, budget):
     proc = _python_m_fastslow(tmp_path, command, text)
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     if code == 3:
         assert proc.stderr.startswith("numerical failure:") and "step budget" in proc.stderr
+        assert budget in proc.stderr

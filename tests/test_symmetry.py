@@ -5,7 +5,7 @@ momentum and the odd part of omega change sign: sine (a, b) becomes (a, -b),
 and Fourier's sine coefficients b_k change sign.  Every operation of the lab
 commutes with negation in IEEE arithmetic (sin is odd, cos even), so the
 mirrored runs are the exact mirror images: the odd columns negate and the
-others stay, value for value.
+others stay, value for value, through the thermodynamic kernels too.
 """
 
 import numpy as np
@@ -63,3 +63,32 @@ def test_slow_solve_and_correctors_are_the_mirror_image(pair):
         cvs.append(fs.correctors(base, corr.phi2_bar, 0.005, f, theta_star))
     # (theta1, phi2, y2, p2, theta2): y2 and p2 negate
     _assert_mirrored(np.transpose(cvs[1]), np.transpose(cvs[0]), odd=(2, 3))
+
+
+# fields that negate under the mirror; every other field stays
+_ODD_FIELDS = {"F0", "F2_bar", "y2_bar", "p2_bar", "dE2_dp0"}
+
+
+def test_thermo_kernels_are_the_mirror_image(pair):
+    grid = np.linspace(0.0, 1.0, 2001)
+    records = []
+    for params, f in pair:
+        dc = fs.derived_constants(params, f)
+        ts = dc.theta_star
+        base, corr = fs.eval_expansion(fs.solve_expansion(params, f), grid)
+        cv = fs.correctors(base, corr.phi2_bar, 0.005, f, ts)
+        bundle = fs.averaged_energy_bundle(base, corr, f, dc)
+        records.append({
+            "expand_thermo": fs.expand_thermo(base, corr, ts, f)._asdict(),
+            "energy_expansion": fs.energy_expansion(base, corr, cv, 0.005, ts, f)._asdict(),
+            "averaged_rhs": fs.averaged_rhs(corr, base, f, ts)._asdict(),
+            "averaged_action_identity": {
+                "residual": fs.expansion.averaged_action_identity(base, corr, f, ts)},
+            # dE2_dy0 is left out: numpy's power need not be odd, (-x)**3 != -(x**3)
+            "averaged_energy_bundle": {name: getattr(bundle, name) for name in
+                                       ("S2_doublebar_closed", "E2_bar", "dE2_dp0")},
+        })
+    for kernel, fields in records[0].items():
+        for name, value in fields.items():
+            sign = -1.0 if name in _ODD_FIELDS else 1.0
+            assert np.array_equal(records[1][kernel][name], sign * value), (kernel, name)

@@ -15,8 +15,7 @@ def test_thermo_state_values(params, fm, dc):
     # bath state at t = 0: theta* = 1/4, omega = 2, omega' = 1
     base = fs.HomogenizedState(phi0=0.0, y0=0.0, p0=1.0)
     corr = initial_corrections(params, fm)
-    cv = fs.correctors(base, corr.phi2_bar, 0.04, fm, dc.theta_star)
-    th = fs.expand_thermo(base, corr, cv, dc.theta_star, fm)
+    th = fs.expand_thermo(base, corr, dc.theta_star, fm)
     assert th.T0 == 0.5
     assert th.S0 == 0.0  # the entropy constant pins the start to zero
     assert dc.entropy_constant == -math.log(dc.theta_star)
@@ -28,37 +27,34 @@ def thermo_pieces(expansion_run, fm, dc):
     traj, grid, base, corr = expansion_run
     eps = 0.005
     cv = fs.correctors(base, corr.phi2_bar, eps, fm, dc.theta_star)
-    th = fs.expand_thermo(base, corr, cv, dc.theta_star, fm)
+    th = fs.expand_thermo(base, corr, dc.theta_star, fm)
     ex = fs.energy_expansion(base, corr, cv, eps, dc.theta_star, fm)
     bundle = fs.averaged_energy_bundle(base, corr, fm, dc)
-    return grid, base, corr, cv, th, ex, bundle
+    return grid, base, corr, th, ex, bundle
 
 
 def test_expansion_leading_terms(thermo_pieces, fm, dc):
-    grid, base, corr, cv, th, ex, bundle = thermo_pieces
+    grid, base, corr, th, ex, bundle = thermo_pieces
     w, w1, _, _ = fm.derivs(base.y0)
     assert np.array_equal(th.T0, dc.theta_star * w)
+    assert th.E0_perp is th.T0  # the leading oscillator energy is the temperature
     assert np.array_equal(th.F0, dc.theta_star * w1)
     assert np.all(th.S0 == 0.0)
     assert th.T0[0] == 0.5 and th.F0[0] == 0.25
 
 
 def test_entropy_coefficient_relations(thermo_pieces, fm, dc):
-    grid, base, corr, cv, th, ex, bundle = thermo_pieces
+    grid, base, corr, th, ex, bundle = thermo_pieces
     w, w1, _, _ = fm.derivs(base.y0)
     dtl = base.p0 * w1 / w
     # singly averaged = doubly averaged minus the squared first-order mean
     gap = th.S2_bar - (th.S2_doublebar - (dtl / (4 * w)) ** 2)
     assert np.max(np.abs(gap)) <= 1e-15
     assert np.array_equal(th.S2_doublebar, corr.theta2_bar / dc.theta_star)
-    assert np.array_equal(th.S1_osc, cv.theta1 / dc.theta_star)
-    full = ((corr.theta2_bar + cv.theta2) / dc.theta_star
-            - 0.5 * (cv.theta1 / dc.theta_star) ** 2)
-    assert np.max(np.abs(th.S2_full - full)) <= 1e-15
 
 
 def test_closed_form_entropy_at_start(thermo_pieces, dc):
-    grid, base, corr, cv, th, ex, bundle = thermo_pieces
+    grid, base, corr, th, ex, bundle = thermo_pieces
     # (1/2)(p0 w'/2w^2)^2 + C at t=0: 1/128 - 17/512 = -13/512
     assert bundle.S2_doublebar_closed[0] == -0.025390625
     assert np.max(np.abs(corr.theta2_bar
@@ -68,15 +64,15 @@ def test_closed_form_entropy_at_start(thermo_pieces, dc):
 @pytest.mark.parametrize("order", [1, 2])
 def test_first_order_energy_identity(thermo_pieces, order):
     # the oscillatory oscillator and slow energies cancel at first and second order
-    grid, base, corr, cv, th, ex, bundle = thermo_pieces
+    grid, base, corr, th, ex, bundle = thermo_pieces
     perp, par = getattr(ex, f"E{order}_perp_osc"), getattr(ex, f"E{order}_par_osc")
     assert np.max(np.abs(perp + par)) <= 1e-13
 
 
 def test_averaged_energy_bundle_consistency(thermo_pieces, fm, dc):
-    grid, base, corr, cv, th, ex, bundle = thermo_pieces
-    assert np.max(np.abs(ex.E2_bar)) <= 1e-8
-    recomposed = ex.E2_perp_bar + ex.E2_par_bar
+    grid, base, corr, th, ex, bundle = thermo_pieces
+    assert np.max(np.abs(th.E2_bar)) <= 1e-8
+    recomposed = th.E2_perp_bar + th.E2_par_bar
     assert np.max(np.abs(bundle.E2_bar - recomposed)) <= 1e-14
     rhs = fs.averaged_rhs(corr, base, fm, dc.theta_star)
     assert np.max(np.abs(rhs.y2_bar - bundle.dE2_dp0)) <= 1e-7
@@ -89,20 +85,18 @@ def test_first_law_constant_frequency_is_exact(params):
     traj = fs.solve_expansion(params, fmc)
     grid = np.linspace(0.0, 1.0, 2001)
     base, corr = fs.eval_expansion(traj, grid)
-    cv = fs.correctors(base, corr.phi2_bar, 0.01, fmc, dcc.theta_star)
-    th = fs.expand_thermo(base, corr, cv, dcc.theta_star, fmc)
-    ex = fs.energy_expansion(base, corr, cv, 0.01, dcc.theta_star, fmc)
-    residuals = fs.check_first_law(ex.E0_perp, base.y0, th.S0, th.F0, th.T0,
+    th = fs.expand_thermo(base, corr, dcc.theta_star, fmc)
+    residuals = fs.check_first_law(th.E0_perp, base.y0, th.S0, th.F0, th.T0,
                                    grid[1] - grid[0])
     assert np.max(np.abs(residuals)) == 0.0
 
 
 def test_first_law_along_expansion(thermo_pieces):
-    grid, base, corr, cv, th, ex, bundle = thermo_pieces
+    grid, base, corr, th, ex, bundle = thermo_pieces
     dt = grid[1] - grid[0]
-    lead = fs.check_first_law(ex.E0_perp, base.y0, th.S0, th.F0, th.T0, dt)
+    lead = fs.check_first_law(th.E0_perp, base.y0, th.S0, th.F0, th.T0, dt)
     assert np.max(np.abs(lead)) <= 1e-8
-    literal = fs.check_first_law(ex.E2_perp_bar, corr.y2_bar, th.S2_doublebar,
+    literal = fs.check_first_law(th.E2_perp_bar, corr.y2_bar, th.S2_doublebar,
                                  th.F0, th.T0, dt)
     # with the work of the second-order force through dy0 the balance closes
     second = literal - th.F2_bar * fd4_derivative(base.y0, dt)
