@@ -9,7 +9,6 @@ averages over whole fast periods extract the slowly varying parts.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -93,16 +92,6 @@ def _unfolding_errors(u, limit, epsilon, r_grid, t_all):
     return errs.tolist()
 
 
-class WindowedAverage(NamedTuple):
-    """Mean of a signal over a whole-period window centered near a time."""
-
-    value: float
-    t_lo: float
-    t_hi: float
-    slid_left: bool
-    slid_right: bool
-
-
 # numpy's leggauss(10) written out: its bits follow the LAPACK, its import costs start-up
 _GL_NODES = np.array([-0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
                       -0.4333953941292472, -0.14887433898163122, 0.14887433898163122,
@@ -116,17 +105,16 @@ _PERIODS = 8  # fast periods per window
 
 
 def windowed_average(signal, centers, epsilon: float,
-                     phase_traj: Trajectory) -> list[WindowedAverage]:
-    """Average a vectorized signal over 8 whole fast periods around each
-    of a sequence of centers; returns one WindowedAverage per center.
+                     phase_traj: Trajectory) -> np.ndarray:
+    """Means of a vectorized signal over 8 whole fast periods around each
+    of a sequence of centers, one per center.
 
     The window edges are found by inverting the phase (component 0 of
     phase_traj), the edges of all windows in one call: the fast factor
     exp(2i*phi/eps) completes exactly 8 cycles between them, so the
     oscillatory parts of the signal cancel to high order.  Windows that
-    would stick out of the time range slide inward, keeping their width;
-    slid windows are flagged.
-    """
+    would stick out of the time range slide inward, keeping their width.
+    The quadrature nodes of all windows go through signal in one call."""
     phi = sample(phase_traj, np.asarray(centers, float), component=0)
     half = math.pi * _PERIODS * epsilon / 2.0
     phi_lo_all = float(phase_traj.states[0, 0])
@@ -141,22 +129,18 @@ def windowed_average(signal, centers, epsilon: float,
     hi = np.where(slid_left, phi_lo_all + 2 * half,
                   np.where(slid_right, phi_hi_all, phi + half))
     t_edges = invert_monotone(phase_traj, np.concatenate([lo, hi]))
+    t_lo, t_hi = t_edges[:phi.size], t_edges[phi.size:]
     # composite Gauss-Legendre: 4 panels per fast period resolves the
     # oscillation far below the other error terms
     n_panels = 4 * _PERIODS
-    out = []
-    for t_lo, t_hi, left, right in zip(t_edges[:phi.size].tolist(),
-                                       t_edges[phi.size:].tolist(),
-                                       slid_left.tolist(), slid_right.tolist()):
-        bounds = np.linspace(t_lo, t_hi, n_panels + 1)
-        a = bounds[:-1]
-        b = bounds[1:]
-        midw = 0.5 * (b - a)
-        nodes = (0.5 * (a + b)[:, None] + midw[:, None] * _GL_NODES[None, :]).ravel()
-        vals = np.asarray(signal(nodes), float).reshape(n_panels, _GL_NODES.size)
-        integral = float(np.sum((vals * _GL_WEIGHTS[None, :]) * midw[:, None]))
-        out.append(WindowedAverage(integral / (t_hi - t_lo), t_lo, t_hi, left, right))
-    return out
+    bounds = np.linspace(t_lo, t_hi, n_panels + 1, axis=1)
+    a, b = bounds[:, :-1], bounds[:, 1:]
+    midw = 0.5 * (b - a)
+    nodes = (0.5 * (a + b)[..., None] + midw[..., None] * _GL_NODES).ravel()
+    vals = np.asarray(signal(nodes), float).reshape(phi.size, n_panels, _GL_NODES.size)
+    # one sum per window over its own (panels, nodes) block, in that block's order
+    integrals = [np.sum(block) for block in (vals * _GL_WEIGHTS) * midw[..., None]]
+    return np.array(integrals) / (t_hi - t_lo)
 
 
 def estimate_order(epsilons, errors) -> tuple[float, float]:

@@ -388,18 +388,18 @@ def _decreasing_gate(name: str, raw: float, seq) -> Gate:
                           " -> ".join(f"{v:.3e}" for v in seq))
 
 
-def _reference_runs(cfg: RunConfig, fm, params, runs: list):
-    """Yield (epsilon, reference run) per epsilon of cfg, each made when asked
-    for, and append its manifest record to runs.  The generator drops each run
-    once resumed, so a run lives only while its consumer holds it."""
+def _run_maker(cfg: RunConfig, fm, params, runs: list):
+    """run(eps): the capped reference run at eps, its manifest record appended
+    to runs.  A run lives only while its caller holds it."""
     grid = _grid(cfg)
-    for eps in cfg.epsilons:
+
+    def run(eps):
         ref = expansion.reference_run(params, fm, eps, cfg.reference_factor)
         runs.append({"epsilon": eps,
                      "richardson_error": float(ref.meta["richardson_error"]),
                      "theta_min": float(np.min(integrate.sample(ref, grid, component=1)))})
-        yield eps, ref
-        del ref
+        return ref
+    return run
 
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
@@ -411,8 +411,9 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     grid = _grid(cfg)
     base, corr = expansion.eval_expansion(expansion.solve_expansion(params, fm), grid)
     runs = []
+    run = _run_maker(cfg, fm, params, runs)
     rep = expansion.residual_norms(params, fm, grid, base, corr,
-                                   _reference_runs(cfg, fm, params, runs))
+                                   ((e, run(e)) for e in cfg.epsilons))
     eps = np.array(rep.epsilons)
     rows = [(e, f"{var}_{fam}", sups[i], rep.normalized[fam][var][i])
             for fam in ("leading", "first", "second")
@@ -513,7 +514,9 @@ def cmd_thermo(cfg: RunConfig, out: Path) -> int:
                       vol_worst <= 0.005, f"{vol_worst:.3e}"))
 
     lines, equip, runs = [], [], []
-    for eps, ref in _reference_runs(cfg, fm, params, runs):
+    run = _run_maker(cfg, fm, params, runs)
+    for eps in cfg.epsilons:
+        ref = run(eps)
         rep = thermo.equipartition_check(ref, eps, fm)
         equip.append(rep)
         xs = integrate.sample(ref, grid)
@@ -545,15 +548,14 @@ def cmd_thermo(cfg: RunConfig, out: Path) -> int:
 TWO_SCALE_VARIABLES = ("theta1", "phi2", "y2", "p2", "theta2")
 
 
-def two_scale_error_table(cfg: RunConfig, fm, params, runs) -> dict:
+def two_scale_error_table(cfg: RunConfig, fm, params, run) -> dict:
     """Unfolding errors of the five rescaled remainders, per epsilon.
 
     All five are unfolded in one call for the whole ladder, so the phase
-    is inverted once; runs yields an (epsilon, reference run) pair per epsilon
-    of cfg, taken in order as each is unfolded.  Returns {epsilon: {variable:
-    sup_error}}.
+    is inverted once; run(epsilon) gives the reference run at each epsilon
+    of cfg, asked for in order as each is unfolded.  Returns {epsilon:
+    {variable: sup_error}}.
     """
-    pairs = iter(runs)
     theta_star = model.derived_constants(params, fm).theta_star
     etraj = expansion.solve_expansion(params, fm)
 
@@ -568,9 +570,7 @@ def two_scale_error_table(cfg: RunConfig, fm, params, runs) -> dict:
                 corr.theta2_bar[:, None] + cv.theta2)
 
     def u(eps, ts):
-        run_eps, ref = next(pairs, (None, None))
-        if run_eps != eps:
-            raise ValueError(f"no reference run for epsilon {eps:g}")
+        ref = run(eps)
         out = np.empty((len(TWO_SCALE_VARIABLES), ts.size))
         for i in range(0, ts.size, integrate._BLOCK):  # bounded temporaries
             blk = slice(i, i + integrate._BLOCK)
@@ -597,7 +597,7 @@ def cmd_twoscale(cfg: RunConfig, out: Path) -> int:
     _step_fits(cfg, fm, "integrate.reference_factor")
     params = cfg.params()
     runs = []
-    table = two_scale_error_table(cfg, fm, params, _reference_runs(cfg, fm, params, runs))
+    table = two_scale_error_table(cfg, fm, params, _run_maker(cfg, fm, params, runs))
     eps_list = list(table)
     rows = [(eps, var, table[eps][var]) for eps in eps_list for var in TWO_SCALE_VARIABLES]
     p1 = out / "twoscale.csv"
@@ -738,6 +738,7 @@ def main(argv=None) -> int:
         key = "run.epsilons: " if isinstance(e, averaging.PhaseRangeError) else ""
         print(f"configuration error: {key}{e}", file=sys.stderr)
         return 2
-    except (NumericalError, ArithmeticError) as e:  # float ** overflow, division by zero
+    # float ** overflow, division by zero, a numpy warning raised as an error
+    except (NumericalError, ArithmeticError, RuntimeWarning) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3

@@ -83,7 +83,6 @@ class EquipartitionReport(NamedTuple):
     centers: np.ndarray
     gap_max: float
     xi_sup: float
-    any_slid: bool
 
 
 def _e2_par_bar(base: HomogenizedState, corr: AveragedCorrection,
@@ -103,12 +102,14 @@ def expand_thermo(base: HomogenizedState, corr: AveragedCorrection,
     DtL = base.p0 * (w1 / w)
     e2_perp_bar = F0 * corr.y2_bar + w * corr.theta2_bar
     e2_par_bar = _e2_par_bar(base, corr, theta_star, w, w1)
+    # the entropy log(theta) and its coefficients are undefined at zero action
+    s2dd = corr.theta2_bar / theta_star if theta_star > 0.0 else math.nan * w
     return ThermoExpansion(
         T0=T0, E0_perp=T0, F0=F0,
         # the entropy normalization pins S0 = log(theta_star) + constant to 0
         S0=0.0 * w,
-        S2_bar=corr.theta2_bar / theta_star - (DtL / (4.0 * w)) ** 2,
-        S2_doublebar=corr.theta2_bar / theta_star,
+        S2_bar=s2dd - (DtL / (4.0 * w)) ** 2,
+        S2_doublebar=s2dd,
         F2_bar=w1 * corr.theta2_bar + theta_star * w2 * corr.y2_bar,
         E2_perp_bar=e2_perp_bar, E2_par_bar=e2_par_bar,
         E2_bar=e2_perp_bar + e2_par_bar,
@@ -274,13 +275,10 @@ def equipartition_check(traj: Trajectory, epsilon: float,
         _, c2 = reduced_sincos(xs[:, 0], epsilon, 2)
         return xs[:, 1] * w * c2
 
-    windows = windowed_average(gap_signal, centers, epsilon, traj)
+    gaps = windowed_average(gap_signal, centers, epsilon, traj)
     grid = np.linspace(0.0, T, GRID_POINTS)
     xs = sample(traj, grid)
     s2, _ = reduced_sincos(xs[:, 0], epsilon, 2)
     xi = epsilon * xs[:, 1] * s2
-    gap_max = float(np.max(np.abs([wa.value for wa in windows])))
-    return EquipartitionReport(centers=centers, gap_max=gap_max,
-                               xi_sup=float(np.max(np.abs(xi))),
-                               any_slid=any(wa.slid_left or wa.slid_right
-                                            for wa in windows))
+    return EquipartitionReport(centers=centers, gap_max=float(np.max(np.abs(gaps))),
+                               xi_sup=float(np.max(np.abs(xi))))

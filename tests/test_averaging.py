@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import fastslow as fs
-from fastslow.averaging import WindowedAverage
 
 
 @pytest.fixture(scope="module")
@@ -17,13 +16,12 @@ def osc_ref(reference_run):
 def test_windowed_average_constant_and_linear(osc_ref):
     eps, ref = osc_ref
     wa, = fs.windowed_average(lambda ts: np.full(ts.size, 3.25), [0.5], eps, ref)
-    assert wa.value == pytest.approx(3.25, abs=1e-14)
-    assert not wa.slid_left and not wa.slid_right
+    assert wa == pytest.approx(3.25, abs=1e-14)
     f = lambda ts: np.sin(ts)
     g = lambda ts: ts**2
-    a = fs.windowed_average(f, [0.5], eps, ref)[0].value
-    b = fs.windowed_average(g, [0.5], eps, ref)[0].value
-    c = fs.windowed_average(lambda ts: 2 * f(ts) - 3 * g(ts), [0.5], eps, ref)[0].value
+    a, = fs.windowed_average(f, [0.5], eps, ref)
+    b, = fs.windowed_average(g, [0.5], eps, ref)
+    c, = fs.windowed_average(lambda ts: 2 * f(ts) - 3 * g(ts), [0.5], eps, ref)
     assert abs(c - (2 * a - 3 * b)) <= 1e-13
 
 
@@ -36,7 +34,7 @@ def test_windowed_average_cancels_oscillation(osc_ref, fm):
         return s2
 
     wa, = fs.windowed_average(s2_signal, [0.5], eps, ref)
-    assert abs(wa.value) <= 5e-3  # amplitude-1 oscillation averages out
+    assert abs(wa) <= 5e-3  # amplitude-1 oscillation averages out
 
     def sq_signal(ts):
         xs = fs.sample(ref, ts)
@@ -44,15 +42,21 @@ def test_windowed_average_cancels_oscillation(osc_ref, fm):
         return s1**2
 
     wa2, = fs.windowed_average(sq_signal, [0.5], eps, ref)
-    assert abs(wa2.value - 0.5) <= 1e-3
+    assert abs(wa2 - 0.5) <= 1e-3
 
 
 def test_windowed_average_slides_at_edges(osc_ref):
+    # a linear signal's mean is its window's midpoint time: windows centered
+    # at 0 and at T slide inward, to 8 whole periods from each end of the phase
     eps, ref = osc_ref
-    wa, wb = fs.windowed_average(lambda ts: np.ones(ts.size), [0.0, 1.0], eps, ref)
-    assert wa.slid_left and not wa.slid_right
-    assert wa.t_lo >= 0.0
-    assert wb.slid_right
+    width = 8 * math.pi * eps
+    phi_lo, phi_hi = float(ref.states[0, 0]), float(ref.states[-1, 0])
+    left = fs.invert_monotone(ref, np.array([phi_lo, phi_lo + width]))
+    right = fs.invert_monotone(ref, np.array([phi_hi - width, phi_hi]))
+    got = fs.windowed_average(lambda ts: ts, [0.0, 0.5, 1.0], eps, ref)
+    assert left[0] == pytest.approx(0.0, abs=1e-14) and right[1] == pytest.approx(1.0)
+    assert got[[0, 2]] == pytest.approx([left.mean(), right.mean()], abs=1e-14)
+    assert got[1] == pytest.approx(0.5, abs=1e-3)  # an inner window stays centered
 
 
 def _windowed_average_one(signal, t, epsilon, phase_traj, m=8):
@@ -65,11 +69,9 @@ def _windowed_average_one(signal, t, epsilon, phase_traj, m=8):
     phi_hi_all = float(phase_traj.states[-1, 0])
     lo = phi - half
     hi = phi + half
-    slid_left = lo < phi_lo_all
-    slid_right = hi > phi_hi_all
-    if slid_left:
+    if lo < phi_lo_all:
         lo, hi = phi_lo_all, phi_lo_all + 2 * half
-    elif slid_right:
+    elif hi > phi_hi_all:
         lo, hi = phi_hi_all - 2 * half, phi_hi_all
     t_edges = fs.invert_monotone(phase_traj, np.array([lo, hi]))
     t_lo, t_hi = float(t_edges[0]), float(t_edges[1])
@@ -81,8 +83,7 @@ def _windowed_average_one(signal, t, epsilon, phase_traj, m=8):
     nodes = (0.5 * (a + b)[:, None] + midw[:, None] * gl_nodes[None, :]).ravel()
     vals = np.asarray(signal(nodes), float).reshape(n_panels, gl_nodes.size)
     integral = float(np.sum((vals * gl_weights[None, :]) * midw[:, None]))
-    return WindowedAverage(integral / (t_hi - t_lo), t_lo, t_hi,
-                           slid_left, slid_right)
+    return integral / (t_hi - t_lo)
 
 
 @pytest.mark.parametrize("m", [8])  # the one window width windowed_average takes
@@ -98,9 +99,7 @@ def test_windowed_average_over_centers_matches_one_center_at_a_time(osc_ref, m):
     centers = [0.0, 0.01, 0.3, 0.5, 0.5, 0.7 + 1e-9, 0.99, 1.0]
     got = fs.windowed_average(s2_signal, centers, eps, ref)
     want = [_windowed_average_one(s2_signal, t, eps, ref, m=m) for t in centers]
-    assert got == want  # every field, compared exactly
-    assert got[0].slid_left and got[-1].slid_right
-    assert not any(w.slid_left or w.slid_right for w in got[2:6])
+    assert got.tolist() == want  # compared exactly
 
 
 def _exact_limit_pair(htraj):
