@@ -13,7 +13,7 @@ grid = np.linspace(0.0, params.horizon_T, 2001)
 base, corr = fs.eval_expansion(fs.solve_expansion(params, fm), grid)
 
 # one reference run per epsilon, each tagged with its own step-halving error
-runs = ((eps, fs.reference_run(params, fm, eps, reference_factor=80)) for eps in epsilons)
+runs = ((eps, fs.reference_run(params, fm, eps)) for eps in epsilons)
 rep = fs.residual_norms(params, fm, grid, base, corr, runs)
 
 ##### residual ladder

@@ -60,7 +60,7 @@ print()
 def u(eps, times):
     # called once per epsilon, so each reference run is made, used and freed
     # before the next
-    ref = fs.reference_run(params, fm, eps, reference_factor=80)
+    ref = fs.reference_run(params, fm, eps)
     xs = fs.sample(ref, times)
     return ((xs[:, 1] - dc.theta_star) / eps,)
 
@@ -81,7 +81,7 @@ for eps, ((err,), info) in zip(ladder, fs.nonlinear_two_scale_error(u, limit, et
 print()
 print("windowed average of the kinetic-potential gap (8 fast periods per window)")
 for eps in (0.02, 0.01):
-    ref = fs.reference_run(params, fm, eps, reference_factor=80)
+    ref = fs.reference_run(params, fm, eps)
     rep = fs.equipartition_check(ref, eps, fm)
     print(f"  eps {eps:5.3f}: max |window mean| {rep.gap_max:.3e} "
           f"over {rep.centers.size} centers, raw amplitude about "

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import ActionAngleState, action_angle_field, energy_action_angle
-from .integrate import (_MAX_STEPS, SLOW_MAX_STEP, SLOW_TOL, Trajectory,
+from .integrate import (_MAX_STEPS, REFERENCE_FACTOR, SLOW_MAX_STEP, SLOW_TOL, Trajectory,
                         integrate_controlled, reference_solution, sample)
 from .model import FrequencyModel, SystemParams, derived_constants
 from .phase import reduced_sincos
@@ -228,18 +228,17 @@ def two_scale_limits(base: HomogenizedState, phi2_bar, s,
     return _corrector_core(theta_star, w, w1, w2, base.p0, s2, c2, phi2_bar)
 
 
-def reference_run(params: SystemParams, fm: FrequencyModel, epsilon: float,
-                  reference_factor: float) -> Trajectory:
+def reference_run(params: SystemParams, fm: FrequencyModel, epsilon: float) -> Trajectory:
     """Step-halved action-angle reference run at one epsilon.
 
     The base step resolves the fastest period 2*pi*eps/omega_upper_bound
-    by reference_factor steps.  Raises NumericalError when the run's
+    by REFERENCE_FACTOR steps.  Raises NumericalError when the run's
     Richardson error estimate exceeds 1e-8.
     """
     dc = derived_constants(params, fm)
     x0 = np.array([0.0, dc.theta_star, params.y_star, params.p_star])
     return reference_solution(action_angle_field(epsilon, fm), x0, params.horizon_T,
-                              fm.fast_step(epsilon, reference_factor), error_cap=1e-8)
+                              fm.fast_step(epsilon, REFERENCE_FACTOR), error_cap=1e-8)
 
 
 def residual_norms(params: SystemParams, fm: FrequencyModel, grid,

@@ -23,10 +23,14 @@ class NumericalError(RuntimeError):
 
 _MAX_STEPS = 10_000_000  # step budget of one run
 # the lab's fixed numerics: tolerances and step cap of the one slow solve (the
-# homogenized and averaged layers jointly), and the points of every output grid
+# homogenized and averaged layers jointly), the points of every output grid, and the
+# fast steps per fastest period of a plain run and of a reference run's coarse half
+# (both above pi/sqrt(2), RK4's stability bound on the cartesian fast oscillator)
 SLOW_TOL = 1e-12
 SLOW_MAX_STEP = 0.002
 GRID_POINTS = 2001
+STEP_FACTOR = 40.0
+REFERENCE_FACTOR = 80.0
 
 
 @dataclass

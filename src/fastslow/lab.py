@@ -18,6 +18,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -49,8 +50,6 @@ class RunConfig:
     u_star: float = _key("initial.u_star", 1.0)
     horizon_T: float = _key("run.horizon_T", 1.0)
     epsilons: tuple = _key("run.epsilons", (0.04, 0.02, 0.01, 0.005))
-    step_factor: float = _key("integrate.step_factor", 40.0)
-    reference_factor: float = _key("integrate.reference_factor", 80.0)
     out_dir: str = _key("output.dir", "runs")
     flip_theta1_sign: bool = _key("debug.flip_theta1_sign", False)
 
@@ -145,8 +144,6 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("epsilons must be positive")
     if len(cfg.epsilons) > 1 and any(b >= a for a, b in zip(cfg.epsilons, cfg.epsilons[1:])):
         raise ConfigError("epsilons must be strictly decreasing")
-    if not (cfg.step_factor > 0 and cfg.reference_factor > 0):
-        raise ConfigError("step factors must be positive")
     try:  # the commands build both again, from a config that passed here
         cfg.frequency()
         cfg.params()
@@ -297,29 +294,15 @@ def _finish(command: str, cfg: RunConfig, out: Path, t0: float, files: list,
     return 0 if all(r.ok for r in report if isinstance(r, Gate)) else 1
 
 
-def _step_fits(cfg: RunConfig, fm, factor_key: str) -> None:
-    """A step longer than the horizon, or NaN, is bad configuration (exit 2); a run past the
-    step budget at the smallest epsilon, a numerical failure (exit 3) before any solve; then a
-    plain step factor below pi/sqrt(2), whose cartesian runs grow without bound, exit 2."""
-    factor = getattr(cfg, _KEY_FIELDS[factor_key][0])
-    try:
-        h = fm.fast_step(cfg.epsilons[0], factor)
-    except ZeroDivisionError:  # the same divisor at every epsilon
-        raise NumericalError(f"{factor_key} = {factor:g} times the largest frequency "
-                             f"{fm.omega_upper_bound:g} underflows to zero in the step at "
-                             f"epsilon {cfg.epsilons[0]:g}") from None
-    if not h <= cfg.horizon_T:  # inf / inf, when both overflow, is a NaN step
-        fit = "longer than" if h > cfg.horizon_T else "no step within"
-        raise ConfigError(f"{factor_key} = {factor:g} gives a step of {h:.3g} at epsilon "
-                          f"{cfg.epsilons[0]:g}, {fit} run.horizon_T = {cfg.horizon_T:g}")
-    fine = 0.5 if factor_key == "integrate.reference_factor" else 1.0  # half-step run
-    integrate.step_count(cfg.horizon_T, fine * fm.fast_step(cfg.epsilons[-1], factor))
-    # RK4 is stable on the imaginary axis for |h lambda| <= 2 sqrt(2), and the cartesian
-    # chart's fast oscillator has |h lambda| = h omega/epsilon <= 2 pi / factor
-    bound = math.pi / math.sqrt(2.0)
-    if factor_key == "integrate.step_factor" and factor < bound:
-        raise ConfigError(f"{factor_key} = {factor!r} is below pi/sqrt(2) = {bound!r}, "
-                          "where RK4 is unstable on the cartesian fast oscillator")
+def _step_fits(cfg: RunConfig, longest: float, shortest: float) -> None:
+    """The fast steps of a command's runs, longest at the largest epsilon and shortest at the
+    smallest: a longest step beyond the horizon, or NaN, is bad configuration (exit 2); a run past
+    the step budget at the shortest, a numerical failure (exit 3) before any solve."""
+    if not longest <= cfg.horizon_T:  # inf / inf, when both overflow, is a NaN step
+        fit = "longer than" if longest > cfg.horizon_T else "no step within"
+        raise ConfigError(f"run.epsilons: epsilon {cfg.epsilons[0]:g} gives a fast step of "
+                          f"{longest:.3g}, {fit} run.horizon_T = {cfg.horizon_T:g}")
+    integrate.step_count(cfg.horizon_T, shortest)
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
@@ -327,14 +310,14 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     from columns 0-2 and 3-6 of the joint slow solve, made before the fast runs."""
     t0 = time.perf_counter()
     fm = cfg.frequency()
-    _step_fits(cfg, fm, "integrate.step_factor")
+    steps = [fm.fast_step(eps, integrate.STEP_FACTOR) for eps in cfg.epsilons]
+    _step_fits(cfg, steps[0], steps[-1])
     params = cfg.params()
     dc = model.derived_constants(params, fm)
     grid = _grid(cfg)
     es = integrate.sample(expansion.solve_expansion(params, fm), grid)  # the one slow solve
     files = []
-    for eps in cfg.epsilons:
-        h = fm.fast_step(eps, cfg.step_factor)
+    for eps, h in zip(cfg.epsilons, steps):
         traj = integrate.integrate_fixed(
             dynamics.action_angle_field(eps, fm),
             np.array([0.0, dc.theta_star, cfg.y_star, cfg.p_star]), cfg.horizon_T, h)
@@ -390,11 +373,14 @@ def _decreasing_gate(name: str, raw: float, seq) -> Gate:
 
 def _run_maker(cfg: RunConfig, fm, params, runs: list):
     """run(eps): the capped reference run at eps, its manifest record appended
-    to runs.  A run lives only while its caller holds it."""
+    to runs.  A run lives only while its caller holds it.  The steps of the
+    runs at cfg's epsilons are checked first, before any solve."""
+    coarse = [fm.fast_step(eps, integrate.REFERENCE_FACTOR) for eps in cfg.epsilons]
+    _step_fits(cfg, coarse[0], 0.5 * coarse[-1])  # the fine half of the last run
     grid = _grid(cfg)
 
     def run(eps):
-        ref = expansion.reference_run(params, fm, eps, cfg.reference_factor)
+        ref = expansion.reference_run(params, fm, eps)
         runs.append({"epsilon": eps,
                      "richardson_error": float(ref.meta["richardson_error"]),
                      "theta_min": float(np.min(integrate.sample(ref, grid, component=1)))})
@@ -406,12 +392,11 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     """Convergence orders of the reconstruction across epsilons."""
     t0 = time.perf_counter()
     fm = cfg.frequency()
-    _step_fits(cfg, fm, "integrate.reference_factor")
     params = cfg.params()
-    grid = _grid(cfg)
-    base, corr = expansion.eval_expansion(expansion.solve_expansion(params, fm), grid)
     runs = []
     run = _run_maker(cfg, fm, params, runs)
+    grid = _grid(cfg)
+    base, corr = expansion.eval_expansion(expansion.solve_expansion(params, fm), grid)
     rep = expansion.residual_norms(params, fm, grid, base, corr,
                                    ((e, run(e)) for e in cfg.epsilons))
     eps = np.array(rep.epsilons)
@@ -459,8 +444,9 @@ def cmd_thermo(cfg: RunConfig, out: Path) -> int:
     """Thermodynamic series, balance residuals, and oscillator diagnostics."""
     t0 = time.perf_counter()
     fm = cfg.frequency()
-    _step_fits(cfg, fm, "integrate.reference_factor")
     params = cfg.params()
+    runs = []
+    run = _run_maker(cfg, fm, params, runs)
     dc = model.derived_constants(params, fm)
     if not dc.theta_star > 0.0:
         raise ConfigError(f"initial.u_star = {cfg.u_star:g} gives zero action, where "
@@ -513,8 +499,7 @@ def cmd_thermo(cfg: RunConfig, out: Path) -> int:
     gates.append(Gate("enclosed-area quadrature within 0.5% of closed form",
                       vol_worst <= 0.005, f"{vol_worst:.3e}"))
 
-    lines, equip, runs = [], [], []
-    run = _run_maker(cfg, fm, params, runs)
+    lines, equip = [], []
     for eps in cfg.epsilons:
         ref = run(eps)
         rep = thermo.equipartition_check(ref, eps, fm)
@@ -594,7 +579,6 @@ def cmd_twoscale(cfg: RunConfig, out: Path) -> int:
     """Unfolding errors of the rescaled remainders against their limits."""
     t0 = time.perf_counter()
     fm = cfg.frequency()
-    _step_fits(cfg, fm, "integrate.reference_factor")
     params = cfg.params()
     runs = []
     table = two_scale_error_table(cfg, fm, params, _run_maker(cfg, fm, params, runs))
@@ -718,27 +702,31 @@ def main(argv=None) -> int:
                         help="override frequency preset with its default coefficients")
     args = parser.parse_args(argv)
 
-    # every failure of a run, wherever it is raised, maps to its exit code here
-    try:
-        cfg = load_config(args.config) if args.config else RunConfig()
-        if args.preset is not None:  # an unknown name fails in validate_config
-            cfg = replace(cfg, frequency_preset=args.preset,
-                          frequency_coefficients=model.DEFAULT_COEFFICIENTS.get(args.preset, ()))
-        if args.epsilon is not None:
-            cfg = replace(cfg, epsilons=_parse_value(args.epsilon, "floats", "bad --epsilon list"))
-        if args.out is not None:
-            cfg = replace(cfg, out_dir=args.out)
-        validate_config(cfg)
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out)
-    # OSError: a config file that cannot be read, an output that cannot be written
-    except (ConfigError, OSError, averaging.PhaseRangeError) as e:
-        # a PhaseRangeError names the epsilon that does not fit
-        key = "run.epsilons: " if isinstance(e, averaging.PhaseRangeError) else ""
-        print(f"configuration error: {key}{e}", file=sys.stderr)
-        return 2
-    # float ** overflow, division by zero, a numpy warning raised as an error
-    except (NumericalError, ArithmeticError, RuntimeWarning) as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return 3
+    # every failure of a run, wherever it is raised, maps to its exit code here; numpy's
+    # overflow and invalid-value warnings are errors, with or without -W, inside only
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            cfg = load_config(args.config) if args.config else RunConfig()
+            if args.preset is not None:  # an unknown name fails in validate_config
+                cfg = replace(cfg, frequency_preset=args.preset, frequency_coefficients=(
+                    model.DEFAULT_COEFFICIENTS.get(args.preset, ())))
+            if args.epsilon is not None:
+                cfg = replace(cfg, epsilons=_parse_value(args.epsilon, "floats",
+                                                         "bad --epsilon list"))
+            if args.out is not None:
+                cfg = replace(cfg, out_dir=args.out)
+            validate_config(cfg)
+            out = Path(cfg.out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            return _COMMANDS[args.command](cfg, out)
+        # OSError: a config file that cannot be read, an output that cannot be written
+        except (ConfigError, OSError, averaging.PhaseRangeError) as e:
+            # a PhaseRangeError names the epsilon that does not fit
+            key = "run.epsilons: " if isinstance(e, averaging.PhaseRangeError) else ""
+            print(f"configuration error: {key}{e}", file=sys.stderr)
+            return 2
+        # float ** overflow, division by zero, a numpy warning raised as an error
+        except (NumericalError, ArithmeticError, RuntimeWarning) as e:
+            print(f"numerical failure: {e}", file=sys.stderr)
+            return 3

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -89,40 +90,29 @@ _REJECTED_WHEN_PARSED = [
     "debug.flip_theta1_sign = maybe",
     "just a line without equals",
     "run.epsilons = 0.04,nan",
-    "integrate.step_factor = inf",
+    "initial.p_star = -inf",
     "run.horizon_T = inf",
     "initial.u_star = inf",
     "initial.y_star = nan",
     "frequency.coefficients = 2,-inf",
     "run.epsilons = 0.04\nrun.epsilons = 0.02",  # a repeated key
     # keys that are gone: whatever value they carry, the key is unknown
+    "integrate.step_factor = inf",
     "integrate.max_slow_step = nan",
     "integrate.max_slow_step = -inf",
     "output.grid_points = 3",
     "output.grid_points = 1000000000000",
 ]
 # (config, command, keys its error names): parsed fine, rejected by the command
+_STEP_TOO_LONG = ("run.epsilons: epsilon 0.04 gives a fast step of", "run.horizon_T = 0.0001")
 _REJECTED_BY_COMMAND = [
-    ("run.horizon_T = 1e-4", "simulate", ("integrate.step_factor", "run.horizon_T")),
-    ("run.horizon_T = 1e-4", "sweep", ("integrate.reference_factor", "run.horizon_T")),
-    ("integrate.step_factor = 0.01", "simulate", ("integrate.step_factor", "run.horizon_T")),
-    ("integrate.reference_factor = 1e-3", "sweep",
-     ("integrate.reference_factor", "run.horizon_T")),
-    ("integrate.reference_factor = 1e-3", "thermo",
-     ("integrate.reference_factor", "run.horizon_T")),
-    ("integrate.reference_factor = 1e-3", "twoscale",
-     ("integrate.reference_factor", "run.horizon_T")),
+    *[("run.horizon_T = 1e-4", command, _STEP_TOO_LONG)
+      for command in ("simulate", "sweep", "thermo", "twoscale")],
     ("initial.u_star = 0", "thermo", ("initial.u_star",)),
     # both terms of the step overflow, and inf / inf is a NaN step
-    ("run.epsilons = 1e308\nintegrate.step_factor = 1e308", "simulate",
-     ("integrate.step_factor = 1e+308", "epsilon 1e+308")),
-    # one ulp below RK4's stability bound pi/sqrt(2) on the cartesian fast oscillator,
-    # and a config whose cartesian energies reached inf below it
-    ("frequency.preset = constant\nintegrate.step_factor = 2.2214414690791826", "simulate",
-     ("integrate.step_factor = 2.2214414690791826", "pi/sqrt(2) = 2.221441469079183")),
-    ("frequency.preset = constant\ninitial.y_star = -135.43058254588348\n"
-     "integrate.step_factor = 1.9642449042076022\nrun.epsilons = 0.002928,0.001096", "simulate",
-     ("integrate.step_factor = 1.9642449042076022", "pi/sqrt(2)")),
+    ("frequency.preset = constant\nfrequency.coefficients = 1e308\nrun.epsilons = 1e308",
+     "simulate", ("run.epsilons: epsilon 1e+308 gives a fast step of nan",
+                  "no step within run.horizon_T")),
 ]
 
 
@@ -147,7 +137,7 @@ def test_bad_configs_rejected(text, command, keys, tmp_path, capsys):
 
 
 # the values of a config's numeric keys, drawn from one pool per config, so
-# that tiny coefficients meet tiny step factors
+# that tiny coefficients meet tiny epsilons
 _VALUE_POOLS = {
     "ordinary": ("0.04", "0.5", "1", "2", "40", "80"),
     "tiny": ("5e-324", "1e-310", "1e-300", "1e-150", "1e-30"),
@@ -165,7 +155,6 @@ _VALUES = {name: {str: st.sampled_from(("sine", "constant", "fourier", "cosine")
                   "bool": st.sampled_from(("true", "false", "maybe"))}
            for name, pool in _VALUE_POOLS.items()}
 _KEYS = sorted(k for k in lab._KEY_FIELDS if k != "output.dir")
-_STEP_KEYS = ("integrate.step_factor", "integrate.reference_factor")
 
 
 @st.composite
@@ -181,12 +170,9 @@ def _config_texts(draw):
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(text=_config_texts())
-# the two configs whose step divisor underflows, which the draws rarely meet
-@example(text="frequency.coefficients = 1e-300,1e-301\nintegrate.reference_factor = 1e-150")
-@example(text="frequency.preset = constant\nfrequency.coefficients = 1e-300\n"
-              "integrate.step_factor = 1e-300")
-# the config whose step is inf / inf
-@example(text="run.epsilons = 1e308\nintegrate.step_factor = 1e308")
+# the config whose step is inf / inf, which the draws rarely meet
+@example(text="frequency.preset = constant\nfrequency.coefficients = 1e308\n"
+              "run.epsilons = 1e308")
 @pytest.mark.filterwarnings("ignore:u_star = 0")
 def test_any_config_text_parses_or_is_rejected_and_its_step_check_classifies(text):
     # no solve: a text parses or raises ConfigError (exit 2), and the step checks
@@ -198,18 +184,15 @@ def test_any_config_text_parses_or_is_rejected_and_its_step_check_classifies(tex
     except lab.ConfigError:
         return
     fm = cfg.frequency()
-    for key in _STEP_KEYS:
-        factor = getattr(cfg, lab._KEY_FIELDS[key][0])
-        with np.errstate(all="ignore"):  # the step in numpy floats, which do not raise
-            nan_step = np.isnan(2.0 * math.pi * np.float64(cfg.epsilons[0])
-                                / (np.float64(factor) * fm.omega_upper_bound))
+    for factor, fine in ((fs.integrate.STEP_FACTOR, 1.0), (fs.integrate.REFERENCE_FACTOR, 0.5)):
+        steps = [fm.fast_step(eps, factor) for eps in (cfg.epsilons[0], cfg.epsilons[-1])]
         try:
-            lab._step_fits(cfg, fm, key)
+            lab._step_fits(cfg, steps[0], fine * steps[1])
         except lab.ConfigError:
             continue
         except fs.NumericalError:
             pass
-        assert not nan_step, f"{key}: a NaN step passed the step check"
+        assert not math.isnan(steps[0]), f"factor {factor}: a NaN step passed the step check"
 
 
 @pytest.mark.parametrize("command", ["sweep", "simulate", "twoscale"])
@@ -226,10 +209,12 @@ def test_zero_action_accepted_outside_thermo(tmp_path, command):
     assert rc == 0
 
 
-# the five keys that fixed the slow solves, the output grid and the
-# equipartition window, each at the one value it ever took, and the two
-# aliases of fourier: each is unknown now, and its error names it
+# the seven keys that fixed the slow solves, the output grid, the
+# equipartition window and the fast steps, each at its one default value, and
+# the two aliases of fourier: each is unknown now, and its error names it
 _REMOVED_OPTIONS = {
+    "integrate.step_factor": "integrate.step_factor = 40.0",
+    "integrate.reference_factor": "integrate.reference_factor = 80.0",
     "integrate.rtol": "integrate.rtol = 1e-12",
     "integrate.atol": "integrate.atol = 1e-12",
     "integrate.max_slow_step": "integrate.max_slow_step = 0.002",
@@ -266,18 +251,23 @@ def test_config_file_not_utf8_exits_2(tmp_path, capsys):
     assert "configuration error:" in capsys.readouterr().err
 
 
-def test_step_factor_at_the_rk4_bound_keeps_the_cartesian_energy(tmp_path):
-    # the smallest factor accepted (one ulp below exits 2): the energies stay bounded,
-    # where at 2.22 they reach 330.9
-    config = tmp_path / "bound.txt"
-    config.write_text("frequency.preset = constant\n"
-                      f"integrate.step_factor = {math.pi / math.sqrt(2.0)!r}\n")
-    out = tmp_path / "o"
-    assert fs.main(["simulate", "--config", str(config), "--epsilon", "0.04,0.001",
-                    "--out", str(out)]) == 0
-    for eps in ("0.04", "0.001"):
-        E = np.loadtxt(out / f"cart_eps{eps}.csv", delimiter=",", skiprows=1)[:, 5]
-        assert np.max(np.abs(E)) <= 1.0 + 1e-9, eps
+def test_step_factors_lie_above_the_rk4_bound():
+    # RK4 is stable on the imaginary axis for |h lambda| <= 2 sqrt(2), and the
+    # cartesian chart's fast oscillator has |h lambda| = h omega/epsilon <= 2 pi / factor
+    assert fs.integrate.STEP_FACTOR > math.pi / math.sqrt(2.0)
+    assert fs.integrate.REFERENCE_FACTOR > math.pi / math.sqrt(2.0)
+
+
+def test_step_factor_at_the_rk4_bound_keeps_the_cartesian_energy():
+    # simulate's cartesian run at a step factor of pi/sqrt(2) itself keeps its energy,
+    # 1 on the constant preset, where at 2.22 (below the bound) it reaches 338.8
+    fm = fs.make_frequency("constant", fs.model.DEFAULT_COEFFICIENTS["constant"])
+    for eps in (0.04, 0.001):
+        h = fm.fast_step(eps, math.pi / math.sqrt(2.0))
+        traj = fs.integrate_fixed(fs.cartesian_field(eps, fm),
+                                  np.array([0.0, 1.0, 0.0, 1.0]), 1.0, h)
+        e_perp, e_par = fs.energy_cartesian(fs.CartesianState(*traj.states.T), eps, fm)
+        assert np.max(np.abs(e_perp + e_par)) <= 1.0 + 1e-9, eps
 
 
 @pytest.mark.parametrize("command, blocked", [("twoscale", "summary.txt"),
@@ -815,37 +805,26 @@ def test_epsilon_too_large_for_the_phase_range_exits_2(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command", ["sweep", "thermo", "twoscale"])
-def test_reference_error_cap_applies_to_every_command(tmp_path, command):
-    # factor 10 leaves the eps = 0.04 run above the 1e-8 Richardson cap
+def test_reference_error_cap_applies_to_every_command(tmp_path, capsys, command):
+    # a fast oscillation of velocity u* = 30 leaves the eps = 0.04 run above the
+    # 1e-8 Richardson cap
     cfgfile = tmp_path / "coarse.txt"
-    cfgfile.write_text("integrate.reference_factor = 10\n"
+    cfgfile.write_text("initial.u_star = 30\n"
                        "run.epsilons = 0.04,0.02\n")
     rc = fs.main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")])
     assert rc == 3
-
-
-@pytest.mark.parametrize("command, key", [("sweep", "integrate.reference_factor"),
-                                          ("thermo", "integrate.reference_factor"),
-                                          ("twoscale", "integrate.reference_factor"),
-                                          ("simulate", "integrate.step_factor")])
-def test_huge_step_factor_exhausts_the_step_budget(tmp_path, capsys, command, key):
-    # about 1.2e16 steps: refused before any array is allocated, exit 3
-    cfgfile = tmp_path / "huge.txt"
-    cfgfile.write_text(f"{key} = 1e15\n")
-    rc = fs.main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")])
-    err = capsys.readouterr().err
-    assert rc == 3
-    assert err.startswith("numerical failure:") and "step budget" in err
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == (
+        "numerical failure: reference error estimate 1.266e-05 exceeds cap 1.000e-08\n")
 
 
 @pytest.mark.parametrize("command, epsilon", [("sweep", "1e-9"), ("thermo", "1e-9"),
-                                              ("twoscale", "1e-9"), ("thermo", "1e-300"),
-                                              ("sweep", "0.04,5e-324")])
+                                              ("twoscale", "1e-9"), ("simulate", "1e-9"),
+                                              ("thermo", "1e-300"), ("sweep", "0.04,5e-324")])
 def test_tiny_epsilon_exhausts_the_step_budget_before_any_solve(tmp_path, capsys,
                                                                 command, epsilon):
     # twoscale used to build its unfolding grid (1.44 TiB at 1e-9) and thermo
     # its correctors (an overflow at 1e-300) before the budget was checked;
+    # simulate's 1.9e10 plain steps are refused before any array is allocated;
     # at 5e-324 the fine step underflows to zero
     rc = fs.main([command, "--epsilon", epsilon, "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
@@ -878,18 +857,10 @@ def test_overflowing_initial_data_exits_3(tmp_path, capsys, command, key):
     assert "Traceback" not in err
 
 
-# a float division by zero on extreme data is a numerical failure, as an overflow is;
-# a step whose divisor underflows names the step factor, its value and the epsilon
+# a float division by zero on extreme data is a numerical failure, as an overflow is
 @pytest.mark.parametrize("command, text, names", [
-    ("sweep", "frequency.coefficients = 1e-300,1e-301\nintegrate.reference_factor = 1e-150\n",
-     "integrate.reference_factor = 1e-150 times the largest frequency 1.1e-300 underflows "
-     "to zero in the step at epsilon 0.04"),
-    ("simulate", "frequency.preset = constant\nfrequency.coefficients = 1e-300\n"
-                 "integrate.step_factor = 1e-300\n",
-     "integrate.step_factor = 1e-300 times the largest frequency 1e-300 underflows "
-     "to zero in the step at epsilon 0.04"),
     ("check", "frequency.preset = constant\nfrequency.coefficients = 1e-100\n", ""),
-], ids=["sweep-fast-step", "simulate-fast-step", "check-derived-constants"])
+], ids=["check-derived-constants"])
 def test_division_by_zero_exits_3(tmp_path, capsys, command, text, names):
     cfgfile = tmp_path / "tiny.txt"
     cfgfile.write_text(text)
@@ -990,6 +961,23 @@ def test_only_three_public_types_are_dataclasses():
     assert sorted(kept) == ["RunConfig", "SystemParams", "Trajectory"]
 
 
+@pytest.mark.parametrize("command, text, code", [
+    ("check", None, 0),
+    ("thermo", "initial.y_star = 1e308\n", 3),
+], ids=["check", "thermo-y_star-1e308"])
+def test_main_in_process_leaves_the_warning_filters_as_it_found_them(tmp_path, command,
+                                                                     text, code):
+    args = [command, "--out", str(tmp_path / "o"), "--epsilon", "0.04,0.02"]
+    if text is not None:
+        (tmp_path / "cfg.txt").write_text(text)
+        args += ["--config", str(tmp_path / "cfg.txt")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        before = list(warnings.filters)
+        assert fs.main(args) == code
+        assert warnings.filters == before
+
+
 def test_main_in_process_leaves_the_collector_unfrozen(tmp_path):
     # only `python -m fastslow` freezes the import heap, never a library caller
     before = gc.get_freeze_count()
@@ -997,8 +985,11 @@ def test_main_in_process_leaves_the_collector_unfrozen(tmp_path):
     assert gc.get_freeze_count() == before
 
 
-def _python_m_fastslow(tmp_path, command, config_text=None):
-    argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "fastslow", command,
+_W_ERROR = ("-W", "error::RuntimeWarning")
+
+
+def _python_m_fastslow(tmp_path, command, config_text=None, warning_flags=_W_ERROR):
+    argv = [sys.executable, *warning_flags, "-m", "fastslow", command,
             "--out", str(tmp_path / "o")]
     if config_text is not None:
         (tmp_path / "cfg.txt").write_text(config_text)
@@ -1032,20 +1023,19 @@ _STIFF = {"u_star-minus-1e8": "initial.u_star = -1e8\n",
           "p_star-minus-1e8": "initial.p_star = -1e8\n"}
 # a budget of 1,001 steps at this horizon; the solve used to take 715,257
 _SHORT_FOURIER = ("frequency.preset = fourier\nfrequency.coefficients = 3,0.5,0.5,0.3,-0.4\n"
-                  "initial.u_star = -1e8\ninitial.p_star = -2.5\n"
-                  "integrate.step_factor = 1e3\nrun.horizon_T = 1e-4\n"
+                  "initial.u_star = -1e8\ninitial.p_star = -2.5\nrun.horizon_T = 1e-4\n"
                   "run.epsilons = 0.3,0.2,0.1\n")
 
 
 # the stiff slow solves stop at their budget, 20 capped step counts plus 1000
 # (11,000 at horizon_T = 1), in about a second, not after ten million steps;
 # the message names the budget.  check reads no entropy, so zero action (an
-# initial action theta* of 0) passes it; an overflow that numpy warns of,
-# raised as an error, is a numerical failure like any other
+# initial action theta* of 0) passes it; an overflow that numpy warns of is a
+# numerical failure like any other, with or without -W (thermo at y* = 1e308
+# used to exit 1 without it, its NaN gates reported as measured failures)
 _ZERO_ACTION = {"u_star-0": "0", "u_star-minus-0": "-0.0", "u_star-1e-320": "1e-320"}
-
-
-@pytest.mark.parametrize("command, text, code, message", [
+# (command, config text, exit code, text stderr must hold), run with -W
+_EXIT_CODES = [
     ("check", "no.such.key = 1\n", 2, "unknown key"),
     ("check", "run.horizon_T = 1e6\n", 3, "step budget of 10000000"),
     *[(command, text, 3, "step budget of 11000") for text in _STIFF.values()
@@ -1054,14 +1044,22 @@ _ZERO_ACTION = {"u_star-0": "0", "u_star-minus-0": "-0.0", "u_star-1e-320": "1e-
     *[("check", f"frequency.preset = constant\ninitial.u_star = {u}\nrun.horizon_T = 1e-3\n",
        0, None) for u in _ZERO_ACTION.values()],
     ("thermo", "initial.y_star = 1e308\n", 3, "overflow encountered"),
+]
+
+
+@pytest.mark.parametrize("command, text, code, message, warning_flags", [
+    *[(*row, _W_ERROR) for row in _EXIT_CODES],
+    ("thermo", "initial.y_star = 1e308\n", 3, "overflow encountered", ()),
+    ("check", "frequency.preset = constant\ninitial.u_star = 0\nrun.horizon_T = 1e-3\n",
+     0, None, ()),
 ], ids=["unknown-key", "past-the-step-budget",
         *[f"{command}-{case}" for case in _STIFF for command in ("check", "sweep")],
         "check-short-fourier", *[f"check-{case}" for case in _ZERO_ACTION],
-        "thermo-y_star-1e308"])
-def test_python_m_fastslow_exit_codes(tmp_path, command, text, code, message):
-    proc = _python_m_fastslow(tmp_path, command, text)
+        "thermo-y_star-1e308", "thermo-y_star-1e308-without-W", "check-u_star-0-without-W"])
+def test_python_m_fastslow_exit_codes(tmp_path, command, text, code, message, warning_flags):
+    proc = _python_m_fastslow(tmp_path, command, text, warning_flags)
     assert proc.returncode == code, proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
     if code == 3:
         assert proc.stderr.startswith("numerical failure:")
     if message is not None:

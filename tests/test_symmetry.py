@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import fastslow as fs
+from fastslow import lab
 
 # (preset, coefficients, y*, p*, u*) and the mirrored coefficients
 _CASES = {
@@ -39,8 +40,8 @@ def _assert_mirrored(got, want, odd):
 
 def test_reference_run_is_the_mirror_image(pair):
     (params, fm), (image, fm_image) = pair
-    ref = fs.reference_run(params, fm, 0.04, 80.0)
-    mirror = fs.reference_run(image, fm_image, 0.04, 80.0)
+    ref = fs.reference_run(params, fm, 0.04)
+    mirror = fs.reference_run(image, fm_image, 0.04)
     assert np.array_equal(mirror.times, ref.times)
     # (phi, theta, y, p): y and p negate, phi and theta stay
     _assert_mirrored(mirror.states, ref.states, odd=(2, 3))
@@ -92,3 +93,56 @@ def test_thermo_kernels_are_the_mirror_image(pair):
         for name, value in fields.items():
             sign = -1.0 if name in _ODD_FIELDS else 1.0
             assert np.array_equal(records[1][kernel][name], sign * value), (kernel, name)
+
+
+# (preset, coefficients) of the default config and of Fourier B
+_FIELD_CASES = {"sine": ("sine", (2.0, 1.0)), "fourier-B": ("fourier", (3.0, 0.5, 0.5, 0.3, -0.4))}
+
+
+@pytest.mark.parametrize("case", list(_FIELD_CASES))
+def test_both_fields_are_time_reversible_on_the_check_lattice(case):
+    # f(R x) = -R f(x), with R(phi, theta, y, p) = (-phi, theta, y, -p) and
+    # R(y, eta, z, zeta) = (y, -eta, z, -zeta), on check's 1,000 states, each with its
+    # own epsilon; the sign flips are exact, through the phase reduction too
+    fm = fs.make_frequency(*_FIELD_CASES[case])
+    s, e = lab._identity_states(1e-3)
+    c = fs.from_action_angle(s, e, fm)
+    for x, xc, eps in zip(np.c_[s.phi, s.theta, s.y, s.p].tolist(),
+                          np.c_[c.y, c.eta, c.z, c.zeta].tolist(), e.tolist()):
+        phi, theta, y, p = x
+        f = fs.action_angle_field(eps, fm)
+        d_phi, d_theta, d_y, d_p = f(phi, theta, y, p)
+        assert f(-phi, theta, y, -p) == (d_phi, -d_theta, -d_y, d_p)
+        yc, eta, z, zeta = xc
+        g = fs.cartesian_field(eps, fm)
+        g_y, g_eta, g_z, g_zeta = g(yc, eta, z, zeta)
+        assert g(yc, -eta, z, -zeta) == (-g_y, g_eta, -g_z, g_zeta)
+
+
+@pytest.mark.parametrize("eps", [0.04, 0.005])
+def test_rk4_runs_scale_exactly_in_time(eps):
+    # doubling every frequency coefficient, p* and u* and halving the horizon runs
+    # the same motion twice as fast: the fast step halves with 1/omega, times halve,
+    # phi, y and z stay, theta, p, eta and zeta double and every energy quadruples,
+    # bit for bit, since every product scales by a power of two
+    runs = []
+    for lam in (1.0, 2.0):
+        fm = fs.make_frequency("sine", (2.0 * lam, lam))
+        params = fs.SystemParams(y_star=0.0, p_star=lam, u_star=lam, horizon_T=1.0 / lam)
+        theta_star = fs.derived_constants(params, fm).theta_star
+        h = fm.fast_step(eps, fs.integrate.STEP_FACTOR)
+        aa = fs.integrate_fixed(fs.action_angle_field(eps, fm),
+                                np.array([0.0, theta_star, 0.0, lam]), params.horizon_T, h)
+        cart = fs.integrate_fixed(fs.cartesian_field(eps, fm),
+                                  np.array([0.0, lam, 0.0, lam]), params.horizon_T, h)
+        energies = (fs.energy_action_angle(fs.ActionAngleState(*aa.states.T), eps, fm),
+                    *fs.energy_cartesian(fs.CartesianState(*cart.states.T), eps, fm))
+        runs.append((aa, cart, energies))
+    (aa, cart, energies), (aa2, cart2, energies2) = runs
+    for run, scaled in ((aa, aa2), (cart, cart2)):
+        assert np.array_equal(scaled.times, 0.5 * run.times)
+    # (phi, theta, y, p) and (y, eta, z, zeta)
+    assert np.array_equal(aa2.states, aa.states * [1.0, 2.0, 1.0, 2.0])
+    assert np.array_equal(cart2.states, cart.states * [1.0, 2.0, 1.0, 2.0])
+    for e, e2 in zip(energies, energies2):
+        assert np.array_equal(e2, 4.0 * e)
