@@ -114,6 +114,12 @@ _REJECTED_BY_COMMAND = [
      "simulate", ("run.epsilons: epsilon 1e+308 gives a fast step of nan",
                   "no step within run.horizon_T")),
 ]
+# the step factors are gone keys: the commands that read them reject them as
+# unknown, naming the key, where a short factor once gave a step past the horizon
+_GONE_FACTORS = [("integrate.step_factor = 0.01", "simulate", ("'integrate.step_factor'",)),
+                 ("integrate.reference_factor = 1e-3", "sweep",
+                  ("'integrate.reference_factor'",))]
+_REJECTED_BY_COMMAND += _GONE_FACTORS
 
 
 @pytest.mark.parametrize(
@@ -126,7 +132,8 @@ def test_bad_configs_rejected(text, command, keys, tmp_path, capsys):
         with pytest.raises(lab.ConfigError):
             parse_config_text(text)
         return
-    parse_config_text(text)
+    if (text, command, keys) not in _GONE_FACTORS:
+        parse_config_text(text)
     config = tmp_path / "bad.txt"
     config.write_text(text + "\n")
     assert fs.main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
@@ -815,6 +822,22 @@ def test_reference_error_cap_applies_to_every_command(tmp_path, capsys, command)
     assert rc == 3
     assert capsys.readouterr().err == (
         "numerical failure: reference error estimate 1.266e-05 exceeds cap 1.000e-08\n")
+
+
+@pytest.mark.parametrize("command, key", [("sweep", "integrate.reference_factor"),
+                                          ("thermo", "integrate.reference_factor"),
+                                          ("twoscale", "integrate.reference_factor"),
+                                          ("simulate", "integrate.step_factor")])
+def test_huge_step_factor_exhausts_the_step_budget(tmp_path, capsys, monkeypatch,
+                                                   command, key):
+    # the factors are module constants now; at 1e15, about 1.2e16 steps are
+    # refused before any array is allocated, exit 3
+    monkeypatch.setattr(fs.integrate, key.split(".")[1].upper(), 1e15)
+    rc = fs.main([command, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("numerical failure:") and "step budget" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, epsilon", [("sweep", "1e-9"), ("thermo", "1e-9"),
