@@ -94,14 +94,22 @@ def _value(rng: random.Random, key: str, default: str, preset: str) -> str:
 
 
 def draw(seed: int, index: int) -> tuple[str, str, list[str]]:
-    """Run index of seed: (command, config text, extra flags)."""
-    rng = random.Random(f"{seed}:{index}")
-    command = rng.choice(sorted(_COMMANDS))
+    """Run index of seed: (command, config text, extra flags).
+
+    The command, each key and the flags draw from their own stream, so a
+    key added to or removed from DEFAULTS leaves every other draw alone.
+    """
+    def stream(name: str) -> random.Random:
+        return random.Random(f"{seed}:{index}:{name}")
+
+    command = stream("command").choice(sorted(_COMMANDS))
     values: dict = {}
     for key, default in DEFAULTS.items():  # the preset, if drawn, before its coefficients
+        rng = stream(key)
         if rng.random() < 0.4:
             values[key] = _value(rng, key, default, values.get("frequency.preset", "sine"))
     lines = [f"{key} = {value}" for key, value in values.items()]
+    rng = stream("flags")
     flags = []
     if rng.random() < 0.2:
         flags.append(f"--epsilon={_epsilons(rng)}")

@@ -15,8 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import ActionAngleState, action_angle_field, energy_action_angle
-from .integrate import (_MAX_STEPS, REFERENCE_FACTOR, SLOW_MAX_STEP, SLOW_TOL, Trajectory,
-                        integrate_controlled, reference_solution, sample)
+from .integrate import (REFERENCE_FACTOR, NumericalError, Trajectory, integrate_controlled,
+                        reference_solution, sample)
 from .model import FrequencyModel, SystemParams, derived_constants
 from .phase import reduced_sincos
 
@@ -172,19 +172,11 @@ def expansion_field(params: SystemParams, fm: FrequencyModel):
 
 
 def solve_expansion(params: SystemParams, fm: FrequencyModel) -> Trajectory:
-    """Integrate homogenized + averaged layers jointly over [0, horizon_T].
-
-    The step budget is 20 times the capped step count horizon_T /
-    SLOW_MAX_STEP plus 1000, at most that of a fast run: 11,000 at
-    horizon_T = 1, where solves take about 500 steps, so a stiff solve
-    ends in NumericalError within seconds, not after ten million steps.
-    """
+    """Integrate homogenized + averaged layers jointly over [0, horizon_T],
+    at integrate_controlled's fixed slow numerics and step budget."""
     init = initial_corrections(params, fm)
     x0 = np.array([0.0, params.y_star, params.p_star, *init])
-    budget = min(_MAX_STEPS, 20 * (params.horizon_T / SLOW_MAX_STEP) + 1000)
-    return integrate_controlled(expansion_field(params, fm), x0, params.horizon_T,
-                                SLOW_TOL, SLOW_TOL, max_step=SLOW_MAX_STEP,
-                                max_steps=int(budget))
+    return integrate_controlled(expansion_field(params, fm), x0, params.horizon_T)
 
 
 def eval_expansion(traj: Trajectory, grid):
@@ -237,8 +229,12 @@ def reference_run(params: SystemParams, fm: FrequencyModel, epsilon: float) -> T
     """
     dc = derived_constants(params, fm)
     x0 = np.array([0.0, dc.theta_star, params.y_star, params.p_star])
-    return reference_solution(action_angle_field(epsilon, fm), x0, params.horizon_T,
-                              fm.fast_step(epsilon, REFERENCE_FACTOR), error_cap=1e-8)
+    ref = reference_solution(action_angle_field(epsilon, fm), x0, params.horizon_T,
+                             fm.fast_step(epsilon, REFERENCE_FACTOR))
+    if ref.meta["richardson_error"] > 1e-8:
+        raise NumericalError(f"reference error estimate {ref.meta['richardson_error']:.3e} "
+                             "exceeds cap 1.000e-08")
+    return ref
 
 
 def residual_norms(params: SystemParams, fm: FrequencyModel, grid,

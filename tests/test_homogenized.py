@@ -23,7 +23,7 @@ def _three_component_solve(params, fm):
         w, w1, _, _ = derivs(x[1])
         return w, x[2], -theta_star * w1
     return fs.integrate_controlled(field, (0.0, params.y_star, params.p_star),
-                                   params.horizon_T, 1e-12, 1e-12, max_step=0.002)
+                                   params.horizon_T)
 
 
 @pytest.mark.parametrize("preset, coefficients, p_star, u_star, horizon_T", [

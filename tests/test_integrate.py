@@ -64,7 +64,7 @@ def test_controlled_energy_drift(fm):
     eps = 0.01
     x0 = np.array([0.0, 0.25, 0.0, 1.0])
     field = controlled_form(fs.action_angle_field(eps, fm))
-    traj = fs.integrate_controlled(field, x0, 1.0, rtol=1e-10, atol=1e-10)
+    traj = fs.integrate_controlled(field, x0, 1.0)
     E = np.array([fs.energy_action_angle(fs.ActionAngleState(*st), eps, fm)
                   for st in traj.states])
     assert np.max(np.abs(E - E[0])) <= 1e-8
@@ -75,16 +75,15 @@ def test_controlled_step_count_scales_with_frequency(fm):
     n = {}
     for eps in (0.01, 0.005):
         field = controlled_form(fs.action_angle_field(eps, fm))
-        traj = fs.integrate_controlled(field, x0, 1.0, rtol=1e-10, atol=1e-10)
+        traj = fs.integrate_controlled(field, x0, 1.0)
         n[eps] = traj.times.size
     ratio = n[0.005] / n[0.01]
     assert 2 / 1.5 <= ratio <= 2 * 1.5
 
 
 def test_controlled_respects_max_step():
-    traj = fs.integrate_controlled(controlled_form(decay), np.array([1.0]), 1.0,
-                                   1e-8, 1e-8, max_step=0.01)
-    assert np.max(np.diff(traj.times)) <= 0.01 + 1e-12
+    traj = fs.integrate_controlled(controlled_form(decay), np.array([1.0]), 1.0)
+    assert np.max(np.diff(traj.times)) <= fs.integrate.SLOW_MAX_STEP + 1e-12
 
 
 def test_dense_eval_exact_at_nodes(fm):
@@ -161,10 +160,12 @@ def test_shared_reference_runs_are_read_only(reference_run):
 
 
 def test_reference_error_cap_enforced(fm):
-    x0 = np.array([0.0, 0.25, 0.0, 1.0])
-    with pytest.raises(fs.NumericalError):
-        fs.reference_solution(fs.action_angle_field(0.02, fm), x0, 1.0, 0.01,
-                              error_cap=1e-14)
+    # reference_run holds the 1e-8 cap: a fast oscillation of velocity u* = 30
+    # leaves the eps = 0.04 run above it, and reference_solution only tags it
+    params = fs.SystemParams(y_star=0.0, p_star=1.0, u_star=30.0, horizon_T=1.0)
+    with pytest.raises(fs.NumericalError, match=r"^reference error estimate 1\.266e-05 "
+                                                r"exceeds cap 1\.000e-08$"):
+        fs.reference_run(params, fm, 0.04)
 
 
 def test_nonfinite_rhs_raises():
@@ -173,8 +174,7 @@ def test_nonfinite_rhs_raises():
     with pytest.raises(fs.NumericalError):
         fs.integrate_fixed(bad, ONE, 1.0, 0.1)
     with pytest.raises(fs.NumericalError):
-        fs.integrate_controlled(controlled_form(bad), np.array([1.0]), 1.0,
-                                1e-8, 1e-8)
+        fs.integrate_controlled(controlled_form(bad), np.array([1.0]), 1.0)
 
 
 def test_step_larger_than_horizon_rejected():
@@ -209,23 +209,40 @@ def test_fixed_step_passes_the_field_four_floats_and_no_time():
 
 
 def test_step_budget_exhaustion_raises():
-    with pytest.raises(fs.NumericalError, match=r"step budget of 10 steps exhausted at t="):
-        fs.integrate_controlled(controlled_form(decay), np.array([1.0]), 1.0,
-                                1e-13, 1e-13, max_steps=10)
+    # a stiff decay holds the step near RK stability, 3.3e-7: the 11,000 steps of
+    # the budget at horizon 1 run out early
+    with pytest.raises(fs.NumericalError, match=r"^Dormand-Prince step budget of 11000 "
+                                                r"steps exhausted at t=0\.00349237 "):
+        fs.integrate_controlled(lambda t, x: (-1e7 * x[0],), np.array([1.0]), 1.0)
 
 
 def test_step_cap_beyond_the_budget_raises_before_the_first_step():
-    # 100 steps of at most 0.01 cannot fit a budget of 10: the solver says so
-    # at once instead of stepping until the budget runs out
+    # 5e8 steps of at most 0.002 cannot fit the budget of 1e7: the solver says
+    # so at once instead of stepping until the budget runs out
     calls = []
 
     def counted(t, x):
         calls.append(t)
         return decay(*x)
-    with pytest.raises(fs.NumericalError, match="step budget"):
-        fs.integrate_controlled(counted, np.array([1.0]), 1.0, 1e-8, 1e-8,
-                                max_step=0.01, max_steps=10)
-    assert len(calls) <= 1
+    with pytest.raises(fs.NumericalError, match=r"^5e\+08 steps of at most 0\.002 exceed "
+                                                r"the step budget of 10000000$"):
+        fs.integrate_controlled(counted, np.array([1.0]), 1e6)
+    assert calls == []
+
+
+def test_step_budget_counts_attempted_steps(fm, monkeypatch):
+    # a budget of exactly the attempted steps, rejections included, suffices;
+    # one fewer does not
+    field = controlled_form(fs.action_angle_field(0.01, fm))
+    x0 = np.array([0.0, 0.25, 0.0, 1.0])
+    traj = fs.integrate_controlled(field, x0, 1.0)
+    attempted = traj.meta["n_accept"] + traj.meta["n_reject"]
+    assert traj.meta["n_reject"] > 0
+    monkeypatch.setattr(fs.integrate, "_MAX_STEPS", attempted)
+    _assert_same_run(fs.integrate_controlled(field, x0, 1.0), traj)
+    monkeypatch.setattr(fs.integrate, "_MAX_STEPS", attempted - 1)
+    with pytest.raises(fs.NumericalError, match=f"step budget of {attempted - 1} steps"):
+        fs.integrate_controlled(field, x0, 1.0)
 
 
 def test_invert_monotone_recovers_times():
@@ -450,11 +467,12 @@ def test_error_norm_matches_numpy_below_eight_components(n):
         assert got == want or (math.isnan(got) and math.isnan(want)), r
 
 
-def _dopri_ndarray(rhs, x0, horizon_T, rtol, atol, max_step=math.inf,
-                   max_steps=10_000_000):
-    # Dormand-Prince in ndarray vector form: the oracle integrate_controlled
-    # must match bitwise
+def _dopri_ndarray(rhs, x0, horizon_T):
+    # Dormand-Prince in ndarray vector form at the slow numerics: the oracle
+    # integrate_controlled must match bitwise
     A, C, E = fs.integrate._A, fs.integrate._C, fs.integrate._E
+    rtol = atol = fs.integrate.SLOW_TOL
+    max_step = fs.integrate.SLOW_MAX_STEP
     x = np.asarray(x0, dtype=float).copy()
     d = x.size
     t = 0.0
@@ -465,9 +483,7 @@ def _dopri_ndarray(rhs, x0, horizon_T, rtol, atol, max_step=math.inf,
     n_accept = n_reject = 0
     k = np.empty((7, d))
     min_h = 1e-14 * max(1.0, horizon_T)
-    for _ in range(max_steps):
-        if t >= horizon_T:
-            break
+    while t < horizon_T:
         h = min(h, horizon_T - t)
         if h < min_h:
             raise fs.NumericalError(f"step size underflow at t={t!r}")
@@ -497,8 +513,6 @@ def _dopri_ndarray(rhs, x0, horizon_T, rtol, atol, max_step=math.inf,
         else:
             n_reject += 1
             h = h * min(1.0, max(0.2, 0.9 * (err ** -0.14)))
-    else:
-        raise fs.NumericalError("step budget exhausted")
     return fs.Trajectory(np.array(times), np.array(states), np.array(derivs),
                          {"method": "dopri54", "rtol": rtol, "atol": atol,
                           "n_accept": n_accept, "n_reject": n_reject})
@@ -521,30 +535,30 @@ def test_tuple_dopri_matches_ndarray_dopri_on_the_slow_fields(
     params = fs.SystemParams(y_star=0.0, p_star=p_star, u_star=u_star, horizon_T=1.0)
     exp = fs.solve_expansion(params, fm)
     _assert_same_run(exp, _dopri_ndarray(fs.expansion.expansion_field(params, fm),
-                                         exp.states[0], 1.0, 1e-12, 1e-12, max_step=0.002))
+                                         exp.states[0], 1.0))
 
 
 def test_tuple_dopri_matches_ndarray_dopri_through_rejections(fm):
     field = controlled_form(fs.action_angle_field(0.01, fm))
     x0 = np.array([0.0, 0.25, 0.0, 1.0])
-    traj = fs.integrate_controlled(field, x0, 1.0, rtol=1e-10, atol=1e-10)
+    traj = fs.integrate_controlled(field, x0, 1.0)
     assert traj.meta["n_reject"] > 0
-    _assert_same_run(traj, _dopri_ndarray(field, x0, 1.0, 1e-10, 1e-10))
+    _assert_same_run(traj, _dopri_ndarray(field, x0, 1.0))
 
 
 @pytest.mark.parametrize("d", [1, 10])
 def test_tuple_dopri_matches_ndarray_dopri_in_any_dimension(d):
     # d = 10: numpy sums 8 and more squared ratios pairwise, the solver left
-    # to right, so the two error norms differ in the last bit at 3 of the 56
+    # to right, so the two error norms differ in the last bit at 32 of the 511
     # steps here; that moves no step size, and the runs agree bitwise
     def rates(t, x):
         return tuple(-(i + 1) * v for i, v in enumerate(x))
     x0 = np.linspace(1.0, -1.0, d)
-    traj = fs.integrate_controlled(rates, x0, 1.0, 1e-8, 1e-8, max_step=0.05)
+    traj = fs.integrate_controlled(rates, x0, 1.0)
     assert traj.states.shape == (traj.times.size, d)
-    _assert_same_run(traj, _dopri_ndarray(rates, x0, 1.0, 1e-8, 1e-8, max_step=0.05))
+    _assert_same_run(traj, _dopri_ndarray(rates, x0, 1.0))
     with pytest.raises(ValueError, match="2 components for a 1-component state"):
-        fs.integrate_controlled(lambda t, x: (1.0, 2.0), np.ones(1), 1.0, 1e-8, 1e-8)
+        fs.integrate_controlled(lambda t, x: (1.0, 2.0), np.ones(1), 1.0)
 
 
 def test_nan_times_and_targets_are_outside_the_range():

@@ -146,3 +146,50 @@ def test_rk4_runs_scale_exactly_in_time(eps):
     assert np.array_equal(cart2.states, cart.states * [1.0, 2.0, 1.0, 2.0])
     for e, e2 in zip(energies, energies2):
         assert np.array_equal(e2, 4.0 * e)
+
+
+# (p*, u*) at y* = 0 of the default config and of Fourier B
+_SLOW_CASES = {"sine": (1.0, 1.0), "fourier-B": (-0.7, 1.5)}
+
+
+@pytest.mark.parametrize("case", list(_SLOW_CASES))
+def test_slow_field_is_time_reversible_at_the_solve_nodes(case):
+    # f(t, R x) = -R f(t, x) with R = diag(-1, 1, -1, -1, 1, 1, -1) on (phi0, y0,
+    # p0, phi2_bar, theta2_bar, y2_bar, p2_bar), bitwise at every 7th node of the
+    # slow solve: the field is even in y0 and in the averaged layer's
+    # theta2_bar and y2_bar, odd in p0 and p2_bar
+    fm = fs.make_frequency(*_FIELD_CASES[case])
+    params = fs.SystemParams(y_star=0.0, p_star=_SLOW_CASES[case][0],
+                             u_star=_SLOW_CASES[case][1], horizon_T=1.0)
+    traj = fs.solve_expansion(params, fm)
+    f = fs.expansion.expansion_field(params, fm)
+    R = (-1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0)
+
+    def reflect(v):
+        return tuple(r * c for r, c in zip(R, v))
+    states = traj.states[::7].tolist()
+    assert len(states) == 72
+    for t, x in zip(traj.times[::7].tolist(), states):
+        assert f(t, reflect(x)) == tuple(-c for c in reflect(f(t, x)))
+
+
+@pytest.mark.parametrize("case", list(_SLOW_CASES))
+def test_slow_layer_scales_in_time(case):
+    # lambda = 2: doubling every frequency coefficient, p* and u* and halving the
+    # horizon runs the slow layer twice as fast; on each solve's own 2,001-point
+    # grid p0, theta2_bar and p2_bar double and the rest stay.  Not bitwise, as
+    # the RK4 runs are: SLOW_TOL and SLOW_MAX_STEP do not scale, so the doubled
+    # solve takes other steps.  Within 1e-10 of each column's largest magnitude
+    preset, coeffs = _FIELD_CASES[case]
+    p_star, u_star = _SLOW_CASES[case]
+    layers = []
+    for lam in (1.0, 2.0):
+        fm = fs.make_frequency(preset, tuple(lam * c for c in coeffs))
+        params = fs.SystemParams(y_star=0.0, p_star=lam * p_star, u_star=lam * u_star,
+                                 horizon_T=1.0 / lam)
+        grid = np.linspace(0.0, params.horizon_T, 2001)
+        layers.append(fs.sample(fs.solve_expansion(params, fm), grid))
+    # (phi0, y0, p0, phi2_bar, theta2_bar, y2_bar, p2_bar)
+    want = layers[0] * [1.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0]
+    scale = np.max(np.abs(want), axis=0)
+    assert np.all(np.max(np.abs(layers[1] - want), axis=0) <= 1e-10 * scale)
