@@ -217,8 +217,7 @@ def integrate_controlled(rhs, x0, horizon_T: float) -> Trajectory:
         raise NumericalError(f"Dormand-Prince step budget of {max_steps} steps exhausted "
                              f"at t={t:.6g} of horizon_T={horizon_T:g}")
     return Trajectory(np.array(times), np.array(states, float), np.array(derivs, float),
-                      {"method": "dopri54", "rtol": tol, "atol": tol,
-                       "n_accept": n_accept, "n_reject": n_reject})
+                      {"method": "dopri54", "n_accept": n_accept, "n_reject": n_reject})
 
 
 def _hermite(tau, h, x, f, i):

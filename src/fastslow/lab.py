@@ -271,20 +271,27 @@ class Gate(NamedTuple):
         return f"[{'PASS' if self.ok else 'FAIL'}] {self.name}: {self.detail}"
 
 
-def _finish(command: str, cfg: RunConfig, out: Path, t0: float, files: list,
-            report=(), summary: Path | None = None,
-            runs: list | None = None) -> int:
-    """End a command: write the summary and the manifest, print, and
-    return the exit code.
+def _finish(command: str, cfg: RunConfig, out: Path, t0: float, outputs: list,
+            report=(), runs: list | None = None) -> int:
+    """End a command: write its files and then the manifest, print, and
+    return the exit code.  No other code writes a command's outputs, so a
+    command that fails before it gets here leaves no file.
 
-    report holds Gate records and ready-made [INFO] lines in output order;
-    summary, one of files, receives the report; runs, when given, goes
-    into the manifest as its "runs" list.  The exit code is 1 if any gate
-    failed, else 0.
+    outputs holds (name, content) pairs in output order; content is a CSV's
+    (header, columns), a ready text, or None for the summary, which receives
+    the report.  report holds Gate records and ready-made [INFO] lines in
+    output order; runs, when given, goes into the manifest as its "runs"
+    list.  The exit code is 1 if any gate failed, else 0.
     """
     lines = [str(r) for r in report]
-    if summary is not None:
-        summary.write_text("\n".join(lines) + "\n")
+    files = [out / name for name, _ in outputs]
+    for path, (_, content) in zip(files, outputs):
+        if content is None:
+            content = "\n".join(lines) + "\n"
+        if isinstance(content, str):
+            path.write_text(content)
+        else:
+            write_csv(path, *content)
     mpath = write_manifest(out, command, cfg, files, time.perf_counter() - t0,
                            runs)
     for f in files + [mpath]:
@@ -316,7 +323,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     dc = model.derived_constants(params, fm)
     grid = _grid(cfg)
     es = integrate.sample(expansion.solve_expansion(params, fm), grid)  # the one slow solve
-    files = []
+    tables = []
     for eps, h in zip(cfg.epsilons, steps):
         traj = integrate.integrate_fixed(
             dynamics.action_angle_field(eps, fm),
@@ -324,33 +331,26 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         xs = integrate.sample(traj, grid)
         E = dynamics.energy_action_angle(dynamics.ActionAngleState(*xs.T), eps, fm)
         e_perp = xs[:, 1] * fm.derivs(xs[:, 2])[0]
-        p1 = out / f"traj_eps{eps!r}.csv"
-        write_csv(p1, ["t", "phi", "theta", "y", "p", "E", "E_perp", "E_par"],
-                  [grid, xs[:, 0], xs[:, 1], xs[:, 2], xs[:, 3], E, e_perp,
-                   E - e_perp])
-        files.append(p1)
+        tables.append((f"traj_eps{eps!r}.csv", (
+            ["t", "phi", "theta", "y", "p", "E", "E_perp", "E_par"],
+            [grid, xs[:, 0], xs[:, 1], xs[:, 2], xs[:, 3], E, e_perp, E - e_perp])))
 
         ctraj = integrate.integrate_fixed(
             dynamics.cartesian_field(eps, fm),
             np.array([cfg.y_star, cfg.p_star, 0.0, cfg.u_star]), cfg.horizon_T, h)
         cs = integrate.sample(ctraj, grid)
         ce_perp, ce_par = dynamics.energy_cartesian(dynamics.CartesianState(*cs.T), eps, fm)
-        p2 = out / f"cart_eps{eps!r}.csv"
-        write_csv(p2, ["t", "y", "eta", "z", "zeta", "E", "E_perp", "E_par"],
-                  [grid, cs[:, 0], cs[:, 1], cs[:, 2], cs[:, 3],
-                   ce_perp + ce_par, ce_perp, ce_par])
-        files.append(p2)
+        tables.append((f"cart_eps{eps!r}.csv", (
+            ["t", "y", "eta", "z", "zeta", "E", "E_perp", "E_par"],
+            [grid, cs[:, 0], cs[:, 1], cs[:, 2], cs[:, 3], ce_perp + ce_par, ce_perp, ce_par])))
 
     e0 = 0.5 * es[:, 2] ** 2 + dc.theta_star * fm.derivs(es[:, 1])[0]
-    p3 = out / "homogenized.csv"
-    write_csv(p3, ["t", "phi0", "y0", "p0", "theta0", "E0"],
-              [grid, es[:, 0], es[:, 1], es[:, 2], np.full(grid.size, dc.theta_star), e0])
-    files.append(p3)
-    p4 = out / "averaged.csv"
-    write_csv(p4, ["t", "phi2_bar", "theta2_bar", "y2_bar", "p2_bar"],
-              [grid, es[:, 3], es[:, 4], es[:, 5], es[:, 6]])
-    files.append(p4)
-    return _finish("simulate", cfg, out, t0, files)
+    tables.append(("homogenized.csv", (
+        ["t", "phi0", "y0", "p0", "theta0", "E0"],
+        [grid, es[:, 0], es[:, 1], es[:, 2], np.full(grid.size, dc.theta_star), e0])))
+    tables.append(("averaged.csv", (["t", "phi2_bar", "theta2_bar", "y2_bar", "p2_bar"],
+                                    [grid, es[:, 3], es[:, 4], es[:, 5], es[:, 6]])))
+    return _finish("simulate", cfg, out, t0, tables)
 
 
 # an unscaled residual indistinguishable from integrator rounding noise
@@ -404,8 +404,6 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
             for fam in ("leading", "first", "second")
             for var, sups in sorted(rep.families[fam].items())
             for i, e in enumerate(eps)]
-    p1 = out / "residuals.csv"
-    write_csv(p1, ["epsilon", "variable", "sup_norm", "normalized_norm"], list(zip(*rows)))
 
     can_fit = len(eps) >= 3
     gated = [("leading", "y"), ("leading", "p"), ("leading", "phi"), ("first", "theta")]
@@ -429,15 +427,14 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     gates.append(Gate("energy drift <= 1e-8 at every epsilon", drift_ok,
                       " ".join(f"{v:.2e}" for v in rep.energy_drift)))
 
-    p2 = out / "orders.csv"
-    write_csv(p2, ["variable", "order", "r_squared"],
-              [[r[i] for r in order_rows] for i in range(3)])
-
     if not can_fit:
         gates.append("[INFO] fewer than three epsilons: order gates skipped")
-    summary = out / "summary.txt"
-    return _finish("sweep", cfg, out, t0, [p1, p2, summary], gates, summary,
-                   runs)
+    return _finish("sweep", cfg, out, t0, [
+        ("residuals.csv", (["epsilon", "variable", "sup_norm", "normalized_norm"],
+                           list(zip(*rows)))),
+        ("orders.csv", (["variable", "order", "r_squared"],
+                        [[r[i] for r in order_rows] for i in range(3)])),
+        ("summary.txt", None)], gates, runs)
 
 
 def cmd_thermo(cfg: RunConfig, out: Path) -> int:
@@ -469,11 +466,6 @@ def cmd_thermo(cfg: RunConfig, out: Path) -> int:
         expansion.averaged_action_identity(base, corr, fm, dc.theta_star)))
     closed_form_gap = np.max(np.abs(
         corr.theta2_bar - dc.theta_star * bundle.S2_doublebar_closed))
-    p1 = out / "thermo.csv"
-    write_csv(p1, ["t", "T0", "F0", "S0", "S2_doublebar", "E2_perp_bar",
-                   "E2_par_bar", "first_law_residual"],
-              [grid, th.T0, th.F0, th.S0, th.S2_doublebar, th.E2_perp_bar,
-               th.E2_par_bar, second])
 
     t_check = thermo.hertz_temperature_oracle(0.5 * params.u_star**2, params.y_star, fm)
     # (name, tolerance as printed, the values it bounds)
@@ -525,9 +517,12 @@ def cmd_thermo(cfg: RunConfig, out: Path) -> int:
                  f"asserted: {np.max(np.abs(literal)):.3e}")
     lines.append("[INFO] entropy normalization: additive constant -log(theta_star) "
                  f"= {dc.entropy_constant!r} pins initial entropy to zero")
-    summary = out / "thermo_summary.txt"
-    return _finish("thermo", cfg, out, t0, [p1, summary], lines + gates, summary,
-                   runs)
+    return _finish("thermo", cfg, out, t0, [
+        ("thermo.csv", (["t", "T0", "F0", "S0", "S2_doublebar", "E2_perp_bar",
+                         "E2_par_bar", "first_law_residual"],
+                        [grid, th.T0, th.F0, th.S0, th.S2_doublebar, th.E2_perp_bar,
+                         th.E2_par_bar, second])),
+        ("thermo_summary.txt", None)], lines + gates, runs)
 
 
 TWO_SCALE_VARIABLES = ("theta1", "phi2", "y2", "p2", "theta2")
@@ -584,8 +579,6 @@ def cmd_twoscale(cfg: RunConfig, out: Path) -> int:
     table = two_scale_error_table(cfg, fm, params, _run_maker(cfg, fm, params, runs))
     eps_list = list(table)
     rows = [(eps, var, table[eps][var]) for eps in eps_list for var in TWO_SCALE_VARIABLES]
-    p1 = out / "twoscale.csv"
-    write_csv(p1, ["epsilon", "variable", "sup_error"], list(zip(*rows)))
     report = []
     if len(eps_list) >= 2:
         for var in TWO_SCALE_VARIABLES:
@@ -596,9 +589,9 @@ def cmd_twoscale(cfg: RunConfig, out: Path) -> int:
                                            raw, seq))
     else:
         report.append("[INFO] single epsilon: table emitted, no trend gate")
-    summary = out / "summary.txt"
-    return _finish("twoscale", cfg, out, t0, [p1, summary], report, summary,
-                   runs)
+    return _finish("twoscale", cfg, out, t0, [
+        ("twoscale.csv", (["epsilon", "variable", "sup_error"], list(zip(*rows)))),
+        ("summary.txt", None)], report, runs)
 
 
 def _identity_states(theta_lo: float):
@@ -668,12 +661,12 @@ def cmd_check(cfg: RunConfig, out: Path) -> int:
     results = {name: {"value": value if math.isfinite(value) else None,  # JSON has no NaN
                       "tolerance": tol, "pass": bool(value <= tol)}
                for name, value, tol in checks}
-    p2 = out / "check.json"
-    p2.write_text(json.dumps(results, indent=2, sort_keys=True, allow_nan=False) + "\n")
     gates = [Gate(name, value <= tol, f"value={value:.3e} tol={tol:.0e}")
              for name, value, tol in checks]
-    summary = out / "check.txt"
-    return _finish("check", cfg, out, t0, [summary, p2], gates, summary)
+    return _finish("check", cfg, out, t0, [
+        ("check.txt", None),
+        ("check.json", json.dumps(results, indent=2, sort_keys=True, allow_nan=False) + "\n")],
+        gates)
 
 
 _COMMANDS = {

@@ -514,8 +514,7 @@ def _dopri_ndarray(rhs, x0, horizon_T):
             n_reject += 1
             h = h * min(1.0, max(0.2, 0.9 * (err ** -0.14)))
     return fs.Trajectory(np.array(times), np.array(states), np.array(derivs),
-                         {"method": "dopri54", "rtol": rtol, "atol": atol,
-                          "n_accept": n_accept, "n_reject": n_reject})
+                         {"method": "dopri54", "n_accept": n_accept, "n_reject": n_reject})
 
 
 def _assert_same_run(traj, oracle):

@@ -822,6 +822,29 @@ def test_reference_error_cap_applies_to_every_command(tmp_path, capsys, command)
     assert rc == 3
     assert capsys.readouterr().err == (
         "numerical failure: reference error estimate 1.266e-05 exceeds cap 1.000e-08\n")
+    # a failed run leaves --out empty, thermo's csv included
+    assert list((tmp_path / "o").iterdir()) == []
+
+
+@pytest.mark.parametrize("command, module, kernel, epsilons", [
+    ("simulate", "dynamics", "energy_cartesian", "0.04"),
+    ("sweep", "averaging", "estimate_order", "0.04,0.02,0.01"),
+    ("thermo", "averaging", "estimate_order", "0.04,0.02,0.01"),
+    ("twoscale", "averaging", "nonlinear_two_scale_error", "0.04,0.02"),
+    ("check", "model", "finite_difference_report", "0.04,0.02"),
+])
+def test_failure_in_the_last_kernel_writes_nothing(tmp_path, capsys, monkeypatch, command,
+                                                   module, kernel, epsilons):
+    # each command computes all of its outputs before lab._finish writes any, so
+    # a failure in the last kernel it calls leaves --out empty
+    def fail(*args, **kwargs):
+        raise fs.NumericalError(f"{kernel} failed")
+
+    monkeypatch.setattr(getattr(fs, module), kernel, fail)
+    out = tmp_path / "o"
+    assert fs.main([command, "--epsilon", epsilons, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"numerical failure: {kernel} failed\n"
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command, key", [("sweep", "integrate.reference_factor"),
